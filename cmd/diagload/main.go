@@ -50,19 +50,19 @@ import (
 )
 
 type config struct {
-	addr     string
-	circuits []string
-	inject   int
-	seed     int64
-	tests    int
-	k        int
-	shards   []int    // each request draws one uniformly
-	engines  []string // each request draws one uniformly ("" = bsat)
-	enums    []string // enumeration-mode mix; each request draws one
-	n        int
-	clients  int
-	zipf     float64
-	coldFrac float64
+	addr        string
+	circuits    []string
+	inject      int
+	seed        int64
+	tests       int
+	k           int
+	shards      []int    // each request draws one uniformly
+	engines     []string // each request draws one uniformly ("" = bsat)
+	enums       []string // enumeration-mode mix; each request draws one
+	n           int
+	clients     int
+	zipf        float64
+	coldFrac    float64
 	reps        int
 	minSpeed    float64
 	traceSample int
@@ -93,7 +93,7 @@ func main() {
 			"portfolio smoke against a diagserver -portfolio: assert raced and pinned solutions are identical")
 		restart = flag.String("restart", "",
 			"crash-equivalence gate phase: 'prime' warms the pool and records a baseline, 'verify' asserts warm replay after a restart")
-		stateFile = flag.String("state", "diagload-restart.json", "baseline file shared by the -restart phases")
+		stateFile   = flag.String("state", "diagload-restart.json", "baseline file shared by the -restart phases")
 		traceSample = flag.Int("trace-sample", 0,
 			"after a load run, print the span breakdown of the N slowest requests")
 	)

@@ -74,8 +74,7 @@ func (s *Solver) Clone(keepLearnts bool) Backend {
 	for i := range n.reason {
 		n.reason[i] = CRefUndef
 	}
-	n.order.heap = append([]Var(nil), s.order.heap...)
-	n.order.pos = append([]int32(nil), s.order.pos...)
+	n.order = s.order.clone()
 	if keepLearnts {
 		n.learnts = append([]CRef(nil), s.learnts...)
 	} else {

@@ -104,7 +104,7 @@ type enumTracker struct {
 	// backjump can retain. Variables may sit in both heaps at once;
 	// the pop side skips assigned variables, so stale entries are
 	// harmless (same discipline as the main heap).
-	projOrder varHeap
+	projOrder varOrder
 
 	// scan is the circular cursor of enumScan over s.clauses. It marks
 	// where the last scan stopped, so successive completion decisions

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"repro/internal/trace"
@@ -32,7 +33,7 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
-	order    varHeap
+	order    varOrder
 	polarity []bool
 	decision []bool
 
@@ -210,9 +211,16 @@ func (s *Solver) Statistics() Stats { return s.Stats }
 func (s *Solver) SetPolarity(v Var, val bool) { s.polarity[v] = !val }
 
 // BumpActivity increases the VSIDS activity of v by amount times the
-// current bump increment, so hot variables are branched on first.
+// current bump increment, so hot variables are branched on first. An
+// amount that is not positive and finite, or whose scaled bump
+// overflows, is ignored: activities never go negative or NaN, which the
+// decision order relies on.
 func (s *Solver) BumpActivity(v Var, amount float64) {
-	s.bumpVarBy(v, amount*s.varInc)
+	inc := amount * s.varInc
+	if !(inc > 0) || math.IsInf(inc, 1) {
+		return
+	}
+	s.bumpVarBy(v, inc)
 }
 
 // SetBudget gives subsequent Solve calls a fresh budget: maxConflicts
@@ -457,6 +465,10 @@ func (s *Solver) bumpVarBy(v Var, inc float64) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		s.order.rescaled(s.activity)
+		if s.enum.active {
+			s.enum.projOrder.rescaled(s.activity)
+		}
 	}
 	s.order.update(v, s.activity)
 	if s.enum.active {
@@ -1047,22 +1059,10 @@ func (s *Solver) search(nConflicts int) Status {
 				// the conflict rate between models stays low. If the
 				// projected heap runs dry (non-decision projection
 				// variables), fall through to the main heap.
-				for !s.enum.projOrder.empty() {
-					v := s.enum.projOrder.removeMax(s.activity)
-					if s.assigns[v] == LUndef && s.decision[v] {
-						next = MkLit(v, s.polarity[v])
-						break
-					}
-				}
+				next = s.popDecision(&s.enum.projOrder)
 			}
 			if next == LitUndef {
-				for !s.order.empty() {
-					v := s.order.removeMax(s.activity)
-					if s.assigns[v] == LUndef && s.decision[v] {
-						next = MkLit(v, s.polarity[v])
-						break
-					}
-				}
+				next = s.popDecision(&s.order)
 			}
 			if next == LitUndef {
 				if s.enum.active && s.enumRefillOrder() {
@@ -1080,6 +1080,20 @@ func (s *Solver) search(nConflicts int) Status {
 		s.newDecisionLevel()
 		s.uncheckedEnqueue(next, CRefUndef)
 	}
+}
+
+// popDecision pops q until it yields an unassigned decision variable and
+// returns it with its saved phase, or LitUndef once q runs dry. Popped
+// assigned variables leave the queue; cancelUntil reinserts them when
+// they are unassigned.
+func (s *Solver) popDecision(q *varOrder) Lit {
+	for !q.empty() {
+		v := q.removeMax(s.activity)
+		if s.assigns[v] == LUndef && s.decision[v] {
+			return MkLit(v, s.polarity[v])
+		}
+	}
+	return LitUndef
 }
 
 // analyzeFinal computes the failed-assumption core when assumption p
@@ -1111,99 +1125,4 @@ func (s *Solver) analyzeFinal(p Lit) {
 		s.seen[v] = 0
 	}
 	s.seen[p.Var()] = 0
-}
-
-// varHeap is an indexed max-heap over variable activity with
-// deterministic tie-breaking (lower variable index wins).
-type varHeap struct {
-	heap []Var
-	pos  []int32
-}
-
-func (h *varHeap) empty() bool { return len(h.heap) == 0 }
-
-func (h *varHeap) contains(v Var) bool {
-	return int(v) < len(h.pos) && h.pos[v] >= 0
-}
-
-func (h *varHeap) insert(v Var, act []float64) {
-	for int(v) >= len(h.pos) {
-		h.pos = append(h.pos, -1)
-	}
-	if h.pos[v] >= 0 {
-		return
-	}
-	h.pos[v] = int32(len(h.heap))
-	h.heap = append(h.heap, v)
-	h.up(int(h.pos[v]), act)
-}
-
-func (h *varHeap) clear() {
-	for _, v := range h.heap {
-		h.pos[v] = -1
-	}
-	h.heap = h.heap[:0]
-}
-
-func (h *varHeap) update(v Var, act []float64) {
-	if h.contains(v) {
-		h.up(int(h.pos[v]), act)
-	}
-}
-
-func (h *varHeap) removeMax(act []float64) Var {
-	v := h.heap[0]
-	last := h.heap[len(h.heap)-1]
-	h.heap = h.heap[:len(h.heap)-1]
-	h.pos[v] = -1
-	if len(h.heap) > 0 {
-		h.heap[0] = last
-		h.pos[last] = 0
-		h.down(0, act)
-	}
-	return v
-}
-
-func heapLess(a, b Var, act []float64) bool {
-	if act[a] != act[b] {
-		return act[a] > act[b]
-	}
-	return a < b
-}
-
-func (h *varHeap) up(i int, act []float64) {
-	v := h.heap[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapLess(v, h.heap[parent], act) {
-			break
-		}
-		h.heap[i] = h.heap[parent]
-		h.pos[h.heap[i]] = int32(i)
-		i = parent
-	}
-	h.heap[i] = v
-	h.pos[v] = int32(i)
-}
-
-func (h *varHeap) down(i int, act []float64) {
-	v := h.heap[i]
-	for {
-		l := 2*i + 1
-		if l >= len(h.heap) {
-			break
-		}
-		best := l
-		if r := l + 1; r < len(h.heap) && heapLess(h.heap[r], h.heap[l], act) {
-			best = r
-		}
-		if !heapLess(h.heap[best], v, act) {
-			break
-		}
-		h.heap[i] = h.heap[best]
-		h.pos[h.heap[i]] = int32(i)
-		i = best
-	}
-	h.heap[i] = v
-	h.pos[v] = int32(i)
 }
