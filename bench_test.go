@@ -18,7 +18,6 @@ package diagnosis_test
 // recorded and compared against the paper in EXPERIMENTS.md.
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -30,7 +29,6 @@ import (
 	"repro/internal/expt"
 	"repro/internal/metrics"
 	"repro/internal/sat"
-	"repro/internal/service"
 	"repro/internal/sim"
 )
 
@@ -214,234 +212,6 @@ func BenchmarkTable2_CEGAR_vs_Mono(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkTable2_BSAT_Configs runs the hard Table 2 SAT cells (s1423x
-// m=16) under each search configuration and as a first-wins portfolio
-// race on a warm session. Two ladder bounds with different contracts:
-//
-//	k3full — K=3 exhaustive (393 solutions, completes within the cap).
-//	         Complete enumerations are configuration-invariant, so the
-//	         solution list is asserted byte-identical across all
-//	         variants.
-//	k4cap  — K=4 at the 1000-solution cap (the BSAT_All m16 cell). A
-//	         capped run stops mid-search, so its solution prefix is
-//	         trajectory-dependent by construction; the variants compare
-//	         speed-to-cap only, each still reporting exactly 1000
-//	         solutions.
-//
-// On a single-core box the race time-slices both forks, so the
-// portfolio sub-benchmark reads as overhead there and as min(configs)
-// wall time on a machine with a core per configuration.
-func BenchmarkTable2_BSAT_Configs(b *testing.B) {
-	const m = 16
-	w := table2Workload[0] // s1423x, p=4
-	sc := scenarioFor(b, w.circuit, w.p, w.seed)
-	tests := sc.Tests.Prefix(m)
-	if len(tests) < m {
-		b.Skipf("scenario exposes only %d of %d tests", len(tests), m)
-	}
-	key := func(sols [][]int) string {
-		parts := make([]string, len(sols))
-		for i, s := range sols {
-			parts[i] = fmt.Sprint(s)
-		}
-		return strings.Join(parts, ";")
-	}
-	cells := []struct {
-		name     string
-		k        int
-		complete bool // enumeration finishes inside the cap -> assert identity
-	}{
-		{name: "k3full", k: 3, complete: true},
-		{name: "k4cap", k: w.p, complete: false},
-	}
-	for _, cell := range cells {
-		baseline := ""
-		check := func(b *testing.B, sols [][]int, complete bool) {
-			if cell.complete && !complete {
-				b.Fatal("expected a complete enumeration")
-			}
-			if !cell.complete {
-				return
-			}
-			if all := key(sols); baseline == "" {
-				baseline = all
-			} else if all != baseline {
-				b.Fatal("complete solution list diverged across configurations")
-			}
-		}
-		for _, solver := range []string{"default", "gen2"} {
-			b.Run(fmt.Sprintf("%s/p%d/m%d/%s/%s", w.circuit, w.p, m, cell.name, solver), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := core.BSAT(sc.Faulty, tests, core.BSATOptions{
-						K: cell.k, Solver: solver,
-						MaxSolutions: benchBudget.MaxSolutions, Timeout: benchBudget.Timeout,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					sols := make([][]int, len(res.Solutions))
-					for j, s := range res.Solutions {
-						sols[j] = s.Gates
-					}
-					check(b, sols, res.Complete)
-					b.ReportMetric(float64(len(sols)), "solutions")
-					b.ReportMetric(float64(res.Stats.LBDRestarts), "lbd-restarts")
-				}
-			})
-		}
-		b.Run(fmt.Sprintf("%s/p%d/m%d/%s/portfolio", w.circuit, w.p, m, cell.name), func(b *testing.B) {
-			pool := service.NewSessionPool(service.PoolOptions{})
-			model := service.FaultModel{}
-			entry, _, err := pool.Acquire("bench-"+cell.name, func() (service.Built, error) {
-				return service.Built{
-					Session: service.NewWarmSession(sc.Faulty, model, w.p),
-					Circuit: sc.Faulty, Model: model, MaxK: w.p,
-				}, nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pool.Release(entry)
-			spec := service.RunSpec{K: cell.k, MaxSolutions: benchBudget.MaxSolutions, Timeout: benchBudget.Timeout}
-			wins := map[string]int{}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, winner, err := entry.DiagnosePortfolio(context.Background(), tests, spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				check(b, rep.Solutions, rep.Complete)
-				wins[winner]++
-				b.ReportMetric(float64(len(rep.Solutions)), "solutions")
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(wins["gen2"]), "gen2-wins")
-		})
-	}
-}
-
-// BenchmarkTable2_BSAT_EnumModes compares the enumeration modes on the
-// hard Table 2 SAT cells (s1423x m=16): the legacy one-solve-per-model
-// loop against the projected mode (early model termination at the
-// projection frontier plus blocked-continue search), monolithically,
-// sharded and on a warm session. Same two ladder cells as _Configs:
-//
-//	k3full — K=3 exhaustive (393 solutions). Complete enumerations are
-//	         mode-invariant, so every variant's solution list is
-//	         asserted byte-identical to the legacy baseline.
-//	k4cap  — K=4 at the 1000-solution cap; speed-to-cap only.
-//
-// The decisions/propagations metrics are deterministic solver counters,
-// so the projected mode's work reduction reads directly off the report
-// (recorded per cell in BENCH_8.json).
-func BenchmarkTable2_BSAT_EnumModes(b *testing.B) {
-	const m = 16
-	w := table2Workload[0] // s1423x, p=4
-	sc := scenarioFor(b, w.circuit, w.p, w.seed)
-	tests := sc.Tests.Prefix(m)
-	if len(tests) < m {
-		b.Skipf("scenario exposes only %d of %d tests", len(tests), m)
-	}
-	key := func(sols [][]int) string {
-		parts := make([]string, len(sols))
-		for i, s := range sols {
-			parts[i] = fmt.Sprint(s)
-		}
-		return strings.Join(parts, ";")
-	}
-	cells := []struct {
-		name     string
-		k        int
-		complete bool // enumeration finishes inside the cap -> assert identity
-	}{
-		{name: "k3full", k: 3, complete: true},
-		{name: "k4cap", k: w.p, complete: false},
-	}
-	for _, cell := range cells {
-		baseline := ""
-		check := func(b *testing.B, sols [][]int, complete bool) {
-			b.Helper()
-			if cell.complete && !complete {
-				b.Fatal("expected a complete enumeration")
-			}
-			if !cell.complete {
-				return
-			}
-			if all := key(sols); baseline == "" {
-				baseline = all
-			} else if all != baseline {
-				b.Fatal("complete solution list diverged from the legacy baseline")
-			}
-		}
-		report := func(b *testing.B, sols [][]int, st sat.Stats) {
-			b.ReportMetric(float64(len(sols)), "solutions")
-			b.ReportMetric(float64(st.Decisions), "decisions")
-			b.ReportMetric(float64(st.Propagations), "propagations")
-			b.ReportMetric(float64(st.EarlyTerms), "early-terms")
-		}
-		for _, mode := range []string{"legacy", "projected"} {
-			b.Run(fmt.Sprintf("%s/p%d/m%d/%s/%s", w.circuit, w.p, m, cell.name, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := core.BSAT(sc.Faulty, tests, core.BSATOptions{
-						K: cell.k, Enum: mode,
-						MaxSolutions: benchBudget.MaxSolutions, Timeout: benchBudget.Timeout,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					sols := make([][]int, len(res.Solutions))
-					for j, s := range res.Solutions {
-						sols[j] = s.Gates
-					}
-					check(b, sols, res.Complete)
-					report(b, sols, res.Stats)
-				}
-			})
-		}
-		b.Run(fmt.Sprintf("%s/p%d/m%d/%s/projected-shards2", w.circuit, w.p, m, cell.name), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.BSAT(sc.Faulty, tests, core.BSATOptions{
-					K: cell.k, Enum: "projected", Shards: 2,
-					MaxSolutions: benchBudget.MaxSolutions, Timeout: benchBudget.Timeout,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sols := make([][]int, len(res.Solutions))
-				for j, s := range res.Solutions {
-					sols[j] = s.Gates
-				}
-				check(b, sols, res.Complete)
-				report(b, sols, res.Stats)
-			}
-		})
-		b.Run(fmt.Sprintf("%s/p%d/m%d/%s/projected-warm", w.circuit, w.p, m, cell.name), func(b *testing.B) {
-			pool := service.NewSessionPool(service.PoolOptions{})
-			model := service.FaultModel{}
-			entry, _, err := pool.Acquire("bench-enum-"+cell.name, func() (service.Built, error) {
-				return service.Built{
-					Session: service.NewWarmSession(sc.Faulty, model, w.p),
-					Circuit: sc.Faulty, Model: model, MaxK: w.p,
-				}, nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pool.Release(entry)
-			spec := service.RunSpec{K: cell.k, Enum: "projected", MaxSolutions: benchBudget.MaxSolutions, Timeout: benchBudget.Timeout}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := entry.Diagnose(context.Background(), tests, spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				check(b, rep.Solutions, rep.Complete)
-				report(b, rep.Solutions, rep.Stats)
-			}
-		})
 	}
 }
 

@@ -58,7 +58,6 @@ type config struct {
 	k           int
 	shards      []int    // each request draws one uniformly
 	engines     []string // each request draws one uniformly ("" = bsat)
-	enums       []string // enumeration-mode mix; each request draws one
 	n           int
 	clients     int
 	zipf        float64
@@ -71,27 +70,24 @@ type config struct {
 
 func main() {
 	var (
-		addr      = flag.String("addr", "http://localhost:8344", "diagserver base URL")
-		circuits  = flag.String("circuits", "s298x,s400x,s526x", "comma-separated suite circuits")
-		inject    = flag.Int("inject", 1, "errors injected per circuit")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		tests     = flag.Int("tests", 8, "failing tests per workload")
-		k         = flag.Int("k", 0, "correction size limit (0 = number of injected errors)")
-		shards    = flag.String("shards", "1", "comma-separated shard counts; each request draws one")
-		engines   = flag.String("engines", "bsat", "comma-separated engine mix; each request draws one")
-		enums     = flag.String("enums", "legacy,projected", "comma-separated enumeration-mode mix; each request draws one")
-		n         = flag.Int("n", 50, "total requests")
-		clients   = flag.Int("c", 4, "concurrent clients")
-		zipf      = flag.Float64("zipf", 1.2, "circuit popularity skew (<=1 = uniform)")
-		coldFrac  = flag.Float64("cold-frac", 0, "fraction of requests forced cold (pool bypass)")
-		reps      = flag.Int("reps", 3, "repetitions per stage in -compare")
-		minSpeed  = flag.Float64("min-speedup", 0, "-compare exits non-zero when warm speedup is below this")
-		smoke     = flag.Bool("smoke", false, "cold+warm smoke: assert the warm request hits the pool")
-		compare   = flag.Bool("compare", false, "measure cold vs warm vs incremental latency")
-		chaos     = flag.Bool("chaos", false, "fault-tolerance gate against a failpoint-armed server")
-		portfolio = flag.Bool("portfolio", false,
-			"portfolio smoke against a diagserver -portfolio: assert raced and pinned solutions are identical")
-		restart = flag.String("restart", "",
+		addr     = flag.String("addr", "http://localhost:8344", "diagserver base URL")
+		circuits = flag.String("circuits", "s298x,s400x,s526x", "comma-separated suite circuits")
+		inject   = flag.Int("inject", 1, "errors injected per circuit")
+		seed     = flag.Int64("seed", 1, "workload seed")
+		tests    = flag.Int("tests", 8, "failing tests per workload")
+		k        = flag.Int("k", 0, "correction size limit (0 = number of injected errors)")
+		shards   = flag.String("shards", "1", "comma-separated shard counts; each request draws one")
+		engines  = flag.String("engines", "bsat", "comma-separated engine mix; each request draws one")
+		n        = flag.Int("n", 50, "total requests")
+		clients  = flag.Int("c", 4, "concurrent clients")
+		zipf     = flag.Float64("zipf", 1.2, "circuit popularity skew (<=1 = uniform)")
+		coldFrac = flag.Float64("cold-frac", 0, "fraction of requests forced cold (pool bypass)")
+		reps     = flag.Int("reps", 3, "repetitions per stage in -compare")
+		minSpeed = flag.Float64("min-speedup", 0, "-compare exits non-zero when warm speedup is below this")
+		smoke    = flag.Bool("smoke", false, "cold+warm smoke: assert the warm request hits the pool")
+		compare  = flag.Bool("compare", false, "measure cold vs warm vs incremental latency")
+		chaos    = flag.Bool("chaos", false, "fault-tolerance gate against a failpoint-armed server")
+		restart  = flag.String("restart", "",
 			"crash-equivalence gate phase: 'prime' warms the pool and records a baseline, 'verify' asserts warm replay after a restart")
 		stateFile   = flag.String("state", "diagload-restart.json", "baseline file shared by the -restart phases")
 		traceSample = flag.Int("trace-sample", 0,
@@ -107,7 +103,7 @@ func main() {
 	cfg := config{
 		addr: strings.TrimRight(*addr, "/"), circuits: splitList(*circuits),
 		inject: *inject, seed: *seed, tests: *tests, k: *k,
-		shards: shardList, engines: splitList(*engines), enums: splitList(*enums),
+		shards: shardList, engines: splitList(*engines),
 		n: *n, clients: *clients, zipf: *zipf, coldFrac: *coldFrac,
 		reps: *reps, minSpeed: *minSpeed, traceSample: *traceSample, out: os.Stdout,
 	}
@@ -120,9 +116,6 @@ func main() {
 	if len(cfg.shards) == 0 {
 		cfg.shards = []int{1}
 	}
-	if len(cfg.enums) == 0 {
-		cfg.enums = []string{"legacy"}
-	}
 	switch {
 	case *smoke:
 		err = runSmoke(cfg)
@@ -130,8 +123,6 @@ func main() {
 		err = runCompare(cfg)
 	case *chaos:
 		err = runChaos(cfg)
-	case *portfolio:
-		err = runPortfolio(cfg)
 	case *restart != "":
 		err = runRestart(cfg, *restart, *stateFile)
 	default:
@@ -253,10 +244,7 @@ func postJSON[T any](base, path string, body any) (T, error) {
 	return out, nil
 }
 
-func (cfg config) request(wl workload, mode, engine string, shards int, enum string) service.DiagnoseRequest {
-	if enum == "legacy" {
-		enum = "" // the wire zero value; keeps old servers compatible
-	}
+func (cfg config) request(wl workload, mode, engine string, shards int) service.DiagnoseRequest {
 	return service.DiagnoseRequest{
 		Bench:  wl.bench,
 		Tests:  wl.tests,
@@ -264,13 +252,12 @@ func (cfg config) request(wl workload, mode, engine string, shards int, enum str
 		Shards: shards,
 		Engine: engine,
 		Mode:   mode,
-		Enum:   enum,
 	}
 }
 
 // base is the single-choice request the smoke/compare paths use.
 func (cfg config) base(wl workload, mode string) service.DiagnoseRequest {
-	return cfg.request(wl, mode, cfg.engines[0], cfg.shards[0], "legacy")
+	return cfg.request(wl, mode, cfg.engines[0], cfg.shards[0])
 }
 
 // fetchMetric scrapes one plain sample from /metrics.
@@ -311,8 +298,8 @@ func runLoad(cfg config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(cfg.out, "workloads: %d circuits, %d tests each, k=%d, engines=%v, shards=%v, enums=%v\n",
-		len(loads), cfg.tests, cfg.k, cfg.engines, cfg.shards, cfg.enums)
+	fmt.Fprintf(cfg.out, "workloads: %d circuits, %d tests each, k=%d, engines=%v, shards=%v\n",
+		len(loads), cfg.tests, cfg.k, cfg.engines, cfg.shards)
 
 	type sample struct {
 		d       time.Duration
@@ -323,10 +310,6 @@ func runLoad(cfg config) error {
 		timings *trace.SpanJSON
 	}
 	samples := make([]sample, cfg.n)
-	var enumStats struct {
-		sync.Mutex
-		earlyTerms, continueBJ, skipped int64
-	}
 	var idx struct {
 		sync.Mutex
 		next int
@@ -364,9 +347,8 @@ func runLoad(cfg config) error {
 				}
 				engine := cfg.engines[r.Intn(len(cfg.engines))]
 				shards := cfg.shards[r.Intn(len(cfg.shards))]
-				enum := cfg.enums[r.Intn(len(cfg.enums))]
 				t0 := time.Now()
-				resp, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.request(wl, mode, engine, shards, enum))
+				resp, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.request(wl, mode, engine, shards))
 				if err != nil {
 					errs <- err
 					return
@@ -375,11 +357,6 @@ func runLoad(cfg config) error {
 					d: time.Since(t0), mode: resp.Mode, hit: resp.PoolHit,
 					id: resp.RequestID, name: wl.name, timings: resp.Timings,
 				}
-				enumStats.Lock()
-				enumStats.earlyTerms += resp.Stats.EarlyTerms
-				enumStats.continueBJ += resp.Stats.ContinueBackjumps
-				enumStats.skipped += resp.Stats.SkippedDecisions
-				enumStats.Unlock()
 			}
 		}(c)
 	}
@@ -411,8 +388,6 @@ func runLoad(cfg config) error {
 		fmt.Fprintf(cfg.out, "  %-11s n=%-4d p50=%-10v p99=%v\n",
 			m, len(ds), quantile(ds, 0.50).Round(time.Microsecond), quantile(ds, 0.99).Round(time.Microsecond))
 	}
-	fmt.Fprintf(cfg.out, "  projected enumeration: earlyTerms=%d continueBackjumps=%d skippedDecisions=%d\n",
-		enumStats.earlyTerms, enumStats.continueBJ, enumStats.skipped)
 	for _, name := range []string{"diag_pool_hits_total", "diag_pool_misses_total", "diag_pool_evictions_total"} {
 		if v, err := fetchMetric(cfg.addr, name); err == nil {
 			fmt.Fprintf(cfg.out, "  %s %d\n", name, v)
@@ -494,24 +469,6 @@ func runSmoke(cfg config) error {
 	if !bytes.Equal(a, b) {
 		return fmt.Errorf("smoke: warm solutions diverged:\n cold %s\n warm %s", a, b)
 	}
-	// Projected-mode request on the same warm session: identical bytes,
-	// and the mode must actually engage (non-zero early terminations).
-	preq := cfg.base(wl, "")
-	preq.Enum = "projected"
-	proj, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", preq)
-	if err != nil {
-		return err
-	}
-	if !proj.PoolHit {
-		return fmt.Errorf("smoke: projected request missed the pool (mode=%s)", proj.Mode)
-	}
-	p, _ := json.Marshal(proj.Solutions)
-	if !bytes.Equal(a, p) {
-		return fmt.Errorf("smoke: projected solutions diverged:\n legacy    %s\n projected %s", a, p)
-	}
-	if len(proj.Solutions) > 0 && proj.Stats.EarlyTerms == 0 {
-		return fmt.Errorf("smoke: projected mode did not engage (earlyTerms=0, stats %+v)", proj.Stats)
-	}
 	hitsMetric, err := fetchMetric(cfg.addr, "diag_pool_hits_total")
 	if err != nil {
 		return err
@@ -519,70 +476,8 @@ func runSmoke(cfg config) error {
 	if hitsMetric < 1 {
 		return fmt.Errorf("smoke: /metrics reports %d pool hits, want >= 1", hitsMetric)
 	}
-	fmt.Fprintf(cfg.out, "smoke ok: %s cold %.1fms -> warm %.1fms -> projected %.1fms (pool hit, %d solutions identical, earlyTerms=%d continueBackjumps=%d)\n",
-		wl.name, cold.ElapsedMs, warm.ElapsedMs, proj.ElapsedMs, len(warm.Solutions),
-		proj.Stats.EarlyTerms, proj.Stats.ContinueBackjumps)
-	return nil
-}
-
-// runPortfolio is the portfolio-racing gate against a server started
-// with -portfolio: one raced request, one request per pinned solver
-// configuration, and the assertion that every answer — raced, pinned
-// and the local fault-free baseline — is byte-identical. That is the
-// contract that makes first-wins racing sound: configurations change
-// the search trajectory, never the solution set.
-func runPortfolio(cfg config) error {
-	cfg.circuits = cfg.circuits[:1]
-	loads, err := prepare(cfg)
-	if err != nil {
-		return err
-	}
-	wl := loads[0]
-	want, err := localTruth(wl, cfg.k)
-	if err != nil {
-		return err
-	}
-	raced, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.base(wl, ""))
-	if err != nil {
-		return err
-	}
-	if !raced.Raced {
-		return fmt.Errorf("portfolio: response was not raced — is the server running with -portfolio?")
-	}
-	if !raced.Complete {
-		return fmt.Errorf("portfolio: raced request did not complete")
-	}
-	got, _ := json.Marshal(raced.Solutions)
-	if string(got) != want {
-		return fmt.Errorf("portfolio: raced solutions diverged from local baseline:\n raced %s\n local %s", got, want)
-	}
-	for _, solver := range []string{"default", "gen2"} {
-		req := cfg.base(wl, "")
-		req.Solver = solver
-		pinned, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", req)
-		if err != nil {
-			return err
-		}
-		if pinned.Raced {
-			return fmt.Errorf("portfolio: solver-pinned request (%s) was raced", solver)
-		}
-		if pinned.Solver != solver {
-			return fmt.Errorf("portfolio: pinned request reports solver %q, want %q", pinned.Solver, solver)
-		}
-		pb, _ := json.Marshal(pinned.Solutions)
-		if !bytes.Equal(pb, got) {
-			return fmt.Errorf("portfolio: %s solutions diverged from the raced answer:\n %s %s\n raced %s", solver, solver, pb, got)
-		}
-	}
-	races, err := fetchMetric(cfg.addr, "diag_portfolio_races_total")
-	if err != nil {
-		return err
-	}
-	if races < 1 {
-		return fmt.Errorf("portfolio: /metrics reports %d races, want >= 1", races)
-	}
-	fmt.Fprintf(cfg.out, "portfolio ok: %s raced (winner %s, %.1fms), %d solutions identical across raced/default/gen2/local\n",
-		wl.name, raced.Solver, raced.ElapsedMs, len(raced.Solutions))
+	fmt.Fprintf(cfg.out, "smoke ok: %s cold %.1fms -> warm %.1fms (pool hit, %d solutions identical)\n",
+		wl.name, cold.ElapsedMs, warm.ElapsedMs, len(warm.Solutions))
 	return nil
 }
 
@@ -662,14 +557,12 @@ func runChaos(cfg config) error {
 			return err
 		}
 	}
-	fmt.Fprintf(cfg.out, "chaos: %d circuits, %d requests, %d clients, shards=%v, enums=%v\n",
-		len(loads), cfg.n, cfg.clients, cfg.shards, cfg.enums)
+	fmt.Fprintf(cfg.out, "chaos: %d circuits, %d requests, %d clients, shards=%v\n",
+		len(loads), cfg.n, cfg.clients, cfg.shards)
 
 	var mu sync.Mutex
 	codes := map[int]int{}
 	completed, degraded := 0, 0
-	completedProjected := 0
-	earlyTerms := int64(0)
 	undumped := 0 // degraded responses missing their flight-recorder dump
 	var mismatches []string
 	var transport []error
@@ -699,8 +592,7 @@ func runChaos(cfg config) error {
 					mode = "cold"
 				}
 				shards := cfg.shards[r.Intn(len(cfg.shards))]
-				enum := cfg.enums[r.Intn(len(cfg.enums))]
-				req := cfg.request(wl, mode, cfg.engines[r.Intn(len(cfg.engines))], shards, enum)
+				req := cfg.request(wl, mode, cfg.engines[r.Intn(len(cfg.engines))], shards)
 				// A minimal sample stage pushes sharded work onto the
 				// cube workers, where the cnf/cube failpoints live.
 				req.SampleCap = 1
@@ -715,13 +607,9 @@ func runChaos(cfg config) error {
 				case resp.Complete:
 					completed++
 					codes[code]++
-					if enum == "projected" {
-						completedProjected++
-						earlyTerms += resp.Stats.EarlyTerms
-					}
 					if got, _ := json.Marshal(resp.Solutions); string(got) != want[li] {
 						mismatches = append(mismatches,
-							fmt.Sprintf("%s shards=%d enum=%s: %s != %s", wl.name, shards, enum, got, want[li]))
+							fmt.Sprintf("%s shards=%d: %s != %s", wl.name, shards, got, want[li]))
 					}
 				default:
 					degraded++
@@ -769,11 +657,6 @@ func runChaos(cfg config) error {
 	}
 	if faults == 0 {
 		return fmt.Errorf("chaos: no fault observed in the counters — are the server's failpoints armed?")
-	}
-	fmt.Fprintf(cfg.out, "  projected: %d completed, earlyTerms=%d\n", completedProjected, earlyTerms)
-	if completedProjected > 0 && earlyTerms == 0 {
-		return fmt.Errorf("chaos: %d projected responses completed but the mode never engaged (earlyTerms=0)",
-			completedProjected)
 	}
 	if _, err := http.Get(cfg.addr + "/healthz"); err != nil {
 		return fmt.Errorf("chaos: server unreachable after run: %w", err)

@@ -18,7 +18,6 @@ func testConfig(base string) config {
 		k:        1,
 		shards:   []int{1},
 		engines:  []string{"bsat"},
-		enums:    []string{"legacy", "projected"},
 		n:        6,
 		clients:  2,
 		zipf:     1.2,

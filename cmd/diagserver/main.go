@@ -54,16 +54,14 @@ func envInt64(key string, def int64) int64 {
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8344", "listen address")
-		workers   = flag.Int("workers", 0, "request executor pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "admission queue depth (full queue -> 429)")
-		poolMB    = flag.Int64("pool-mb", 512, "warm-session pool budget in MiB (LRU eviction past it)")
-		sessions  = flag.Int("pool-sessions", 64, "warm-session count bound")
-		defTO     = flag.Duration("default-timeout", 2*time.Minute, "budget for requests without one")
-		maxTO     = flag.Duration("max-timeout", 10*time.Minute, "clamp for client-supplied budgets (0 = none)")
-		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
-		portfolio = flag.Bool("portfolio", false,
-			"race every eligible warm request across all search configurations; first finisher wins")
+		addr       = flag.String("addr", ":8344", "listen address")
+		workers    = flag.Int("workers", 0, "request executor pool size (0 = GOMAXPROCS)")
+		queue      = flag.Int("queue", 64, "admission queue depth (full queue -> 429)")
+		poolMB     = flag.Int64("pool-mb", 512, "warm-session pool budget in MiB (LRU eviction past it)")
+		sessions   = flag.Int("pool-sessions", 64, "warm-session count bound")
+		defTO      = flag.Duration("default-timeout", 2*time.Minute, "budget for requests without one")
+		maxTO      = flag.Duration("max-timeout", 10*time.Minute, "clamp for client-supplied budgets (0 = none)")
+		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		failpoints = flag.String("failpoints", os.Getenv("DIAG_FAILPOINTS"),
 			"failpoint spec for chaos runs, e.g. 'cnf/cube=panic(0.1)x5' (default from DIAG_FAILPOINTS)")
 		fpSeed = flag.Int64("failpoint-seed", envInt64("DIAG_FAILPOINT_SEED", 1),
@@ -129,14 +127,10 @@ func main() {
 			DefaultTimeout: *defTO,
 			MaxTimeout:     *maxTO,
 		},
-		Portfolio:     *portfolio,
 		Logger:        logger,
 		Journal:       jw,
 		ReplayPending: jw != nil && len(jst.Sessions) > 0,
 	})
-	if *portfolio {
-		log.Printf("portfolio racing enabled")
-	}
 
 	if *debugAddr != "" {
 		// pprof lives on its own mux and listener: the serving port never

@@ -66,25 +66,10 @@ type DiagOptions struct {
 	// implementation slots in here.
 	Backend sat.Backend
 
-	// Search, when non-zero, selects the solver's search configuration
-	// (sat.DefaultConfig / sat.Gen2Config). Configurations change the
-	// search trajectory, never the solution set, so any configuration —
-	// including a different one per shard worker — yields the same
-	// canonical diagnosis sets.
-	Search sat.SearchConfig
-
-	// Enum is the session's default enumeration mode for rounds that do
-	// not set RoundOptions.Enum themselves (sat.EnumProjected enables
-	// early model termination and blocked-continue search). Under the
-	// ladder discipline every pass enumerates an antichain of size-k
-	// solutions, so the mode changes the trajectory, never the canonical
-	// solution set.
-	Enum sat.EnumMode
-
 	// Recorder, when non-nil, is installed on the backend as its flight
 	// recorder: the solver's rare search events (restarts, reductions,
 	// models, budget exits) land in its ring, and clones forked for
-	// sharded or portfolio runs inherit it. Observation-only — the
+	// sharded runs inherit it. Observation-only — the
 	// search trajectory is identical with or without it.
 	Recorder *trace.Recorder
 }

@@ -120,9 +120,6 @@ func NewSession(c *circuit.Circuit, opts DiagOptions) *DiagSession {
 	if s == nil {
 		s = sat.New()
 	}
-	if opts.Search != (sat.SearchConfig{}) {
-		s.SetSearchConfig(opts.Search)
-	}
 	if opts.Recorder != nil {
 		s.SetRecorder(opts.Recorder)
 	}
@@ -467,18 +464,6 @@ type RoundOptions struct {
 	// EnumerateRound. A cube that exhausts its retries is abandoned and
 	// the run reports complete=false.
 	MaxCubeRetries int
-	// WorkerConfigs, when non-empty, assigns search configurations to the
-	// forked shard workers cyclically (worker i runs WorkerConfigs[i %
-	// len]). Configurations change only the search trajectory, never the
-	// solution set, so a mixed-config sharded run still merges to the
-	// canonical monolithic answer. Ignored by EnumerateRound.
-	WorkerConfigs []sat.SearchConfig
-	// Enum selects the enumeration mode of every EnumerateProjected call
-	// in the round (sat.EnumLegacy or sat.EnumProjected). The zero value
-	// falls back to the session default (DiagOptions.Enum). Like search
-	// configurations, the mode is trajectory-only under the ladder
-	// discipline: the canonical solution set is identical.
-	Enum sat.EnumMode
 }
 
 // ErrLadderWidth reports a round limit the session's ladder cannot
@@ -543,11 +528,6 @@ func (sess *DiagSession) enumerateInRound(r *Round, opts RoundOptions, fn func(k
 	}
 	base = append(base, sess.ActivationAssumps(opts.ActiveTests)...)
 
-	mode := opts.Enum
-	if mode == sat.EnumLegacy {
-		mode = sess.opts.Enum
-	}
-
 	total := 0
 	for k := 1; k <= maxK; k++ {
 		remaining := 0
@@ -564,7 +544,6 @@ func (sess *DiagSession) enumerateInRound(r *Round, opts RoundOptions, fn func(k
 			Ctx:          opts.Ctx,
 			MaxSolutions: remaining,
 			BlockExtra:   []sat.Lit{r.Guard().Neg()},
-			Mode:         mode,
 		}, func(trueLits []sat.Lit) bool {
 			return fn == nil || fn(k, sess.gatesOf(trueLits))
 		})
@@ -586,6 +565,6 @@ func spanStats(span *trace.Span, d sat.Stats) {
 	span.Counter("conflicts", d.Conflicts)
 	span.Counter("decisions", d.Decisions)
 	span.Counter("propagations", d.Propagations)
-	span.Counter("restarts", d.Restarts+d.LBDRestarts)
+	span.Counter("restarts", d.Restarts)
 	span.Counter("learnt", d.Learnt)
 }

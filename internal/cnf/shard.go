@@ -201,8 +201,8 @@ func ScheduleCubes(cubes []Cube, n int) [][]Cube {
 // ForkSession clones the session into an independent twin: the backend
 // is Cloned (keepLearnts forwards to sat.Backend.Clone) and the
 // per-copy tables are copied, so AddTest and enumeration on the fork
-// never touch the parent. Both the sharded workers (ForkWorkers) and
-// the portfolio racer in the service layer fork through here.
+// never touch the parent. The sharded workers (ForkWorkers) fork
+// through here.
 func (sess *DiagSession) ForkSession(keepLearnts bool) *DiagSession {
 	forked := &DiagSession{
 		Solver:     sess.Solver.Clone(keepLearnts),
@@ -625,14 +625,6 @@ func (sess *DiagSession) RunCubes(shards int, opts RoundOptions, sample [][]int,
 
 	loads := ScheduleCubes(sess.PlanCubes(sample, shards*CubeOversubscription), shards)
 	forks := sess.ForkWorkers(loads, keepLearnts)
-	if len(opts.WorkerConfigs) > 0 {
-		// Mixed-config sharding: worker i searches under WorkerConfigs[i %
-		// len]. Trajectories differ per worker; the canonical merge does
-		// not.
-		for i, sh := range forks {
-			sh.Session.Solver.SetSearchConfig(opts.WorkerConfigs[i%len(opts.WorkerConfigs)])
-		}
-	}
 	queue := newCubeQueue(loads)
 	maxRetries := opts.MaxCubeRetries
 	if maxRetries == 0 {

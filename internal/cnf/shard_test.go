@@ -92,31 +92,6 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestShardedMixedConfigs: shard workers running different search
-// configurations (cyclically assigned via RoundOptions.WorkerConfigs)
-// must produce the exact same merged solution list as the single-shard
-// default run — configurations are trajectory-only, so a heterogeneous
-// worker fleet cannot change what is enumerated, only how fast.
-func TestShardedMixedConfigs(t *testing.T) {
-	mixes := map[string][]sat.SearchConfig{
-		"default+gen2": {sat.DefaultConfig(), sat.Gen2Config()},
-		"all-gen2":     {sat.Gen2Config()},
-	}
-	for _, start := range []int64{1, 40} {
-		c, tests := shardScenario(t, start, 6)
-		sess := cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 2})
-		base := shardedKeys(t, sess, 1, cnf.RoundOptions{MaxK: 2})
-		for name, cfgs := range mixes {
-			for _, n := range []int{2, 3, 5} {
-				got := shardedKeys(t, sess, n, cnf.RoundOptions{MaxK: 2, SampleCap: 1, WorkerConfigs: cfgs})
-				if !reflect.DeepEqual(got, base) {
-					t.Fatalf("start %d mix %s shards %d: %v != default %v", start, name, n, got, base)
-				}
-			}
-		}
-	}
-}
-
 // TestShardedParentUnaffected: forking and running shards must leave the
 // parent session fully usable with an unchanged solution space.
 func TestShardedParentUnaffected(t *testing.T) {

@@ -38,20 +38,6 @@ type BSATOptions struct {
 	// cone (instance-size heuristic; solution space unchanged).
 	ConeOnly bool
 
-	// Solver names the search configuration the backend runs under
-	// ("default", "gen2"; "" = default). Configurations change only the
-	// search trajectory, never the solution set. Unknown names are
-	// rejected (sat.ConfigByName).
-	Solver string
-
-	// Enum names the enumeration mode ("legacy", "projected"; "" =
-	// legacy). The projected mode terminates each model at the
-	// projection frontier and resumes search in place after blocking —
-	// trajectory-only under the ladder discipline, so the solution set
-	// and its canonical order are mode-invariant. Unknown names are
-	// rejected (sat.EnumModeByName).
-	Enum string
-
 	// Golden, when set, constrains all outputs of every copy to the
 	// specification values, not only the erroneous one.
 	Golden *circuit.Circuit
@@ -92,15 +78,7 @@ type BSATOptions struct {
 	Steer func(inst *cnf.Instance)
 }
 
-func (o BSATOptions) diagOptions() (cnf.DiagOptions, error) {
-	search, err := sat.ConfigByName(o.Solver)
-	if err != nil {
-		return cnf.DiagOptions{}, err
-	}
-	enum, err := sat.EnumModeByName(o.Enum)
-	if err != nil {
-		return cnf.DiagOptions{}, err
-	}
+func (o BSATOptions) diagOptions() cnf.DiagOptions {
 	return cnf.DiagOptions{
 		Candidates:  o.Candidates,
 		Groups:      o.Groups,
@@ -110,13 +88,11 @@ func (o BSATOptions) diagOptions() (cnf.DiagOptions, error) {
 		ForceZero:   o.ForceZero,
 		ConeOnly:    o.ConeOnly,
 		Golden:      o.Golden,
-		Search:      search,
-		Enum:        enum,
 		// Cold-path flight recording: a request that carries a recorder
 		// on its context (the service's cold-build path) has it
 		// installed on the session's backend at construction.
 		Recorder: trace.RecorderFromContext(o.Ctx),
-	}, nil
+	}
 }
 
 // BSATResult is the outcome of BasicSATDiagnose.
@@ -156,11 +132,7 @@ func BSAT(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*BSATRes
 	if len(tests) == 0 {
 		return nil, fmt.Errorf("core: BSAT requires a non-empty test-set")
 	}
-	diagOpts, err := opts.diagOptions()
-	if err != nil {
-		return nil, err
-	}
-	sess := cnf.NewSession(c, diagOpts)
+	sess := cnf.NewSession(c, opts.diagOptions())
 	sess.AddTests(tests)
 	if opts.Steer != nil {
 		opts.Steer(sess)
@@ -348,10 +320,7 @@ func FFRTwoPass(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*B
 	}
 	rootCands, rootOf := ffrCandidates(c)
 
-	sessOpts, err := opts.diagOptions()
-	if err != nil {
-		return nil, nil, err
-	}
+	sessOpts := opts.diagOptions()
 	sessOpts.Candidates = nil // every internal gate; passes restrict by assumptions
 	sess := cnf.NewSession(c, sessOpts)
 	sess.AddTests(tests)
@@ -447,10 +416,7 @@ func PartitionedBSAT(c *circuit.Circuit, tests circuit.TestSet, partitionSize in
 	if len(tests) == 0 {
 		return nil, fmt.Errorf("core: PartitionedBSAT requires a non-empty test-set")
 	}
-	sessOpts, err := opts.diagOptions()
-	if err != nil {
-		return nil, err
-	}
+	sessOpts := opts.diagOptions()
 	sessOpts.GuardTests = true
 	sess := cnf.NewSession(c, sessOpts)
 	sess.AddTests(tests)

@@ -158,11 +158,7 @@ func CEGARDiagnose(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) 
 		return nil, fmt.Errorf("core: CEGARDiagnose requires K <= %d (simulation oracle bound), got %d", maxValidateGates, opts.K)
 	}
 
-	diagOpts, err := opts.diagOptions()
-	if err != nil {
-		return nil, err
-	}
-	sess := cnf.NewSession(c, diagOpts)
+	sess := cnf.NewSession(c, opts.diagOptions())
 
 	// Seed the abstraction with one test per distinct erroneous output:
 	// the cheapest subset that still constrains every failing observable.

@@ -52,17 +52,6 @@ type Request struct {
 	ForceZero  bool
 	ConeOnly   bool
 
-	// Solver names the SAT search configuration ("default", "gen2";
-	// "" = default). Trajectory-only: the solution set and its canonical
-	// order are configuration-invariant. Ignored by bsim/cov.
-	Solver string
-
-	// Enum names the enumeration mode ("legacy", "projected"; "" =
-	// legacy). Trajectory-only under the ladder discipline: the solution
-	// set and its canonical order are mode-invariant. Ignored by
-	// bsim/cov.
-	Enum string
-
 	// PT configures the path-tracing stage of bsim, cov and hybrid.
 	PT PTOptions
 	// CovEngine selects the covering enumerator of cov.
@@ -202,8 +191,6 @@ func (req Request) bsatOptions(ctx context.Context) BSATOptions {
 		Encoding:     req.Encoding,
 		ForceZero:    req.ForceZero,
 		ConeOnly:     req.ConeOnly,
-		Solver:       req.Solver,
-		Enum:         req.Enum,
 		MaxSolutions: req.MaxSolutions,
 		MaxConflicts: req.MaxConflicts,
 		Timeout:      req.Timeout,

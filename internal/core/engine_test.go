@@ -105,35 +105,6 @@ func TestShardCountInvarianceProperty(t *testing.T) {
 	}
 }
 
-// TestRequestSolverKnob: Request.Solver selects the search
-// configuration without changing the answer (configurations are
-// trajectory-only), and unknown names are rejected up front.
-func TestRequestSolverKnob(t *testing.T) {
-	sc := firstScenario(t, 1, 2, 5)
-	base, err := Diagnose(context.Background(), Request{
-		Engine: "bsat", Circuit: sc.faulty, Tests: sc.tests, K: sc.k,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, solver := range []string{"default", "gen2"} {
-		rep, err := Diagnose(context.Background(), Request{
-			Engine: "bsat", Circuit: sc.faulty, Tests: sc.tests, K: sc.k, Solver: solver,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameOrder(base.Solutions, rep.Solutions) {
-			t.Fatalf("solver %s: %v != default %v", solver, rep.Solutions, base.Solutions)
-		}
-	}
-	if _, err := Diagnose(context.Background(), Request{
-		Engine: "bsat", Circuit: sc.faulty, Tests: sc.tests, K: sc.k, Solver: "bogus",
-	}); err == nil {
-		t.Fatal("unknown solver accepted")
-	}
-}
-
 // TestShardedBSATDirect exercises the Shards option on the concrete
 // entry point (no registry) including per-shard reporting.
 func TestShardedBSATDirect(t *testing.T) {

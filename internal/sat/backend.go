@@ -57,13 +57,6 @@ type Backend interface {
 	// SetBudget installs a fresh per-Solve conflict budget and wall-clock
 	// deadline (zero values mean unlimited).
 	SetBudget(maxConflicts int64, timeout time.Duration)
-	// SetSearchConfig selects the search configuration (restart policy,
-	// vivification, chronological backtracking) for subsequent solves.
-	// Configurations change the search trajectory, never the solution
-	// space, so they may be switched per request on a live session.
-	SetSearchConfig(cfg SearchConfig)
-	// SearchConfiguration returns the active search configuration.
-	SearchConfiguration() SearchConfig
 	// SetPolarity fixes the saved phase tried first when branching on v.
 	SetPolarity(v Var, val bool)
 	// BumpActivity boosts the decision activity of v (hybrid steering).

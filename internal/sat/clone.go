@@ -50,23 +50,13 @@ func (s *Solver) Clone(keepLearnts bool) Backend {
 		ClauseMinimize: s.ClauseMinimize,
 		PhaseSaving:    s.PhaseSaving,
 
-		// Search configuration and gen2 restart state: the LBD EMAs and
-		// the vivification cursor come along, so a clone's search is
-		// reproducible from the fork point — it restarts (and resumes
-		// vivification) exactly where its parent would have.
-		cfg:          s.cfg,
-		emaFast:      s.emaFast,
-		emaSlow:      s.emaSlow,
-		lbdConflicts: s.lbdConflicts,
-		vivifyHead:   s.vivifyHead,
-
 		maxLearnts:    s.maxLearnts,
 		simpDBAssigns: s.simpDBAssigns,
 
 		// The flight recorder is shared, not copied: its ring is
-		// written with atomics, so shard workers and portfolio forks
-		// interleave their events on the parent's timeline and one dump
-		// shows the whole fan-out.
+		// written with atomics, so shard workers interleave their
+		// events on the parent's timeline and one dump shows the whole
+		// fan-out.
 		rec: s.rec,
 	}
 	n.ca.data = append([]uint32(nil), s.ca.data...)

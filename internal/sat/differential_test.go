@@ -48,16 +48,6 @@ type goldenRecord struct {
 	SolHash      string `json:"solhash,omitempty"` // hash over the enumerated projections
 	NumClauses   int    `json:"numClauses"`
 	NumLearnts   int    `json:"numLearnts"`
-	// Gen2 counters (always zero under the default configuration, so the
-	// pre-arena recording stays byte-identical).
-	LBDRestarts int64 `json:"lbdRestarts,omitempty"`
-	Vivified    int64 `json:"vivifiedLits,omitempty"`
-	ChronoBTs   int64 `json:"chronoBacktracks,omitempty"`
-	// Projected-enumeration counters (always zero under the legacy
-	// enumeration mode, so the older recordings stay byte-identical).
-	EarlyTerms int64 `json:"earlyTerms,omitempty"`
-	ContinueBJ int64 `json:"continueBackjumps,omitempty"`
-	Skipped    int64 `json:"skippedDecisions,omitempty"`
 }
 
 // goldenCase is one deterministic workload: build the instance, drive
@@ -92,12 +82,6 @@ func snapshot(name string, s *Solver, st Status) goldenRecord {
 		Reduces:      s.Stats.Reduces,
 		NumClauses:   s.NumClauses(),
 		NumLearnts:   s.NumLearnts(),
-		LBDRestarts:  s.Stats.LBDRestarts,
-		Vivified:     s.Stats.VivifiedLits,
-		ChronoBTs:    s.Stats.ChronoBacktracks,
-		EarlyTerms:   s.Stats.EarlyTerms,
-		ContinueBJ:   s.Stats.ContinueBackjumps,
-		Skipped:      s.Stats.SkippedDecisions,
 	}
 	if st == StatusSat {
 		var sb strings.Builder
@@ -121,9 +105,8 @@ func snapshot(name string, s *Solver, st Status) goldenRecord {
 	return rec
 }
 
-func buildRandom(nVars, nClauses, width int, seed uint64, cfg SearchConfig) *Solver {
+func buildRandom(nVars, nClauses, width int, seed uint64) *Solver {
 	s := New()
-	s.SetSearchConfig(cfg)
 	s.NewVars(nVars)
 	rng := xorshift(seed)
 	for i := 0; i < nClauses; i++ {
@@ -138,7 +121,7 @@ func buildRandom(nVars, nClauses, width int, seed uint64, cfg SearchConfig) *Sol
 	return s
 }
 
-func goldenCorpus(sc SearchConfig) []goldenCase {
+func goldenCorpus() []goldenCase {
 	var cases []goldenCase
 
 	// Random k-SAT at several densities: bare solves.
@@ -158,7 +141,7 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 		cfg := cfg
 		name := fmt.Sprintf("rand/nv%d/w%d/d%.1f", cfg.nv, cfg.width, cfg.density)
 		cases = append(cases, goldenCase{name, func() goldenRecord {
-			s := buildRandom(cfg.nv, int(float64(cfg.nv)*cfg.density), cfg.width, cfg.seed, sc)
+			s := buildRandom(cfg.nv, int(float64(cfg.nv)*cfg.density), cfg.width, cfg.seed)
 			return snapshot(name, s, s.Solve())
 		}})
 	}
@@ -168,7 +151,7 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 		seed := seed
 		name := fmt.Sprintf("assume/%x", seed)
 		cases = append(cases, goldenCase{name, func() goldenRecord {
-			s := buildRandom(80, 280, 3, seed, sc)
+			s := buildRandom(80, 280, 3, seed)
 			rng := xorshift(seed ^ 0xFFFF)
 			var st Status
 			for round := 0; round < 6; round++ {
@@ -189,14 +172,13 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 		name := fmt.Sprintf("php/%d", n)
 		cases = append(cases, goldenCase{name, func() goldenRecord {
 			s := pigeonhole(n+1, n)
-			s.SetSearchConfig(sc)
 			return snapshot(name, s, s.Solve())
 		}})
 	}
 
 	// Incremental clause addition between solves (the session usage).
 	cases = append(cases, goldenCase{"incremental", func() goldenRecord {
-		s := buildRandom(100, 330, 3, 0x5DEECE66D, sc)
+		s := buildRandom(100, 330, 3, 0x5DEECE66D)
 		rng := xorshift(0x5DEECE66D ^ 0xABCDEF)
 		var st Status
 		for round := 0; round < 8; round++ {
@@ -224,7 +206,6 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 	// Conflict-budgeted solve: must stop at the identical point.
 	cases = append(cases, goldenCase{"budget", func() goldenRecord {
 		s := pigeonhole(9, 8)
-		s.SetSearchConfig(sc)
 		s.MaxConflicts = 64
 		st := s.Solve()
 		return snapshot("budget", s, st)
@@ -235,13 +216,12 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 	// the golden run pins the exact reduction behaviour the big Table 2
 	// instances rely on.
 	cases = append(cases, goldenCase{"reducedb", func() goldenRecord {
-		s := buildRandom(150, 540, 3, 0x7F4A7C159E3779B9, sc)
+		s := buildRandom(150, 540, 3, 0x7F4A7C159E3779B9)
 		s.maxLearnts = 25
 		return snapshot("reducedb", s, s.Solve())
 	}})
 	cases = append(cases, goldenCase{"reducedb/unsat", func() goldenRecord {
 		s := pigeonhole(8, 7)
-		s.SetSearchConfig(sc)
 		s.maxLearnts = 20
 		return snapshot("reducedb/unsat", s, s.Solve())
 	}})
@@ -259,7 +239,7 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 		cfg := cfg
 		name := fmt.Sprintf("binary/nv%d/d%.1f", cfg.nv, cfg.density)
 		cases = append(cases, goldenCase{name, func() goldenRecord {
-			s := buildRandom(cfg.nv, int(float64(cfg.nv)*cfg.density), 2, cfg.seed, sc)
+			s := buildRandom(cfg.nv, int(float64(cfg.nv)*cfg.density), 2, cfg.seed)
 			var st Status
 			if s.Okay() {
 				st = s.Solve()
@@ -271,7 +251,6 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 	}
 	cases = append(cases, goldenCase{"binary/mixed", func() goldenRecord {
 		s := New()
-		s.SetSearchConfig(sc)
 		s.NewVars(120)
 		rng := xorshift(0x6C62272E07BB0142)
 		ok := true
@@ -300,7 +279,7 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 
 	// Subset-blocking enumeration (the COV/BSAT discipline).
 	cases = append(cases, goldenCase{"enumerate/subset", func() goldenRecord {
-		s := buildRandom(60, 150, 3, 0x13579BDF2468ACE0, sc)
+		s := buildRandom(60, 150, 3, 0x13579BDF2468ACE0)
 		proj := make([]Lit, 14)
 		for i := range proj {
 			proj[i] = PosLit(Var(i))
@@ -326,7 +305,7 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 
 	// Exact-blocking enumeration with guarded blocking literals.
 	cases = append(cases, goldenCase{"enumerate/guarded", func() goldenRecord {
-		s := buildRandom(40, 100, 3, 0xFEDCBA9876543210, sc)
+		s := buildRandom(40, 100, 3, 0xFEDCBA9876543210)
 		guard := PosLit(s.NewVar())
 		proj := make([]Lit, 10)
 		for i := range proj {
@@ -377,7 +356,6 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 			if err != nil {
 				panic(err)
 			}
-			s.SetSearchConfig(sc)
 			return snapshot(name, s, s.Solve())
 		}})
 	}
@@ -387,25 +365,11 @@ func goldenCorpus(sc SearchConfig) []goldenCase {
 
 const goldenPath = "testdata/prearena_golden.json"
 
-// TestDifferentialGolden replays the corpus under the default search
-// configuration and compares every observable of every run against the
-// recorded pre-arena behaviour.
+// TestDifferentialGolden replays the corpus and compares every
+// observable of every run against the recorded pre-arena behaviour.
 func TestDifferentialGolden(t *testing.T) {
-	runGoldenSuite(t, goldenPath, DefaultConfig())
-}
-
-// runGoldenSuite replays the corpus under one search configuration
-// against one golden recording (shared by the pre-arena/default and the
-// gen2 suites; -update-golden rewrites whichever recordings run).
-func runGoldenSuite(t *testing.T, goldenPath string, sc SearchConfig) {
-	runGoldenCases(t, goldenPath, goldenCorpus(sc))
-}
-
-// runGoldenCases replays an explicit case list against one golden
-// recording (the projected-enumeration suite supplies its own corpus).
-func runGoldenCases(t *testing.T, goldenPath string, cases []goldenCase) {
 	var got []goldenRecord
-	for _, c := range cases {
+	for _, c := range goldenCorpus() {
 		got = append(got, c.run())
 	}
 	if *updateGolden {

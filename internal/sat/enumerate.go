@@ -1,11 +1,6 @@
 package sat
 
-import (
-	"context"
-	"time"
-
-	"repro/internal/trace"
-)
+import "context"
 
 // EnumOptions configures projected model enumeration.
 type EnumOptions struct {
@@ -33,11 +28,6 @@ type EnumOptions struct {
 	// the guard false afterwards retracts every blocking clause of the
 	// round at once, leaving the solver clean for the next query.
 	BlockExtra []Lit
-	// Mode selects the enumeration strategy (see EnumMode). The zero
-	// value is the legacy loop the default goldens pin; EnumProjected
-	// enables early model termination, blocked-continue search, and
-	// free-variable order damping.
-	Mode EnumMode
 }
 
 // EnumerateProjected enumerates the models of the current database
@@ -56,9 +46,6 @@ type EnumOptions struct {
 // complete is true iff the solution space under the assumptions was
 // exhausted (final UNSAT), false on budget expiry, fn abort, or cap.
 func (s *Solver) EnumerateProjected(proj []Lit, opts EnumOptions, fn func(trueLits []Lit) bool) (n int, complete bool) {
-	if opts.Mode == EnumProjected {
-		return s.enumerateContinue(proj, opts, fn)
-	}
 	buf := s.projBuf[:0]
 	defer func() { s.projBuf = buf[:0] }()
 	for {
@@ -120,198 +107,4 @@ func (s *Solver) blockingClause(proj, trueLits []Lit, opts EnumOptions) []Lit {
 	block = append(block, opts.BlockExtra...)
 	s.blockBuf = block
 	return block
-}
-
-// enumerateContinue is the EnumProjected loop: one continuous search
-// over all models. The satisfaction tracker lets search terminate each
-// model as soon as the projection is decided (early model termination),
-// and blockAndContinue splices each blocking clause into the live trail
-// with a minimal backjump instead of re-solving from scratch.
-func (s *Solver) enumerateContinue(proj []Lit, opts EnumOptions, fn func(trueLits []Lit) bool) (n int, complete bool) {
-	if !s.ok {
-		return 0, true
-	}
-	if !s.Deadline.IsZero() && !time.Now().Before(s.Deadline) {
-		s.record(trace.EvDeadlineExit)
-		return 0, false
-	}
-	if opts.Ctx != nil {
-		if opts.Ctx.Err() != nil {
-			return 0, false
-		}
-		s.ctx = opts.Ctx
-		s.ctxNext = s.Stats.Conflicts + ctxPollConflicts
-		defer func() { s.ctx = nil }()
-	}
-	s.assumptions = append(s.assumptions[:0], opts.Assumptions...)
-	s.conflictSet = s.conflictSet[:0]
-	// Settle level 0 and drop clauses satisfied there before arming the
-	// tracker, mirroring the simplify at the top of Solve. Without this a
-	// long-lived session that retires guarded rounds would accumulate the
-	// retracted blocking clauses (and their occurrence-list entries)
-	// forever, since the continue loop never passes through Solve.
-	if s.propagate() != CRefUndef {
-		s.ok = false
-		return 0, true
-	}
-	s.simplify()
-	if !s.ok {
-		return 0, true
-	}
-	s.enumActivate(proj)
-	defer func() {
-		s.cancelUntil(0)
-		s.enumDeactivate()
-	}()
-	if s.maxLearnts == 0 {
-		s.maxLearnts = float64(len(s.clauses)) / 3
-		if s.maxLearnts < 5000 {
-			s.maxLearnts = 5000
-		}
-	}
-	buf := s.projBuf[:0]
-	defer func() { s.projBuf = buf[:0] }()
-	startConflicts := s.Stats.Conflicts
-	restart := int64(0)
-	for {
-		restart++
-		budget := int64(-1)
-		if s.MaxConflicts > 0 {
-			budget = startConflicts + s.MaxConflicts - s.Stats.Conflicts
-			if budget <= 0 {
-				s.record(trace.EvBudgetExit)
-				return n, false
-			}
-		}
-		limit := luby(restart) * 16
-		if budget >= 0 && limit > budget {
-			limit = budget
-		}
-		switch s.search(int(limit)) {
-		case StatusUnknown:
-			s.Stats.Restarts++
-			s.record(trace.EvRestart)
-			if !s.Deadline.IsZero() && time.Now().After(s.Deadline) {
-				s.record(trace.EvDeadlineExit)
-				return n, false
-			}
-			if s.interrupted() {
-				s.record(trace.EvCtxExit)
-				return n, false
-			}
-			if s.MaxConflicts > 0 && s.Stats.Conflicts-startConflicts >= s.MaxConflicts {
-				s.record(trace.EvBudgetExit)
-				return n, false
-			}
-			continue
-		case StatusUnsat:
-			// Either a level-0 conflict (database contradiction, s.ok
-			// already false) or a failed-assumption core: the space under
-			// the assumptions is exhausted.
-			s.record(trace.EvUnsat)
-			return n, true
-		}
-		// A model, with the trail still in place.
-		buf = buf[:0]
-		for _, l := range proj {
-			if s.ValueLit(l) == LTrue {
-				buf = append(buf, l)
-			}
-		}
-		n++
-		if fn != nil && !fn(buf) {
-			return n, false
-		}
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			s.record(trace.EvCtxExit)
-			return n, false
-		}
-		if !s.blockAndContinue(s.blockingClause(proj, buf, opts)) {
-			s.record(trace.EvUnsat)
-			return n, true
-		}
-		if opts.MaxSolutions > 0 && n >= opts.MaxSolutions {
-			return n, false
-		}
-		// Budgets and restart pacing are per model, mirroring the
-		// one-Solve-per-model accounting of the legacy loop.
-		startConflicts = s.Stats.Conflicts
-		restart = 0
-	}
-}
-
-// blockAndContinue attaches the blocking clause of the model currently
-// on the trail and resumes the search in place: it backjumps only to the
-// deepest level at which the clause stops being falsified — keeping
-// trail, watches, and learnts intact below — instead of unwinding to
-// level 0 and re-solving. All literals of the clause are false in the
-// current state by construction.
-//
-// It reports false when the clause empties the remaining solution space
-// (every literal false at level 0), leaving s.ok false exactly like the
-// legacy AddClause path.
-func (s *Solver) blockAndContinue(block []Lit) bool {
-	if len(block) == 0 {
-		s.ok = false
-		return false
-	}
-	s.Stats.ContinueBackjumps++
-	// Falsification depth of a literal; an unassigned literal (possible
-	// only through unusual BlockExtra usage) sorts deepest so the clause
-	// is treated as already unit rather than mis-read through a stale
-	// level entry.
-	depth := func(l Lit) int {
-		if s.value(l) == LUndef {
-			return s.decisionLevel() + 1
-		}
-		return s.varLevel(l.Var())
-	}
-	// Move the deepest literal to position 0.
-	hi := 0
-	for i := 1; i < len(block); i++ {
-		if depth(block[i]) > depth(block[hi]) {
-			hi = i
-		}
-	}
-	block[0], block[hi] = block[hi], block[0]
-	top := depth(block[0])
-	if top == 0 {
-		// Permanently falsified: the space is empty.
-		s.ok = false
-		return false
-	}
-	if len(block) == 1 {
-		s.cancelUntil(0)
-		s.uncheckedEnqueue(block[0], CRefUndef)
-		s.ok = s.propagate() == CRefUndef
-		return s.ok
-	}
-	// Move the second-deepest literal to position 1 (the second watch
-	// must be among the last-falsified literals).
-	sec := 1
-	for i := 2; i < len(block); i++ {
-		if depth(block[i]) > depth(block[sec]) {
-			sec = i
-		}
-	}
-	block[1], block[sec] = block[sec], block[1]
-	bt := depth(block[1])
-	if bt >= top {
-		// Two literals share the deepest level, so no backjump target
-		// makes the clause unit: step below, attach, and let propagation
-		// rediscover it.
-		bt = top - 1
-	}
-	s.enum.dampSkip = true
-	s.cancelUntil(bt)
-	s.enum.dampSkip = false
-	cr := s.ca.alloc(block, false)
-	s.clauses = append(s.clauses, cr)
-	s.attach(cr)
-	if s.value(block[0]) == LUndef && s.value(block[1]) == LFalse {
-		// Unit at bt: assert the surviving literal with the blocking
-		// clause as its reason and let search's propagate take over.
-		s.uncheckedEnqueue(block[0], cr)
-	}
-	return true
 }

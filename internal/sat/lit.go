@@ -121,14 +121,10 @@ type Stats struct {
 	MinimizedLit int64
 	Simplifies   int64
 	Reduces      int64
-	// Gen2 search counters (zero under the default configuration).
-	LBDRestarts      int64 // restarts fired by the LBD-EMA trigger
-	VivifiedLits     int64 // literals removed by clause vivification
-	ChronoBacktracks int64 // deep backjumps converted to one-level backtracks
-	// Projected-enumeration counters (zero under the legacy mode).
-	EarlyTerms        int64 // models declared before the free suffix was assigned
-	ContinueBackjumps int64 // blocked-continue backjumps (re-solves avoided)
-	SkippedDecisions  int64 // variables left unassigned at early termination
+	// EarlyTerms is always 0: the solver declares a model only once
+	// every variable is assigned. It stays for readers that still
+	// report it.
+	EarlyTerms int64
 }
 
 // Add returns the field-wise sum s + o. Sharded enumeration uses it to
@@ -144,14 +140,7 @@ func (s Stats) Add(o Stats) Stats {
 		MinimizedLit: s.MinimizedLit + o.MinimizedLit,
 		Simplifies:   s.Simplifies + o.Simplifies,
 		Reduces:      s.Reduces + o.Reduces,
-
-		LBDRestarts:      s.LBDRestarts + o.LBDRestarts,
-		VivifiedLits:     s.VivifiedLits + o.VivifiedLits,
-		ChronoBacktracks: s.ChronoBacktracks + o.ChronoBacktracks,
-
-		EarlyTerms:        s.EarlyTerms + o.EarlyTerms,
-		ContinueBackjumps: s.ContinueBackjumps + o.ContinueBackjumps,
-		SkippedDecisions:  s.SkippedDecisions + o.SkippedDecisions,
+		EarlyTerms:   s.EarlyTerms + o.EarlyTerms,
 	}
 }
 
@@ -169,14 +158,7 @@ func (s Stats) Sub(o Stats) Stats {
 		MinimizedLit: s.MinimizedLit - o.MinimizedLit,
 		Simplifies:   s.Simplifies - o.Simplifies,
 		Reduces:      s.Reduces - o.Reduces,
-
-		LBDRestarts:      s.LBDRestarts - o.LBDRestarts,
-		VivifiedLits:     s.VivifiedLits - o.VivifiedLits,
-		ChronoBacktracks: s.ChronoBacktracks - o.ChronoBacktracks,
-
-		EarlyTerms:        s.EarlyTerms - o.EarlyTerms,
-		ContinueBackjumps: s.ContinueBackjumps - o.ContinueBackjumps,
-		SkippedDecisions:  s.SkippedDecisions - o.SkippedDecisions,
+		EarlyTerms:   s.EarlyTerms - o.EarlyTerms,
 	}
 }
 

@@ -15,7 +15,7 @@ import "math/bits"
 // exactly the variable one heap over all of them would return, and the
 // search trajectory does not depend on the split. The split matters for
 // speed: on diagnosis instances most variables are never bumped (their
-// cones never reach a conflict), and the decide loop of a legacy
+// cones never reach a conflict), and the decide loop of an
 // enumeration pops each of them once per model. From the bitset such a
 // pop costs a few instructions instead of a heap sift-down.
 //
@@ -36,10 +36,6 @@ func (o *varOrder) empty() bool { return len(o.heap) == 0 && o.nzero == 0 }
 func (o *varOrder) inZero(v Var) bool {
 	w := int(v) >> 6
 	return w < len(o.zero) && o.zero[w]&(1<<(uint(v)&63)) != 0
-}
-
-func (o *varOrder) contains(v Var) bool {
-	return (int(v) < len(o.pos) && o.pos[v] >= 0) || o.inZero(v)
 }
 
 func (o *varOrder) insert(v Var, act []float64) {
@@ -71,18 +67,6 @@ func (o *varOrder) heapInsert(v Var, act []float64) {
 	o.pos[v] = int32(len(o.heap))
 	o.heap = append(o.heap, v)
 	o.up(int(o.pos[v]), act)
-}
-
-func (o *varOrder) clear() {
-	for _, v := range o.heap {
-		o.pos[v] = -1
-	}
-	o.heap = o.heap[:0]
-	for i := range o.zero {
-		o.zero[i] = 0
-	}
-	o.zlo = 0
-	o.nzero = 0
 }
 
 // update restores the order after act[v] grew: a heap member sifts up,

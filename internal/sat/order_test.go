@@ -53,51 +53,36 @@ func checkTiers(t *testing.T, o *varOrder, act []float64) {
 }
 
 // TestOrderMatchesOracle runs random operation sequences against the
-// solver's decision queues — the main order and the projected mode's
-// projOrder — and checks every pop against oracleMax. Bumps go through
-// bumpVarBy, so activities tie often (small integer increments) and the
-// occasional huge bump forces the global rescale, which collapses and
-// underflows activities. Clone forks the solver mid-sequence; parent and
+// solver's decision queue and checks every pop against oracleMax. Bumps
+// go through bumpVarBy, so activities tie often (small integer
+// increments) and the occasional huge bump forces the global rescale,
+// which collapses and underflows activities. Clone forks the solver mid-sequence; parent and
 // clone then diverge under independent operations and must each keep
 // matching their own oracle.
 func TestOrderMatchesOracle(t *testing.T) {
-	type queue struct {
-		q  *varOrder
-		in []bool
-	}
 	type inst struct {
-		s      *Solver
-		queues []queue
+		s  *Solver
+		in []bool // variables queued in s.order
 	}
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := xorshift(seed * 0x9E3779B97F4A7C15)
 		n := 1 + rng.next(200)
 		s := New()
 		s.NewVars(n)
-		var proj []Lit
-		for v := 0; v < n; v += 1 + rng.next(3) {
-			proj = append(proj, PosLit(Var(v)))
+		queued := make([]bool, n)
+		for i := range queued {
+			queued[i] = true // NewVar queues every variable
 		}
-		s.enumActivate(proj)
-		mainIn := make([]bool, n)
-		for i := range mainIn {
-			mainIn[i] = true // NewVar queues every variable
-		}
-		projIn := make([]bool, n)
-		for _, l := range proj {
-			projIn[l.Var()] = true
-		}
-		insts := []*inst{{s, []queue{{&s.order, mainIn}, {&s.enum.projOrder, projIn}}}}
+		insts := []*inst{{s, queued}}
 		rescales := 0
 		for step := 0; step < 3000; step++ {
 			in := insts[rng.next(len(insts))]
-			s := in.s
-			qu := in.queues[rng.next(len(in.queues))]
+			s, q := in.s, &in.s.order
 			v := Var(rng.next(n))
 			switch op := rng.next(100); {
 			case op < 25:
-				qu.q.insert(v, s.activity)
-				qu.in[v] = true
+				q.insert(v, s.activity)
+				in.in[v] = true
 			case op < 50:
 				inc := s.varInc * float64(1+rng.next(3))
 				if rng.next(50) == 0 {
@@ -106,37 +91,26 @@ func TestOrderMatchesOracle(t *testing.T) {
 				}
 				s.bumpVarBy(v, inc)
 				s.varInc *= varDecay
-			case op < 85:
-				want := oracleMax(qu.in, s.activity)
-				if qu.q.empty() != (want < 0) {
-					t.Fatalf("seed %d step %d: empty() = %v, oracle has max %d", seed, step, qu.q.empty(), want)
+			case op < 97:
+				want := oracleMax(in.in, s.activity)
+				if q.empty() != (want < 0) {
+					t.Fatalf("seed %d step %d: empty() = %v, oracle has max %d", seed, step, q.empty(), want)
 				}
 				if want < 0 {
 					continue
 				}
-				if got := qu.q.removeMax(s.activity); got != want {
+				if got := q.removeMax(s.activity); got != want {
 					t.Fatalf("seed %d step %d: removeMax = %d (act %v), oracle %d (act %v)",
 						seed, step, got, s.activity[got], want, s.activity[want])
 				}
-				qu.in[want] = false
-			case op < 87:
-				qu.q.clear()
-				for i := range qu.in {
-					qu.in[i] = false
-				}
-			case op < 90:
+				in.in[want] = false
+			default:
 				if len(insts) < 4 {
 					c := s.Clone(true).(*Solver)
-					insts = append(insts, &inst{c, []queue{{&c.order, append([]bool(nil), in.queues[0].in...)}}})
-				}
-			default:
-				if got := qu.q.contains(v); got != qu.in[v] {
-					t.Fatalf("seed %d step %d: contains(%d) = %v, want %v", seed, step, v, got, qu.in[v])
+					insts = append(insts, &inst{c, append([]bool(nil), in.in...)})
 				}
 			}
-			for _, q := range in.queues {
-				checkTiers(t, q.q, s.activity)
-			}
+			checkTiers(t, q, s.activity)
 		}
 		if rescales == 0 {
 			t.Fatalf("seed %d: no rescale exercised", seed)
@@ -259,7 +233,7 @@ func TestBumpActivityIgnoresInvalidAmounts(t *testing.T) {
 // returns the decisions taken.
 func decideUntilConflict(s *Solver, seq []Lit) []Lit {
 	for {
-		next := s.popDecision(&s.order)
+		next := s.popDecision()
 		if next == LitUndef {
 			break
 		}
@@ -332,7 +306,7 @@ func TestDecideBacktrackZeroAlloc(t *testing.T) {
 // BenchmarkDecideOrder measures the decision queue alone on a
 // diagnosis-shaped order: 40k variables, of which one in ten carries
 // activity and the rest were never bumped. One op pops every variable
-// and reinserts them in reverse, as one legacy-enumeration model's
+// and reinserts them in reverse, as one enumeration model's
 // decide sweep and its backtrack to level 0 do.
 func BenchmarkDecideOrder(b *testing.B) {
 	const n = 40000

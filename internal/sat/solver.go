@@ -74,27 +74,9 @@ type Solver struct {
 	ClauseMinimize bool
 	PhaseSaving    bool
 
-	// Search configuration (see config.go) and the gen2 restart state:
-	// fast/slow EMAs of learnt-clause LBDs plus the warmup conflict
-	// counter, deep-copied by Clone so a clone restarts exactly where
-	// its parent would have. The counter is separate from
-	// Stats.Conflicts deliberately: Clone zeroes Stats for per-clone
-	// work attribution, and gating search behaviour on a reporting
-	// counter would make a clone's search diverge from its fork point.
-	cfg          SearchConfig
-	emaFast      float64
-	emaSlow      float64
-	lbdConflicts int64
-	// vivifyHead is the resumption cursor of the bounded vivification
-	// batches (index into s.clauses, clamped modulo its length).
-	vivifyHead int
-
-	// Projected-enumeration state (enummode.go): the satisfaction
-	// tracker behind EnumProjected, plus the reusable blocking-clause
-	// and projection buffers that keep the enumeration loops
-	// allocation-free in steady state. Clone starts these fresh — the
-	// tracker is armed per EnumerateProjected call, never across forks.
-	enum     enumTracker
+	// Reusable blocking-clause and projection buffers that keep the
+	// enumeration loop allocation-free in steady state (enumerate.go).
+	// Clone starts these fresh.
 	blockBuf []Lit
 	projBuf  []Lit
 
@@ -103,9 +85,9 @@ type Solver struct {
 	// rec, when non-nil, receives packed flight-recorder events at the
 	// search's rare control-flow points (restarts, reductions, models,
 	// exits — never per-propagation work). Clones inherit the pointer,
-	// so shard workers and portfolio forks interleave their events on
-	// one shared conflict-stamped timeline. Nil (the default) costs a
-	// single pointer test per event site.
+	// so shard workers interleave their events on one shared
+	// conflict-stamped timeline. Nil (the default) costs a single
+	// pointer test per event site.
 	rec *trace.Recorder
 
 	maxLearnts    float64
@@ -311,15 +293,6 @@ func (s *Solver) attach(cr CRef) {
 	s.wslab.push(l1.Neg(), mkWatch(cr, l0))
 }
 
-// detach removes the clause's two watches (swap-removal; only the gen2
-// vivifier detaches individual clauses, so watch-list order — which the
-// default golden pins — is never perturbed under the default config).
-func (s *Solver) detach(cr CRef) {
-	lits := s.ca.lits(cr)
-	s.wslab.remove(Lit(lits[0]).Neg(), cr)
-	s.wslab.remove(Lit(lits[1]).Neg(), cr)
-}
-
 func (s *Solver) uncheckedEnqueue(l Lit, from CRef) {
 	v := l.Var()
 	if l.Sign() {
@@ -330,16 +303,13 @@ func (s *Solver) uncheckedEnqueue(l Lit, from CRef) {
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
-	if s.enum.active && s.enum.isProj[v] {
-		s.enum.projUnassigned--
-	}
 }
 
 // propagate performs unit propagation over the trail; it returns the
 // conflicting clause or CRefUndef. It walks one contiguous slab region
 // per trail literal, filtering kept watches in place exactly like the
 // slice-per-literal version did — same per-literal order, so the
-// default configuration stays byte-identical to the golden recording.
+// search stays byte-identical to the golden recording.
 func (s *Solver) propagate() CRef {
 	confl := CRefUndef
 	for s.qhead < len(s.trail) {
@@ -442,15 +412,6 @@ func (s *Solver) cancelUntil(lvl int) {
 		}
 		s.assigns[v] = LUndef
 		s.reason[v] = CRefUndef
-		if s.enum.active {
-			if s.enum.isProj[v] {
-				s.enum.projUnassigned++
-				s.enum.projOrder.insert(v, s.activity)
-			} else if s.enum.dampSkip {
-				s.enum.damped++
-				continue
-			}
-		}
 		s.order.insert(v, s.activity)
 	}
 	s.trail = s.trail[:bound]
@@ -466,14 +427,8 @@ func (s *Solver) bumpVarBy(v Var, inc float64) {
 		}
 		s.varInc *= 1e-100
 		s.order.rescaled(s.activity)
-		if s.enum.active {
-			s.enum.projOrder.rescaled(s.activity)
-		}
 	}
 	s.order.update(v, s.activity)
-	if s.enum.active {
-		s.enum.projOrder.update(v, s.activity)
-	}
 }
 
 func (s *Solver) bumpClause(cr CRef) {
@@ -757,13 +712,6 @@ func (s *Solver) simplify() {
 	s.learnts = s.removeSatisfied(s.learnts)
 	s.maybeCompact()
 	s.rebuildWatches()
-	if s.cfg.Vivify && s.ok {
-		// Gen2 only: probe a bounded batch of problem clauses now that
-		// the watches are valid again. Shrunk clauses grow arena waste,
-		// reclaimed by the next compaction.
-		s.record(trace.EvVivify)
-		s.vivifyRound()
-	}
 	s.simpDBAssigns = len(s.trail)
 }
 
@@ -927,40 +875,12 @@ func (s *Solver) search(nConflicts int) Status {
 				return StatusUnsat
 			}
 			learnt, bt := s.analyze(confl)
-			chronoBT := s.cfg.ChronoBT
-			if s.enum.active && (chronoBT == 0 || chronoBT > enumChronoBT) &&
-				len(s.trail) >= enumFatLevel*s.decisionLevel() {
-				// The projected mode compresses the search into few,
-				// densely populated decision levels (the projection
-				// prefix plus a clause-directed completion), so a
-				// non-chronological backjump routinely unwinds — and
-				// forces re-propagating — thousands of trail literals.
-				// Backtracking chronologically past a modest distance
-				// keeps that mass intact; the learnt clause stays
-				// asserting one level down, so this is trajectory-only.
-				// The density gate keeps the override away from
-				// instances with ordinary thin levels, where limiting
-				// backjumps only slows learning down.
-				chronoBT = enumChronoBT
-			}
-			if chronoBT > 0 && len(learnt) > 1 && s.decisionLevel()-bt >= chronoBT {
-				// Chronological backtracking: the backjump would unwind
-				// ChronoBT+ levels; step back a single level instead. The
-				// learnt clause is still asserting there (every
-				// non-asserting literal has level <= bt), so the enqueue
-				// below is sound and the trail stays level-ordered.
-				bt = s.decisionLevel() - 1
-				s.Stats.ChronoBacktracks++
-				s.record(trace.EvChronoBT)
-			}
 			s.cancelUntil(bt)
-			lbd := int32(1)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], CRefUndef)
 			} else {
 				cr := s.ca.alloc(learnt, true)
-				lbd = s.computeLBD(learnt)
-				s.ca.setLBD(cr, lbd)
+				s.ca.setLBD(cr, s.computeLBD(learnt))
 				s.learnts = append(s.learnts, cr)
 				s.attach(cr)
 				s.bumpClause(cr)
@@ -970,22 +890,6 @@ func (s *Solver) search(nConflicts int) Status {
 			}
 			s.varInc *= varDecay
 			s.clauseInc *= clauseDecay
-			if s.cfg.LBDRestarts {
-				s.lbdConflicts++
-				s.emaFast += lbdEmaFastAlpha * (float64(lbd) - s.emaFast)
-				s.emaSlow += lbdEmaSlowAlpha * (float64(lbd) - s.emaSlow)
-				if conflicts >= lbdRestartMinInterval &&
-					s.lbdConflicts >= lbdEmaWarmup &&
-					s.emaFast > lbdRestartMargin*s.emaSlow {
-					// Recent conflicts are markedly worse than the
-					// session norm: restart now instead of waiting for
-					// the Luby limit.
-					s.Stats.LBDRestarts++
-					s.record(trace.EvLBDRestart)
-					s.cancelUntil(0)
-					return StatusUnknown
-				}
-			}
 			continue
 		}
 
@@ -1023,53 +927,8 @@ func (s *Solver) search(nConflicts int) Status {
 			}
 		}
 		if next == LitUndef {
-			if s.enum.active && s.enum.projUnassigned == 0 {
-				pick, allSat := s.enumScan()
-				if allSat {
-					// Early model termination: every assumption is
-					// decided, every projected variable is assigned, and
-					// every problem clause has a true literal — any
-					// completion of the free suffix is a model, so there
-					// is nothing left to decide. Unassigned variables
-					// stay LUndef in the model; the enumeration reads
-					// only projected literals.
-					s.Stats.EarlyTerms++
-					s.Stats.SkippedDecisions += int64(len(s.assigns) - len(s.trail))
-					s.model = append(s.model[:0], s.assigns...)
-					s.record(trace.EvEarlyTerm)
-					return StatusSat
-				}
-				// Clause-directed completion (see enumScan). LitUndef —
-				// an unsatisfied clause with no unassigned decision
-				// literal — falls through to the main heap.
-				next = pick
-			}
-			if next == LitUndef && s.enum.active && s.enum.projUnassigned > 0 {
-				// Projection-first decisions: while projected variables
-				// remain unassigned, decide those before anything VSIDS
-				// prefers globally. Decision order is free in CDCL, so
-				// the solution set is unaffected; the payoff is that
-				// early termination fires before the free suffix is
-				// decided and the blocking literals land at shallow
-				// levels the blocked-continue backjump can retain.
-				// Polarity is the saved phase, as in the main heap:
-				// after a blocked-continue backjump it replays the
-				// previous model's projection up to the blocked
-				// literal, so successive models differ minimally and
-				// the conflict rate between models stays low. If the
-				// projected heap runs dry (non-decision projection
-				// variables), fall through to the main heap.
-				next = s.popDecision(&s.enum.projOrder)
-			}
+			next = s.popDecision()
 			if next == LitUndef {
-				next = s.popDecision(&s.order)
-			}
-			if next == LitUndef {
-				if s.enum.active && s.enumRefillOrder() {
-					// Order damping starved the heap before a model was
-					// certified: return the damped variables and retry.
-					continue
-				}
 				// All variables assigned: model found.
 				s.model = append(s.model[:0], s.assigns...)
 				s.record(trace.EvModel)
@@ -1082,11 +941,12 @@ func (s *Solver) search(nConflicts int) Status {
 	}
 }
 
-// popDecision pops q until it yields an unassigned decision variable and
-// returns it with its saved phase, or LitUndef once q runs dry. Popped
-// assigned variables leave the queue; cancelUntil reinserts them when
-// they are unassigned.
-func (s *Solver) popDecision(q *varOrder) Lit {
+// popDecision pops the decision order until it yields an unassigned
+// decision variable and returns it with its saved phase, or LitUndef once
+// the order runs dry. Popped assigned variables leave the queue;
+// cancelUntil reinserts them when they are unassigned.
+func (s *Solver) popDecision() Lit {
+	q := &s.order
 	for !q.empty() {
 		v := q.removeMax(s.activity)
 		if s.assigns[v] == LUndef && s.decision[v] {

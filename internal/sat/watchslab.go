@@ -57,17 +57,3 @@ func (sl *watchSlab) relocate(r *watchRange) {
 	r.off = off
 	r.cap = newCap
 }
-
-// remove deletes the first watch for clause cr from literal p's list by
-// swapping in the last entry (order is not preserved; only the gen2
-// vivifier uses this, and gen2 has its own golden recording).
-func (sl *watchSlab) remove(p Lit, cr CRef) {
-	r := &sl.rng[p]
-	for i := uint32(0); i < r.n; i++ {
-		if sl.data[r.off+i].cref() == cr {
-			r.n--
-			sl.data[r.off+i] = sl.data[r.off+r.n]
-			return
-		}
-	}
-}

@@ -109,7 +109,7 @@ func (s *Scheduler) worker() {
 	for t := range s.tasks {
 		s.Queued.Add(-1)
 		s.QueueWait.Observe(time.Since(t.enqueued))
-		trace.FromContext(t.ctx).Phase("queue", time.Since(t.enqueued))
+		trace.FromContext(t.ctx).Lap("queue")
 		// A request whose client already gave up is not worth starting:
 		// skip it without burning the worker slot on doomed SAT work.
 		if t.ctx.Err() != nil {

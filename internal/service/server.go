@@ -54,12 +54,6 @@ type Options struct {
 	Pool      PoolOptions
 	Scheduler SchedulerOptions
 
-	// Portfolio races every eligible warm bsat request across all search
-	// configurations (sat.PortfolioConfigs) on cloned sessions, first
-	// finisher wins. Requests that pin a solver or shard their
-	// enumeration run singly as before.
-	Portfolio bool
-
 	// Logger receives structured request logs (one line per request,
 	// keyed by request id). nil discards them — tests and embedders that
 	// do not care pay nothing.
@@ -82,13 +76,12 @@ type Options struct {
 // Server is the diagnosis service: session pool + scheduler + the JSON
 // handlers. Create with NewServer, mount via Handler.
 type Server struct {
-	pool      *SessionPool
-	sched     *Scheduler
-	start     time.Time
-	portfolio bool
-	log       *slog.Logger
-	traces    *traceStore
-	reqID     atomic.Int64
+	pool   *SessionPool
+	sched  *Scheduler
+	start  time.Time
+	log    *slog.Logger
+	traces *traceStore
+	reqID  atomic.Int64
 
 	requests  metrics.Counter
 	failures  metrics.Counter
@@ -97,12 +90,6 @@ type Server struct {
 	// (diag_phase_seconds{phase=...}): where end-to-end time actually
 	// went, queue-wait separated from execution.
 	phases map[string]*metrics.Histogram
-
-	// Portfolio racing counters: races run, and wins per configuration
-	// name (the map is fixed at construction — one counter per
-	// sat.PortfolioConfigs entry).
-	portfolioRaces metrics.Counter
-	portfolioWins  map[string]*metrics.Counter
 
 	// Fault-tolerance counters (tentpole of the robustness PR).
 	panicsRecovered   metrics.Counter // handler/attempt panics turned into errors
@@ -130,18 +117,15 @@ type Server struct {
 	replayMillis   metrics.Gauge   // wall time of the last replay
 }
 
-// NewServer assembles a service instance.
 // spanPhases are the request-span phases that get their own
-// diag_phase_seconds histogram. "queue" is stamped by the scheduler
-// worker, the rest by the pool/warm path; phases a request never
-// entered simply observe nothing.
-var spanPhases = []string{"queue", "pool", "session-wait", "rebuild", "encode", "solve"}
+// diag_phase_seconds histogram. "queue" is lapped by the scheduler
+// worker, "retry" by the retry wrapper, "respond" when the request
+// finishes, the rest by the pool/warm/cold paths; phases a request
+// never entered simply observe nothing.
+var spanPhases = []string{"queue", "pool", "session-wait", "rebuild", "encode", "solve", "retry", "respond"}
 
+// NewServer assembles a service instance.
 func NewServer(opts Options) *Server {
-	wins := make(map[string]*metrics.Counter)
-	for _, cfg := range sat.PortfolioConfigs() {
-		wins[cfg.Name] = new(metrics.Counter)
-	}
 	phases := make(map[string]*metrics.Histogram, len(spanPhases))
 	for _, p := range spanPhases {
 		phases[p] = new(metrics.Histogram)
@@ -153,20 +137,18 @@ func NewServer(opts Options) *Server {
 	poolOpts := opts.Pool
 	poolOpts.Journal = opts.Journal
 	s := &Server{
-		pool:      NewSessionPool(poolOpts),
-		sched:     NewScheduler(opts.Scheduler),
-		start:     time.Now(),
-		portfolio: opts.Portfolio,
-		log:       logger,
-		traces:    newTraceStore(opts.TraceStore),
+		pool:   NewSessionPool(poolOpts),
+		sched:  NewScheduler(opts.Scheduler),
+		start:  time.Now(),
+		log:    logger,
+		traces: newTraceStore(opts.TraceStore),
 		latencies: map[string]*metrics.Histogram{
 			"cold":        new(metrics.Histogram),
 			"warm":        new(metrics.Histogram),
 			"incremental": new(metrics.Histogram),
 		},
-		phases:        phases,
-		portfolioWins: wins,
-		journal:       opts.Journal,
+		phases:  phases,
+		journal: opts.Journal,
 	}
 	s.warming.Store(opts.ReplayPending)
 	return s
@@ -261,49 +243,23 @@ type DiagnoseRequest struct {
 	ForceZero bool   `json:"forceZero,omitempty"`
 	ConeOnly  bool   `json:"coneOnly,omitempty"`
 
-	// Solver pins the SAT search configuration ("default", "gen2"; "" =
-	// default — or a portfolio race when the server runs with one).
-	// Trajectory-only, so it is NOT part of the session key.
-	Solver string `json:"solver,omitempty"`
-
-	// Enum pins the enumeration mode ("legacy", "projected"; "" =
-	// legacy). Like Solver it is trajectory-only and not part of the
-	// session key; the solution bytes are mode-invariant.
-	Enum string `json:"enum,omitempty"`
-
 	MaxSolutions int   `json:"maxSolutions,omitempty"`
 	MaxConflicts int64 `json:"maxConflicts,omitempty"`
 	TimeoutMs    int64 `json:"timeoutMs,omitempty"`
 }
 
 // SolverStatsJSON is the solver-work excerpt reported per response.
-// The gen2 counters stay zero under the default configuration.
 type SolverStatsJSON struct {
 	Decisions    int64 `json:"decisions"`
 	Conflicts    int64 `json:"conflicts"`
 	Propagations int64 `json:"propagations"`
-
-	LBDRestarts      int64 `json:"lbdRestarts,omitempty"`
-	VivifiedLits     int64 `json:"vivifiedLits,omitempty"`
-	ChronoBacktracks int64 `json:"chronoBacktracks,omitempty"`
-
-	// Projected-enumeration counters; zero under the legacy mode.
-	EarlyTerms        int64 `json:"earlyTerms,omitempty"`
-	ContinueBackjumps int64 `json:"continueBackjumps,omitempty"`
-	SkippedDecisions  int64 `json:"skippedDecisions,omitempty"`
 }
 
 func solverStatsJSON(st sat.Stats) SolverStatsJSON {
 	return SolverStatsJSON{
-		Decisions:         st.Decisions,
-		Conflicts:         st.Conflicts,
-		Propagations:      st.Propagations,
-		LBDRestarts:       st.LBDRestarts,
-		VivifiedLits:      st.VivifiedLits,
-		ChronoBacktracks:  st.ChronoBacktracks,
-		EarlyTerms:        st.EarlyTerms,
-		ContinueBackjumps: st.ContinueBackjumps,
-		SkippedDecisions:  st.SkippedDecisions,
+		Decisions:    st.Decisions,
+		Conflicts:    st.Conflicts,
+		Propagations: st.Propagations,
 	}
 }
 
@@ -328,14 +284,6 @@ type DiagnoseResponse struct {
 	Shards    int             `json:"shards,omitempty"`
 	Stats     SolverStatsJSON `json:"stats"`
 	ElapsedMs float64         `json:"elapsedMs"`
-
-	// Solver is the search configuration that produced the answer; Raced
-	// marks it as the winner of a portfolio race (the solution bytes are
-	// configuration-invariant either way). Enum is the enumeration mode
-	// the answer ran under.
-	Solver string `json:"solver,omitempty"`
-	Enum   string `json:"enum,omitempty"`
-	Raced  bool   `json:"raced,omitempty"`
 
 	// Degraded names why an incomplete run stopped (deadline,
 	// conflict-budget, solution-cap, cube-abandoned, budget). Empty on
@@ -414,6 +362,8 @@ func (s *Server) serveWithRetry(ctx context.Context, idempotent bool,
 			return nil, ctx.Err()
 		case <-time.After(backoff):
 		}
+		// The failed attempt and its backoff are one phase of their own.
+		trace.FromContext(ctx).Lap("retry")
 		backoff *= 2
 	}
 }
@@ -551,30 +501,7 @@ func (req *DiagnoseRequest) runSpec() RunSpec {
 		Candidates:   req.Candidates,
 		MaxSolutions: req.MaxSolutions,
 		MaxConflicts: req.MaxConflicts,
-		Solver:       req.Solver,
-		Enum:         req.Enum,
 	}
-}
-
-// resolvedSolverName maps a wire solver name to the configuration name
-// reported back ("" reads as "default"). The name is validated before
-// any work runs, so resolution here cannot fail.
-func resolvedSolverName(name string) string {
-	cfg, err := sat.ConfigByName(name)
-	if err != nil {
-		return name
-	}
-	return cfg.Name
-}
-
-// resolvedEnumName is resolvedSolverName for enumeration modes ("" reads
-// as "legacy").
-func resolvedEnumName(name string) string {
-	mode, err := sat.EnumModeByName(name)
-	if err != nil {
-		return name
-	}
-	return mode.String()
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
@@ -600,16 +527,6 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	}
 	encoding, err := parseEncoding(req.Encoding)
 	if err != nil {
-		s.failures.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, err := sat.ConfigByName(req.Solver); err != nil {
-		s.failures.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, err := sat.EnumModeByName(req.Enum); err != nil {
 		s.failures.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -696,29 +613,14 @@ func (s *Server) serveWarm(ctx context.Context, c *circuit.Circuit, fp string, t
 	if poolSpan != nil {
 		poolSpan.SetDetail(outcome)
 		poolSpan.End()
-		trace.FromContext(ctx).Phase("pool", poolSpan.Duration())
+		trace.FromContext(ctx).Lap("pool")
 	}
 	if err != nil {
 		return nil, err
 	}
 	hit := outcome != OutcomeColdBuild
 	defer s.pool.Release(entry)
-	// A race needs an unpinned solver and a monolithic enumeration (the
-	// sharded path already parallelizes; racing it would oversubscribe).
-	raced := s.portfolio && spec.Solver == "" && spec.Shards <= 1
-	var rep *WarmReport
-	if raced {
-		var winner string
-		rep, winner, err = entry.DiagnosePortfolio(ctx, tests, spec)
-		if err == nil {
-			s.portfolioRaces.Inc()
-			if c := s.portfolioWins[winner]; c != nil {
-				c.Inc()
-			}
-		}
-	} else {
-		rep, err = entry.Diagnose(ctx, tests, spec)
-	}
+	rep, err := entry.Diagnose(ctx, tests, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -741,9 +643,6 @@ func (s *Server) serveWarm(ctx context.Context, c *circuit.Circuit, fp string, t
 		Clauses:    rep.Clauses,
 		Shards:     countShards(rep.PerShard),
 		Stats:      solverStatsJSON(rep.Stats),
-		Solver:     rep.Solver,
-		Enum:       rep.Enum,
-		Raced:      raced,
 	}
 	resp.events = rep.Events
 	s.annotateFaults(ctx, resp, rep.PerShard, spec.MaxSolutions, spec.MaxConflicts)
@@ -786,9 +685,10 @@ func (s *Server) serveCold(ctx context.Context, c *circuit.Circuit, tests circui
 		Encoding:     encoding,
 		ForceZero:    req.ForceZero,
 		ConeOnly:     req.ConeOnly,
-		Solver:       req.Solver,
-		Enum:         req.Enum,
 	})
+	// A cold run builds its instance and enumerates in one call, so both
+	// land in the solve phase (the round child spans split it per k).
+	trace.FromContext(ctx).Lap("solve")
 	if err != nil {
 		return nil, err
 	}
@@ -807,8 +707,6 @@ func (s *Server) serveCold(ctx context.Context, c *circuit.Circuit, tests circui
 		Clauses:    rep.Clauses,
 		Shards:     countShards(rep.PerShard),
 		Stats:      solverStatsJSON(rep.Stats),
-		Solver:     resolvedSolverName(req.Solver),
-		Enum:       resolvedEnumName(req.Enum),
 	}
 	resp.events = rec.Snapshot()
 	s.annotateFaults(ctx, resp, rep.PerShard, req.MaxSolutions, req.MaxConflicts)
@@ -822,15 +720,13 @@ type SessionTestsRequest struct {
 	Add    []TestJSON `json:"add,omitempty"`
 	Remove []int      `json:"remove,omitempty"` // positions in the current test list
 
-	K            int    `json:"k,omitempty"`
-	Shards       int    `json:"shards,omitempty"`
-	SampleCap    int    `json:"sampleCap,omitempty"`
-	Candidates   []int  `json:"candidates,omitempty"`
-	MaxSolutions int    `json:"maxSolutions,omitempty"`
-	MaxConflicts int64  `json:"maxConflicts,omitempty"`
-	TimeoutMs    int64  `json:"timeoutMs,omitempty"`
-	Solver       string `json:"solver,omitempty"` // "" inherits the previous run's
-	Enum         string `json:"enum,omitempty"`   // "" inherits the previous run's
+	K            int   `json:"k,omitempty"`
+	Shards       int   `json:"shards,omitempty"`
+	SampleCap    int   `json:"sampleCap,omitempty"`
+	Candidates   []int `json:"candidates,omitempty"`
+	MaxSolutions int   `json:"maxSolutions,omitempty"`
+	MaxConflicts int64 `json:"maxConflicts,omitempty"`
+	TimeoutMs    int64 `json:"timeoutMs,omitempty"`
 }
 
 func (s *Server) handleSessionTests(w http.ResponseWriter, r *http.Request) {
@@ -841,16 +737,6 @@ func (s *Server) handleSessionTests(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.failures.Inc()
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	if _, err := sat.ConfigByName(req.Solver); err != nil {
-		s.failures.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, err := sat.EnumModeByName(req.Enum); err != nil {
-		s.failures.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	entry, ok := s.pool.ByID(id)
@@ -873,8 +759,6 @@ func (s *Server) handleSessionTests(w http.ResponseWriter, r *http.Request) {
 		Candidates:   req.Candidates,
 		MaxSolutions: req.MaxSolutions,
 		MaxConflicts: req.MaxConflicts,
-		Solver:       req.Solver,
-		Enum:         req.Enum,
 	}
 
 	ctx, cancel := s.sched.RequestContext(r.Context(), time.Duration(req.TimeoutMs)*time.Millisecond)
@@ -910,8 +794,6 @@ func (s *Server) handleSessionTests(w http.ResponseWriter, r *http.Request) {
 				Clauses:    rep.Clauses,
 				Shards:     countShards(rep.PerShard),
 				Stats:      solverStatsJSON(rep.Stats),
-				Solver:     rep.Solver,
-				Enum:       rep.Enum,
 			}
 			r.events = rep.Events
 			s.annotateFaults(ctx, r, rep.PerShard, spec.MaxSolutions, spec.MaxConflicts)
@@ -936,6 +818,10 @@ func decodeAdd(c *circuit.Circuit, in []TestJSON) (circuit.TestSet, error) {
 // degradation contract); only a request that produced nothing maps to
 // an error status.
 func (s *Server) finish(w http.ResponseWriter, resp *DiagnoseResponse, derr, schedErr error, rid string, span *trace.Span) {
+	// Everything after the last step — pool accounting, the journal
+	// append, release, response assembly and the handoff back from the
+	// worker — is the respond phase.
+	span.Lap("respond")
 	span.End()
 	elapsed := span.Duration()
 	fail := func(code int, format string, args ...any) {
@@ -1016,7 +902,7 @@ func (s *Server) finish(w http.ResponseWriter, resp *DiagnoseResponse, derr, sch
 	})
 	s.log.Info("request", "id", rid, "mode", resp.Mode, "engine", resp.Engine,
 		"solutions", len(resp.Solutions), "complete", resp.Complete,
-		"degraded", resp.Degraded, "raced", resp.Raced, "poolHit", resp.PoolHit,
+		"degraded", resp.Degraded, "poolHit", resp.PoolHit,
 		"elapsedMs", resp.ElapsedMs)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1127,12 +1013,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.WritePromValue(w, "diag_cube_retries", "", s.cubeRetries.Value())
 	metrics.WritePromValue(w, "diag_degraded_responses", "", s.degradedResponses.Value())
 	metrics.WritePromValue(w, "diag_request_retries_total", "", s.requestRetries.Value())
-	metrics.WritePromValue(w, "diag_portfolio_races_total", "", s.portfolioRaces.Value())
-	for _, cfg := range sat.PortfolioConfigs() {
-		if c := s.portfolioWins[cfg.Name]; c != nil {
-			metrics.WritePromValue(w, "diag_portfolio_wins_total", fmt.Sprintf("config=%q", cfg.Name), c.Value())
-		}
-	}
 	// Durability: journal writer counters plus the outcome of the boot
 	// replay (all zero when persistence is disabled).
 	if s.journal != nil {
@@ -1183,12 +1063,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.WritePromValue(w, "diag_session_conflicts", l, info.Stats.Solver.Conflicts)
 		metrics.WritePromValue(w, "diag_session_decisions", l, info.Stats.Solver.Decisions)
 		metrics.WritePromValue(w, "diag_session_propagations", l, info.Stats.Solver.Propagations)
-		metrics.WritePromValue(w, "diag_session_lbd_restarts", l, info.Stats.Solver.LBDRestarts)
-		metrics.WritePromValue(w, "diag_session_vivified_lits", l, info.Stats.Solver.VivifiedLits)
-		metrics.WritePromValue(w, "diag_session_chrono_backtracks", l, info.Stats.Solver.ChronoBacktracks)
-		metrics.WritePromValue(w, "diag_session_early_terms", l, info.Stats.Solver.EarlyTerms)
-		metrics.WritePromValue(w, "diag_session_continue_backjumps", l, info.Stats.Solver.ContinueBackjumps)
-		metrics.WritePromValue(w, "diag_session_skipped_decisions", l, info.Stats.Solver.SkippedDecisions)
 	}
 }
 

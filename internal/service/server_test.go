@@ -142,6 +142,20 @@ func TestServerEquivalenceProperty(t *testing.T) {
 						t.Fatalf("seed %d warm: hit=%v mode=%q new=%d", seed, second.PoolHit, second.Mode, second.NewCopies)
 					}
 
+					// Wire compatibility: a body still carrying the retired
+					// search-configuration and enumeration-mode keys is
+					// accepted (unknown keys are ignored) and answered alike.
+					legacy := strings.TrimSuffix(mustJSON(t, service.DiagnoseRequest{
+						Bench: bench, Tests: wire, K: 2, Shards: shards,
+					}), "}") + `,"solver":"gen2","enum":"projected"}`
+					code, old := post[service.DiagnoseResponse](t, ts.URL+"/diagnose", json.RawMessage(legacy))
+					if code != http.StatusOK {
+						t.Fatalf("seed %d retired keys -> %d", seed, code)
+					}
+					if got := mustJSON(t, old.Solutions); got != want {
+						t.Fatalf("seed %d retired keys: %s != %s", seed, got, want)
+					}
+
 					// Incremental: drop the first test, add it back.
 					sid := first.Session
 					code, inc := post[service.DiagnoseResponse](t, ts.URL+"/sessions/"+sid+"/tests",

@@ -90,7 +90,7 @@ func TestDiagnoseTimings(t *testing.T) {
 	if wall <= 0 {
 		t.Fatalf("span wall time %v", wall)
 	}
-	for _, want := range []string{"queue", "pool", "session-wait", "solve"} {
+	for _, want := range []string{"queue", "pool", "session-wait", "solve", "respond"} {
 		if _, ok := phases[want]; !ok {
 			t.Fatalf("warm breakdown lacks phase %q: %v", want, phases)
 		}

@@ -31,17 +31,6 @@ type RunSpec struct {
 	MaxSolutions int
 	MaxConflicts int64
 	Timeout      time.Duration
-	// Solver names the search configuration ("default", "gen2"; "" =
-	// default). Trajectory-only: the solution set is configuration-
-	// invariant, which is why it is NOT part of the session key — one
-	// warm session serves any configuration back to back.
-	Solver string
-	// Enum names the enumeration mode ("legacy", "projected"; "" =
-	// legacy). Like Solver it is trajectory-only — the ladder discipline
-	// makes the solution set mode-invariant — so it is not part of the
-	// session key either, and is applied per round rather than pinned on
-	// the session.
-	Enum string
 }
 
 // WarmReport is the outcome of a warm or incremental run. Solutions are
@@ -59,16 +48,13 @@ type WarmReport struct {
 	Stats     sat.Stats // solver work of this run only
 	PerShard  []cnf.ShardStats
 	Encode    time.Duration // time spent encoding missing copies
-	Solve     time.Duration // enumeration wall time
 	Rebuilt   bool          // the session was rebuilt for a wider ladder
-	Solver    string        // search configuration that produced the answer
-	Enum      string        // enumeration mode that produced the answer
 
 	// Events is this run's slice of the session's flight recorder:
 	// the solver control-flow events (restarts, clause-DB reductions,
 	// models, budget exits, …) recorded between the run's start and end
-	// cursors. Portfolio forks share the parent's recorder, so a raced
-	// run's events interleave every fork on one timeline.
+	// cursors. Shard workers share the parent's recorder, so a sharded
+	// run's events interleave every worker on one timeline.
 	Events []trace.Event
 }
 
@@ -112,37 +98,30 @@ func (e *PoolEntry) Diagnose(ctx context.Context, tests circuit.TestSet, spec Ru
 	}
 	var rep *WarmReport
 	span := trace.FromContext(ctx)
-	lockWait := time.Now()
 	err := e.Run(func(sess *cnf.DiagSession, circ *circuit.Circuit) error {
 		// The fn runs once runMu is held, so "session-wait" is the time
 		// this request queued behind other requests on the same session.
-		span.PhaseSince("session-wait", lockWait)
+		span.Lap("session-wait")
 		rebuilt := false
 		if !sess.CanBound(spec.K) {
-			rebuildStart := time.Now()
 			e.rebuild(NewWarmSession(circ, e.model, spec.K), spec.K)
 			sess = e.sess
 			rebuilt = true
-			span.PhaseSince("rebuild", rebuildStart)
+			span.Lap("rebuild")
 		}
 		active, encoded, encode := e.ensureTests(tests)
 		e.current = active
 		e.lastSpec = spec
 		e.stageJournalReset(tests, spec.K)
-		span.Phase("encode", encode)
-		solver, err := applySolver(sess, spec.Solver)
-		if err != nil {
-			return err
-		}
+		span.Lap("encode")
 		r, err := diagnoseActive(ctx, sess, active, spec)
 		if err != nil {
 			return err
 		}
-		span.Phase("solve", r.Solve)
+		span.Lap("solve")
 		r.NewCopies = encoded
 		r.Encode = encode
 		r.Rebuilt = rebuilt
-		r.Solver = solver
 		rep = r
 		return nil
 	})
@@ -160,9 +139,8 @@ func (e *PoolEntry) Incremental(ctx context.Context, add circuit.TestSet, remove
 	var rep *WarmReport
 	var activeTests circuit.TestSet
 	span := trace.FromContext(ctx)
-	lockWait := time.Now()
 	err := e.Run(func(sess *cnf.DiagSession, circ *circuit.Circuit) error {
-		span.PhaseSince("session-wait", lockWait)
+		span.Lap("session-wait")
 		merged := e.lastSpec
 		if spec.K > 0 {
 			merged.K = spec.K
@@ -187,12 +165,6 @@ func (e *PoolEntry) Incremental(ctx context.Context, add circuit.TestSet, remove
 		}
 		if spec.Timeout > 0 {
 			merged.Timeout = spec.Timeout
-		}
-		if spec.Solver != "" {
-			merged.Solver = spec.Solver
-		}
-		if spec.Enum != "" {
-			merged.Enum = spec.Enum
 		}
 		if !sess.CanBound(merged.K) {
 			return fmt.Errorf("service: incremental k=%d exceeds the session ladder (max %d); send a fresh /diagnose", merged.K, e.maxK)
@@ -226,19 +198,14 @@ func (e *PoolEntry) Incremental(ctx context.Context, add circuit.TestSet, remove
 			full = append(full, toTestRec(sess.Tests[ci]))
 		}
 		e.stageJournalEdit(remove, add, full, merged.K)
-		span.Phase("encode", encode)
-		solver, err := applySolver(sess, merged.Solver)
-		if err != nil {
-			return err
-		}
+		span.Lap("encode")
 		r, err := diagnoseActive(ctx, sess, next, merged)
 		if err != nil {
 			return err
 		}
-		span.Phase("solve", r.Solve)
+		span.Lap("solve")
 		r.NewCopies = encoded
 		r.Encode = encode
-		r.Solver = solver
 		rep = r
 		for _, ci := range next {
 			activeTests = append(activeTests, sess.Tests[ci])
@@ -291,19 +258,6 @@ func (e *PoolEntry) ensureTests(tests circuit.TestSet) (active []int, encoded in
 	return active, encoded, encode
 }
 
-// applySolver pins the session's search configuration for this request
-// and returns the resolved name. "" resolves to the default, so a
-// previous request's configuration never leaks into the next one on a
-// shared warm session.
-func applySolver(sess *cnf.DiagSession, name string) (string, error) {
-	cfg, err := sat.ConfigByName(name)
-	if err != nil {
-		return "", err
-	}
-	sess.Solver.SetSearchConfig(cfg)
-	return cfg.Name, nil
-}
-
 // diagnoseActive runs one enumeration round over the given active
 // copies. The projected solution space of a guard-activated,
 // assumption-restricted round is identical to a monolithic instance
@@ -311,11 +265,7 @@ func applySolver(sess *cnf.DiagSession, name string) (string, error) {
 // property tests), which is what makes warm responses byte-identical to
 // cold core.Diagnose ones.
 func diagnoseActive(ctx context.Context, sess *cnf.DiagSession, active []int, spec RunSpec) (*WarmReport, error) {
-	mode, err := sat.EnumModeByName(spec.Enum)
-	if err != nil {
-		return nil, err
-	}
-	rep := &WarmReport{Copies: len(active), Enum: mode.String()}
+	rep := &WarmReport{Copies: len(active)}
 	round := cnf.RoundOptions{
 		MaxK:         spec.K,
 		Ctx:          ctx,
@@ -325,7 +275,6 @@ func diagnoseActive(ctx context.Context, sess *cnf.DiagSession, active []int, sp
 		MaxConflicts: spec.MaxConflicts,
 		Timeout:      spec.Timeout,
 		SampleCap:    spec.SampleCap,
-		Enum:         mode,
 	}
 	// This run's flight-recorder window: everything the (shared) ring
 	// receives between these cursors belongs to this request. Nil-safe:
@@ -333,7 +282,6 @@ func diagnoseActive(ctx context.Context, sess *cnf.DiagSession, active []int, sp
 	rec := sess.Solver.FlightRecorder()
 	cursor := rec.Cursor()
 	before := sess.Solver.Statistics()
-	start := time.Now()
 	if spec.Shards > 1 {
 		sols, complete, perShard, err := sess.EnumerateSharded(spec.Shards, round)
 		if err != nil {
@@ -366,7 +314,6 @@ func diagnoseActive(ctx context.Context, sess *cnf.DiagSession, active []int, sp
 		rep.Complete = complete
 		rep.Stats = sess.Solver.Statistics().Sub(before)
 	}
-	rep.Solve = time.Since(start)
 	rep.Events = rec.Since(cursor)
 	rep.Vars, rep.Clauses = sess.Size()
 	if rep.Solutions == nil {

@@ -15,23 +15,13 @@ type EventKind uint8
 const (
 	// EvNone marks an empty ring slot.
 	EvNone EventKind = iota
-	// EvRestart is a Luby restart of the default search configuration
-	// (or the per-model restart pacing of the enumeration loops).
+	// EvRestart is a Luby restart.
 	EvRestart
-	// EvLBDRestart is a gen2 LBD-EMA triggered restart.
-	EvLBDRestart
 	// EvReduceDB is a learnt-clause database reduction.
 	EvReduceDB
-	// EvVivify is a level-0 vivification pass.
-	EvVivify
-	// EvChronoBT is a gen2 chronological backtrack.
-	EvChronoBT
 	// EvModel is a satisfying assignment found (one enumerated
 	// solution, or the final model of a plain Solve).
 	EvModel
-	// EvEarlyTerm is a projected-mode model certified by the
-	// all-clauses-satisfied scan before the assignment was total.
-	EvEarlyTerm
 	// EvBudgetExit is a search abandoned on the conflict budget.
 	EvBudgetExit
 	// EvDeadlineExit is a search abandoned on the wall-clock deadline.
@@ -47,12 +37,8 @@ const (
 var kindNames = [evKinds]string{
 	EvNone:         "none",
 	EvRestart:      "restart",
-	EvLBDRestart:   "lbd-restart",
 	EvReduceDB:     "reduce-db",
-	EvVivify:       "vivify",
-	EvChronoBT:     "chrono-bt",
 	EvModel:        "model",
-	EvEarlyTerm:    "early-term",
 	EvBudgetExit:   "budget-exit",
 	EvDeadlineExit: "deadline-exit",
 	EvCtxExit:      "ctx-exit",
@@ -109,9 +95,9 @@ const DefaultRecorderSize = 256
 
 // Recorder is a fixed-size ring of packed solver events. Writes are
 // one atomic add plus one atomic store, allocation-free, and safe from
-// multiple goroutines — cloned solvers (shard workers, portfolio
-// forks) share their parent's recorder, interleaving their events on
-// the same conflict-stamped timeline. Reads (Snapshot, Since) are safe
+// multiple goroutines — cloned solvers (shard workers) share their
+// parent's recorder, interleaving their events on the same
+// conflict-stamped timeline. Reads (Snapshot, Since) are safe
 // concurrently with writes: each slot is a single word, so a dump
 // taken mid-solve sees a consistent recent window, never a torn event.
 type Recorder struct {

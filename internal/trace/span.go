@@ -26,9 +26,9 @@ import (
 )
 
 // Span is one timed region of a request: the whole request, one
-// enumeration round, one cube, one portfolio fork. A span accumulates
-// named phases (flat timings within the span), counters (e.g. solver
-// Stats deltas captured at round boundaries), and child spans. All
+// enumeration round, one cube. A span accumulates named phases (flat
+// timings within the span), counters (e.g. solver Stats deltas
+// captured at round boundaries), and child spans. All
 // methods are safe on a nil receiver — hot paths guard tracing with a
 // single nil test — and safe for concurrent use, so sharded cube
 // workers may attach children to the same parent from many goroutines.
@@ -38,6 +38,7 @@ type Span struct {
 	detail   string
 	start    time.Time
 	end      time.Time
+	lap      time.Time // where the next Lap starts (see Lap)
 	phases   []phase
 	counters []counter
 	children []*Span
@@ -55,7 +56,8 @@ type counter struct {
 
 // New starts a root span.
 func New(name string) *Span {
-	return &Span{name: name, start: time.Now()}
+	now := time.Now()
+	return &Span{name: name, start: now, lap: now}
 }
 
 // Child starts and attaches a child span. Returns nil when s is nil,
@@ -64,7 +66,8 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now()}
+	now := time.Now()
+	c := &Span{name: name, start: now, lap: now}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
@@ -95,6 +98,23 @@ func (s *Span) PhaseSince(name string, start time.Time) {
 		return
 	}
 	s.Phase(name, time.Since(start))
+}
+
+// Lap records the time since the previous Lap (or since the span
+// started) as a phase and moves the lap cursor to now. A request whose
+// every step ends in a Lap gets phases that tile its wall time: work
+// between two named steps — bookkeeping, a retry, a goroutine handoff,
+// a GC pause — lands in the next phase instead of in no phase at all.
+func (s *Span) Lap(name string) {
+	if s == nil {
+		return
+	}
+	now := time.Now()
+	s.mu.Lock()
+	d := now.Sub(s.lap)
+	s.lap = now
+	s.mu.Unlock()
+	s.Phase(name, d)
 }
 
 // Counter records (accumulating by name) a named integer — solver

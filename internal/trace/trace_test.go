@@ -14,6 +14,7 @@ func TestNilSpanIsSafe(t *testing.T) {
 	}
 	s.Phase("p", time.Millisecond)
 	s.PhaseSince("q", time.Now())
+	s.Lap("l")
 	s.Counter("c", 3)
 	s.SetDetail("d")
 	s.End()
@@ -64,6 +65,29 @@ func TestSpanLifecycle(t *testing.T) {
 	m := root.PhaseDurations()
 	if m["queue"] != 2*time.Millisecond || m["encode"] != 4*time.Millisecond {
 		t.Fatalf("PhaseDurations = %v", m)
+	}
+}
+
+// TestSpanLapTilesWallTime: consecutive laps cover the span from its
+// start without gaps or overlap, a repeated lap name accumulates, and an
+// explicit Phase does not move the lap cursor.
+func TestSpanLapTilesWallTime(t *testing.T) {
+	s := New("request")
+	time.Sleep(2 * time.Millisecond)
+	s.Lap("queue")
+	s.Phase("extra", time.Hour) // outside the lap sequence
+	time.Sleep(time.Millisecond)
+	s.Lap("solve")
+	time.Sleep(time.Millisecond)
+	s.Lap("queue")
+	s.End()
+
+	m := s.PhaseDurations()
+	if m["queue"] < 3*time.Millisecond || m["solve"] < time.Millisecond {
+		t.Fatalf("laps = %v, want queue >= 3ms and solve >= 1ms", m)
+	}
+	if sum := m["queue"] + m["solve"]; sum > s.Duration() {
+		t.Fatalf("laps sum to %v, more than the span's %v", sum, s.Duration())
 	}
 }
 
