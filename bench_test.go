@@ -390,16 +390,6 @@ func BenchmarkAblation_BSAT_ForceZero(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_BSAT_ConeOnly(b *testing.B) {
-	sc, k, m := ablationScenario(b)
-	tests := sc.Tests.Prefix(m)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.BSAT(sc.Faulty, tests, core.BSATOptions{K: k, ConeOnly: true, MaxSolutions: 500}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblation_BSAT_Totalizer(b *testing.B) {
 	sc, k, m := ablationScenario(b)
 	tests := sc.Tests.Prefix(m)

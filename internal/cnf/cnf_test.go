@@ -269,8 +269,9 @@ func TestAtMostDirect(t *testing.T) {
 	}
 }
 
-// TestBuildDiagInstanceSize verifies the Θ(|I|·m) scaling claim of
-// Table 1: variables grow linearly in both circuit size and test count.
+// TestBuildDiagInstanceSize verifies the linear-in-m scaling claim of
+// Table 1 (Θ(|cone(o)|·m) with cone-restricted copies): variables grow
+// linearly in the test count.
 func TestBuildDiagInstanceSize(t *testing.T) {
 	c, err := gen.Generate(gen.Spec{Name: "sz", Inputs: 8, Outputs: 4, Gates: 80, Seed: 17})
 	if err != nil {
@@ -295,17 +296,62 @@ func TestBuildDiagInstanceSize(t *testing.T) {
 	}
 }
 
-func TestBuildDiagConeOnlyShrinks(t *testing.T) {
+// TestBuildDiagEncodesOutputCone pins the encoding's shape: each test
+// copy allocates variables for exactly the fanin cone of its erroneous
+// output — one gate variable per cone gate, plus a multiplexer input and
+// a correction value per cone candidate — and nothing outside it. With
+// Golden every output is constrained, so a copy covers the union cone.
+func TestBuildDiagEncodesOutputCone(t *testing.T) {
 	c, err := gen.Generate(gen.Spec{Name: "cone", Inputs: 10, Outputs: 6, Gates: 120, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
+	union := make([]bool, len(c.Gates))
+	for _, o := range c.Outputs {
+		for g, in := range c.FaninCone(o) {
+			union[g] = union[g] || in
+		}
+	}
 	vec := make([]bool, len(c.Inputs))
-	tests := circuit.TestSet{{Vector: vec, Output: c.Outputs[0], Want: true}}
-	full, _ := BuildDiag(c, tests, DiagOptions{MaxK: 1}).Size()
-	cone, _ := BuildDiag(c, tests, DiagOptions{MaxK: 1, ConeOnly: true}).Size()
-	if cone >= full {
-		t.Fatalf("cone restriction did not shrink: %d vs %d", cone, full)
+	for _, golden := range []*circuit.Circuit{nil, c} {
+		sess := NewSession(c, DiagOptions{MaxK: 1, Golden: golden})
+		strict := false
+		for i, o := range c.Outputs {
+			cone := c.FaninCone(o)
+			if golden != nil {
+				cone = union
+			}
+			before, _ := sess.Size()
+			sess.AddTest(circuit.Test{Vector: vec, Output: o, Want: true})
+			after, _ := sess.Size()
+			want := 0
+			for g, in := range cone {
+				gv, cv := sess.GateVars[i][g], sess.CorrVars[i][g]
+				_, isCand := sess.SelLit(g)
+				switch {
+				case !in && (gv != NoVar || cv != NoVar):
+					t.Fatalf("golden=%v copy %d: gate %d outside the cone is encoded (%d, %d)", golden != nil, i, g, gv, cv)
+				case in && gv == NoVar:
+					t.Fatalf("golden=%v copy %d: cone gate %d has no variable", golden != nil, i, g)
+				case in && isCand != (cv != NoVar):
+					t.Fatalf("golden=%v copy %d: cone gate %d candidate=%v but correction var %d", golden != nil, i, g, isCand, cv)
+				}
+				if in {
+					want++
+					if isCand {
+						want += 2 // multiplexer data input z and correction value c
+					}
+				} else {
+					strict = true
+				}
+			}
+			if got := after - before; got != want {
+				t.Fatalf("golden=%v copy %d allocated %d variables, want %d for its cone", golden != nil, i, got, want)
+			}
+		}
+		if !strict {
+			t.Fatalf("golden=%v: every cone is the whole circuit; the test checks nothing", golden != nil)
+		}
 	}
 }
 

@@ -40,11 +40,6 @@ type DiagOptions struct {
 	// |I| pointless decisions per copy (Section 2.3).
 	ForceZero bool
 
-	// ConeOnly restricts each test copy to the fanin cone of its
-	// constrained output(s) instead of copying the whole circuit. The
-	// projected solution space is unchanged; instance size shrinks.
-	ConeOnly bool
-
 	// Golden, when non-nil, supplies a reference implementation used to
 	// constrain all primary outputs (not only the erroneous one) to their
 	// correct values — the generalization discussed with Table 3 ("when
@@ -79,38 +74,44 @@ type DiagOptions struct {
 // by AddTests.
 type Instance = DiagSession
 
-// NoVar marks an absent variable in cone-restricted copies.
+// NoVar marks an absent variable: a gate outside a copy's cone, or a
+// gate without a correction multiplexer.
 const NoVar sat.Var = -1
 
 // BuildDiag constructs the SAT instance F of the paper's Figure 2(b):
-// one constrained copy of the circuit per test, a correction multiplexer
-// per candidate gate whose select line is shared across copies, and a
-// cardinality ladder over the select lines.
+// one constrained copy per test of the fanin cone of that test's
+// erroneous output (see coneFor), a correction multiplexer per candidate
+// gate whose select line is shared across copies, and a cardinality
+// ladder over the select lines.
 func BuildDiag(c *circuit.Circuit, tests circuit.TestSet, opts DiagOptions) *Instance {
 	sess := NewSession(c, opts)
 	sess.AddTests(tests)
 	return sess
 }
 
-// coneFor returns the gate set to encode for one test copy, or nil for
-// the full circuit.
-func coneFor(c *circuit.Circuit, t circuit.Test, opts DiagOptions, allOutputs bool) []bool {
-	if !opts.ConeOnly {
-		return nil
+// coneFor returns the gates to encode for one test copy: the fanin cone
+// of the copy's constrained output, or with allOutputs (Golden pins every
+// output) the union of all output cones.
+//
+// The paper's Figure 2(b) copies the whole circuit per test; restricting
+// the copy to the cone leaves the solution space projected onto the
+// select lines unchanged. The cone is fanin-closed, so it is a
+// self-contained sub-instance, and the part of a copy outside it only
+// feeds unconstrained gates: with its inputs fixed by the test vector and
+// its correction values free, it is satisfiable under every select
+// assignment. Dropping it removes logic that can never influence the
+// constrained output, and with it the decisions and propagations the
+// search would spend re-simulating that logic in every copy.
+func coneFor(c *circuit.Circuit, t circuit.Test, allOutputs bool) circuit.Bitset {
+	an := c.Analysis()
+	if !allOutputs {
+		return an.FaninConeBits(t.Output)
 	}
-	if allOutputs {
-		// All outputs constrained: the union cone is the whole circuit in
-		// all but degenerate cases; encode everything reachable backward
-		// from any output.
-		cone := make([]bool, len(c.Gates))
-		for _, o := range c.Outputs {
-			for g, in := range c.FaninCone(o) {
-				if in {
-					cone[g] = true
-				}
-			}
+	cone := circuit.NewBitset(len(c.Gates))
+	for _, o := range c.Outputs {
+		for i, w := range an.FaninConeBits(o) {
+			cone[i] |= w
 		}
-		return cone
 	}
-	return c.FaninCone(t.Output)
+	return cone
 }

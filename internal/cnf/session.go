@@ -15,10 +15,10 @@ import (
 )
 
 // DiagSession is a long-lived diagnosis SAT instance: one solver that
-// accumulates constrained circuit copies incrementally (AddTest) while
-// the select lines and the cardinality ladder are shared across all
-// copies. Everything that used to force a rebuild is an assumption
-// instead:
+// accumulates constrained test copies incrementally (AddTest), each over
+// the fanin cone of its test's erroneous output, while the select lines
+// and the cardinality ladder are shared across all copies. Everything
+// that used to force a rebuild is an assumption instead:
 //
 //   - size limits come from the ladder (AtMost),
 //   - candidate restriction from RestrictAssumps (select lines of
@@ -187,10 +187,12 @@ func NewSession(c *circuit.Circuit, opts DiagOptions) *DiagSession {
 	return sess
 }
 
-// AddTest appends one constrained circuit copy for the test and returns
-// its copy index. The copy shares the session's select lines; only its
-// gate and correction-value variables are fresh. Sessions with
-// GuardTests attach the copy's constraints to a fresh guard literal
+// AddTest appends one constrained copy for the test and returns its copy
+// index. The copy covers the fanin cone of the test's erroneous output
+// (every output's cone with Golden; see coneFor) and shares the
+// session's select lines; only its gate and correction-value variables
+// are fresh, and GateVars/CorrVars hold NoVar outside the cone. Sessions
+// with GuardTests attach the copy's constraints to a fresh guard literal
 // instead of asserting them, so the copy can be scoped per round.
 func (sess *DiagSession) AddTest(t circuit.Test) int {
 	start := time.Now()
@@ -210,7 +212,7 @@ func (sess *DiagSession) AddTest(t circuit.Test) int {
 		sess.TestGuards = append(sess.TestGuards, guard)
 	}
 
-	inCone := coneFor(c, t, sess.opts, sess.golden != nil)
+	inCone := coneFor(c, t, sess.golden != nil)
 	gateVars := make([]sat.Var, len(c.Gates))
 	corrVars := make([]sat.Var, len(c.Gates))
 	for g := range gateVars {
@@ -218,7 +220,7 @@ func (sess *DiagSession) AddTest(t circuit.Test) int {
 		corrVars[g] = NoVar
 	}
 	for g := range c.Gates {
-		if inCone != nil && !inCone[g] {
+		if !inCone.Has(g) {
 			continue
 		}
 		gate := &c.Gates[g]

@@ -34,10 +34,6 @@ type BSATOptions struct {
 	// inputs to 0 (Section 2.3's first heuristic).
 	ForceZero bool
 
-	// ConeOnly restricts each test copy to the erroneous output's fanin
-	// cone (instance-size heuristic; solution space unchanged).
-	ConeOnly bool
-
 	// Golden, when set, constrains all outputs of every copy to the
 	// specification values, not only the erroneous one.
 	Golden *circuit.Circuit
@@ -86,7 +82,6 @@ func (o BSATOptions) diagOptions() cnf.DiagOptions {
 		MaxK:        o.K,
 		Encoding:    o.Encoding,
 		ForceZero:   o.ForceZero,
-		ConeOnly:    o.ConeOnly,
 		Golden:      o.Golden,
 		// Cold-path flight recording: a request that carries a recorder
 		// on its context (the service's cold-build path) has it
@@ -99,7 +94,7 @@ func (o BSATOptions) diagOptions() cnf.DiagOptions {
 type BSATResult struct {
 	SolutionSet
 	Timings Timings
-	Vars    int // SAT instance size (Θ(|I|·m) per Table 1)
+	Vars    int // SAT instance size (Θ(|cone(o)|·m), Table 1's Θ(|I|·m) bound)
 	Clauses int
 	Stats   sat.Stats
 	// PerShard carries one entry per enumeration shard when the run was
@@ -115,12 +110,13 @@ type BSATResult struct {
 func (r *BSATResult) Session() *cnf.DiagSession { return r.sess }
 
 // BSAT implements BasicSATDiagnose (Figure 3): build the instance F —
-// one constrained circuit copy per test, correction multiplexers with
-// select lines shared across copies, a cardinality ladder — then for
-// limits i = 1..K enumerate all solutions, adding a blocking clause per
-// solution. Every returned correction is valid (Lemma 1) and contains
-// only essential candidates (Lemma 3), provided enumeration completed
-// within the budgets (Complete reports this).
+// one constrained copy per test of its erroneous output's fanin cone,
+// correction multiplexers with select lines shared across copies, a
+// cardinality ladder — then for limits i = 1..K enumerate all solutions,
+// adding a blocking clause per solution. Every returned correction is
+// valid (Lemma 1) and contains only essential candidates (Lemma 3),
+// provided enumeration completed within the budgets (Complete reports
+// this).
 //
 // The instance lives in a cnf.DiagSession and the enumeration runs as
 // one retired round, so the returned result holds a reusable session
@@ -200,16 +196,21 @@ func BSAT(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*BSATRes
 // the correction" per test, which "can be exploited to determine the
 // 'correct' function of the gate".
 type GateFunction struct {
-	Gate   int
-	Fanin  []int
-	Care   map[int]bool // minterm -> required output value
-	Agrees bool         // consistent across tests (no conflicting minterm)
+	Gate  int
+	Fanin []int
+	// Care maps a fanin minterm to the required output value, counting
+	// only the copies whose cone contains the gate.
+	Care   map[int]bool
+	Agrees bool // consistent across tests (no conflicting minterm)
 }
 
 // ExtractFunctions re-solves the live session with the given correction
-// selected and reads back, for every corrected gate and every encoded
-// test copy, the fanin values and the injected correction value —
-// yielding the partial specification of the repaired gate functions.
+// selected and reads back, for every corrected gate and every test copy
+// whose cone contains it, the fanin values and the injected correction
+// value — yielding the partial specification of the repaired gate
+// functions. A copy whose cone does not contain the gate does not
+// encode it and adds no care minterm: the gate cannot affect that copy's
+// failing output, so a value read there would require nothing.
 // The correction must be one of the enumerated solutions (or at least a
 // valid correction). Because the enumeration rounds are retired (their
 // blocking clauses retracted), no fresh instance is built: the query is

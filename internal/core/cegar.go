@@ -114,8 +114,8 @@ enumerate:
 }
 
 // CEGARDiagnose is the counterexample-guided form of BasicSATDiagnose:
-// instead of encoding one constrained circuit copy per test up front
-// (the Θ(|I|·m) instance of Table 1), it seeds a cnf.DiagSession with
+// instead of encoding one constrained cone copy per test up front (the
+// Θ(|cone(o)|·m) instance of Table 1), it seeds a cnf.DiagSession with
 // one test per distinct erroneous output and enumerates candidate
 // corrections on that abstraction. Each candidate is validated against
 // the full test-set by the incremental simulation oracle (Validator,

@@ -19,8 +19,6 @@ func TestCEGAREquivalenceProperty(t *testing.T) {
 	variants := []BSATOptions{
 		{},
 		{ForceZero: true},
-		{ConeOnly: true},
-		{ForceZero: true, ConeOnly: true},
 	}
 	f := func(seed int64) bool {
 		sc := makeScenario(t, seed%5000, 1+int(abs64(seed)%2), 6)

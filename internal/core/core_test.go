@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/cnf"
 	"repro/internal/logic"
 	"repro/internal/sim"
 )
@@ -137,6 +138,50 @@ func TestExtractFunctions(t *testing.T) {
 		v, ok := gf.Care[m]
 		if !ok || !v {
 			t.Fatalf("minterm %d: got (%v,%v), want required 1 (care map %v)", m, v, ok, gf.Care)
+		}
+	}
+}
+
+// TestExtractFunctionsSkipsCopiesOutsideCone: a test copy encodes only its
+// failing output's fanin cone, so a corrected gate outside that cone has
+// no correction value there and contributes no care minterm from it.
+func TestExtractFunctionsSkipsCopiesOutsideCone(t *testing.T) {
+	b := circuit.NewBuilder("exfcone")
+	x := b.Input("x")
+	y := b.Input("y")
+	z := b.Input("z")
+	g := b.Gate(logic.And, "g", x, y) // should be OR
+	h := b.Gate(logic.Not, "h", z)    // should be BUF
+	o1 := b.Gate(logic.Buf, "o1", g)
+	o2 := b.Gate(logic.Buf, "o2", h)
+	b.Output(o1)
+	b.Output(o2)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := circuit.TestSet{
+		{Vector: []bool{true, false, false}, Output: o1, Want: true}, // g's cone
+		{Vector: []bool{false, false, true}, Output: o2, Want: true}, // g outside
+	}
+	res, err := BSAT(c, tests, BSATOptions{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv := res.Session().CorrVars[1][g]; cv != cnf.NoVar {
+		t.Fatalf("gate %d outside copy 1's cone has correction var %d", g, cv)
+	}
+	funcs, err := res.ExtractFunctions(NewCorrection([]int{g, h}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(funcs) != 2 {
+		t.Fatalf("funcs %+v", funcs)
+	}
+	// g sees only copy 0 (x=1,y=0), h only copy 1 (z=1): minterm 1 each.
+	for _, gf := range funcs {
+		if len(gf.Care) != 1 || !gf.Care[1] || !gf.Agrees {
+			t.Fatalf("gate %d: care %v agrees=%v, want exactly minterm 1 required 1", gf.Gate, gf.Care, gf.Agrees)
 		}
 	}
 }

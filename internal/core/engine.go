@@ -50,7 +50,6 @@ type Request struct {
 	Candidates []int
 	Encoding   cnf.CardEncoding
 	ForceZero  bool
-	ConeOnly   bool
 
 	// PT configures the path-tracing stage of bsim, cov and hybrid.
 	PT PTOptions
@@ -190,7 +189,6 @@ func (req Request) bsatOptions(ctx context.Context) BSATOptions {
 		Candidates:   req.Candidates,
 		Encoding:     req.Encoding,
 		ForceZero:    req.ForceZero,
-		ConeOnly:     req.ConeOnly,
 		MaxSolutions: req.MaxSolutions,
 		MaxConflicts: req.MaxConflicts,
 		Timeout:      req.Timeout,

@@ -144,7 +144,6 @@ func covGuidedRepair(c *circuit.Circuit, tests circuit.TestSet, sess *cnf.DiagSe
 			MaxK:      opts.K,
 			Encoding:  opts.Encoding,
 			ForceZero: opts.ForceZero,
-			ConeOnly:  opts.ConeOnly,
 		})
 		sess.AddTests(tests)
 	}

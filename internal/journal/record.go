@@ -44,7 +44,6 @@ type Record struct {
 	Bench       string `json:"bench,omitempty"`
 	Encoding    string `json:"encoding,omitempty"`
 	ForceZero   bool   `json:"forceZero,omitempty"`
-	ConeOnly    bool   `json:"coneOnly,omitempty"`
 	MaxK        int    `json:"maxK,omitempty"`
 
 	// tests-added payload. Reset replaces the live test-set (a full

@@ -12,7 +12,6 @@ type SessionState struct {
 	Bench       string
 	Encoding    string
 	ForceZero   bool
-	ConeOnly    bool
 	MaxK        int
 
 	// Tests is the live test-set (the current activation base the
@@ -67,7 +66,6 @@ func (f *folder) apply(rec Record) {
 			Bench:       rec.Bench,
 			Encoding:    rec.Encoding,
 			ForceZero:   rec.ForceZero,
-			ConeOnly:    rec.ConeOnly,
 			MaxK:        rec.MaxK,
 			LastSeq:     f.seq,
 		}

@@ -2,8 +2,8 @@ package sat
 
 // Clone returns an independent snapshot of the solver: the clause arena,
 // the variable state (level-0 assignments, VSIDS activities, saved
-// phases, decision flags) and the top-level trail are copied, so the
-// clone and the original diverge freely afterwards. With keepLearnts the
+// phases) and the top-level trail are copied, so the clone and the
+// original diverge freely afterwards. With keepLearnts the
 // learnt-clause database comes along too, seeding the clone's search
 // with everything the original has already deduced; without it the clone
 // restarts learning from scratch on a smaller database.
@@ -42,7 +42,6 @@ func (s *Solver) Clone(keepLearnts bool) Backend {
 		activity:  append([]float64(nil), s.activity...),
 		varInc:    s.varInc,
 		polarity:  append([]bool(nil), s.polarity...),
-		decision:  append([]bool(nil), s.decision...),
 		clauseInc: s.clauseInc,
 		seen:      make([]byte, len(s.seen)),
 		ok:        s.ok,

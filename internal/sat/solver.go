@@ -35,7 +35,6 @@ type Solver struct {
 	varInc   float64
 	order    varOrder
 	polarity []bool
-	decision []bool
 
 	clauseInc float64
 
@@ -114,7 +113,6 @@ func (s *Solver) NewVar() Var {
 	s.reason = append(s.reason, CRefUndef)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, true) // default phase: negative (MiniSat style)
-	s.decision = append(s.decision, true)
 	s.seen = append(s.seen, 0)
 	s.wslab.newVar()
 	s.order.insert(v, s.activity)
@@ -942,14 +940,14 @@ func (s *Solver) search(nConflicts int) Status {
 }
 
 // popDecision pops the decision order until it yields an unassigned
-// decision variable and returns it with its saved phase, or LitUndef once
+// variable and returns it with its saved phase, or LitUndef once
 // the order runs dry. Popped assigned variables leave the queue;
 // cancelUntil reinserts them when they are unassigned.
 func (s *Solver) popDecision() Lit {
 	q := &s.order
 	for !q.empty() {
 		v := q.removeMax(s.activity)
-		if s.assigns[v] == LUndef && s.decision[v] {
+		if s.assigns[v] == LUndef {
 			return MkLit(v, s.polarity[v])
 		}
 	}

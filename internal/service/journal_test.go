@@ -2,6 +2,10 @@ package service_test
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -145,6 +149,115 @@ func TestJournalCrashReplayServesByteIdentical(t *testing.T) {
 	}
 	if got, want := mustJSON(t, incAfter.Solutions), mustJSON(t, incBase.Solutions); got != want {
 		t.Fatalf("replayed incremental solutions differ:\n got %s\nwant %s", got, want)
+	}
+}
+
+// legacyFrame frames a raw record payload the way the journal does
+// ("JWAL" | length | CRC-32C | payload), so a test can write records in a
+// format the current Record type no longer produces.
+func legacyFrame(payload []byte) []byte {
+	hdr := make([]byte, 12, 12+len(payload))
+	copy(hdr, "JWAL")
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(hdr, payload...)
+}
+
+// TestReplayLegacyConeKeys: journals written while the cone-restricted
+// encoding was an opt-in knob carry a ",cone=<bool>" session-key suffix
+// and a coneOnly field on session-built records. Such a log replays to
+// identical answers under the current key. Two legacy sessions that
+// differed only in the knob now share that key and replay as one: the
+// more recently used one, with its live test-set.
+func TestReplayLegacyConeKeys(t *testing.T) {
+	dir := t.TempDir()
+	jw, _ := openJournal(t, dir)
+	_, tsA := newJournaledServer(t, jw, false, service.PoolOptions{})
+	c, tests := scenario(t, 300, 5)
+	b := benchText(t, c)
+	full := diagnose(t, tsA.URL, service.DiagnoseRequest{Bench: b, Tests: testJSON(tests), K: 2})
+	code, incBase := post[service.DiagnoseResponse](t, tsA.URL+"/sessions/"+full.Session+"/tests",
+		service.SessionTestsRequest{Remove: []int{0}})
+	if code != http.StatusOK {
+		t.Fatalf("incremental edit -> %d", code)
+	}
+	tsA.Close()
+	jw.Close()
+
+	// Rewrite the log in the legacy format: a stale cone=false session
+	// holding the history before the edit, then the live cone=true
+	// session holding all of it.
+	segs, err := filepath.Glob(filepath.Join(dir, "diag-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no journal segments (%v)", err)
+	}
+	var recs []journal.Record
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.DecodeAll(data, func(rec journal.Record) {
+			if rec.Type != journal.TypeSeal {
+				recs = append(recs, rec)
+			}
+		})
+		os.Remove(seg)
+	}
+	var legacy []byte
+	for _, cone := range []bool{false, true} {
+		for _, rec := range recs {
+			if !cone && rec.Type == journal.TypeTestsRetracted {
+				break
+			}
+			var m map[string]any
+			raw, _ := json.Marshal(rec)
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatal(err)
+			}
+			m["key"] = fmt.Sprintf("%s,cone=%t", rec.Key, cone)
+			if rec.Type == journal.TypeSessionBuilt {
+				m["coneOnly"] = cone
+			}
+			payload, _ := json.Marshal(m)
+			legacy = append(legacy, legacyFrame(payload)...)
+		}
+	}
+	if err := os.WriteFile(segs[0], legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	jw2, st := openJournal(t, dir)
+	defer jw2.Close()
+	if len(st.Sessions) != 2 {
+		t.Fatalf("legacy roster: %d sessions, want 2", len(st.Sessions))
+	}
+	srvB, tsB := newJournaledServer(t, jw2, true, service.PoolOptions{})
+	if rep := srvB.Replay(st, 2); rep.Sessions != 1 || rep.Skipped != 1 {
+		t.Fatalf("replay: %+v, want 1 session and 1 superseded", rep)
+	}
+	snap := srvB.Pool().Snapshot()
+	key := service.SessionKey(service.Fingerprint(c), service.FaultModel{Encoding: cnf.SeqCounter})
+	if len(snap) != 1 || snap[0].Key != key {
+		t.Fatalf("replayed pool %+v, want one session under %s", snap, key)
+	}
+	code, incAfter := post[service.DiagnoseResponse](t, tsB.URL+"/sessions/"+snap[0].ID+"/tests",
+		service.SessionTestsRequest{})
+	if code != http.StatusOK {
+		t.Fatalf("incremental on replayed session -> %d", code)
+	}
+	if incAfter.Tests != len(tests)-1 || incAfter.NewCopies != 0 {
+		t.Fatalf("replayed live set: %d tests, %d new copies; want the edited %d, 0", incAfter.Tests, incAfter.NewCopies, len(tests)-1)
+	}
+	if got, want := mustJSON(t, incAfter.Solutions), mustJSON(t, incBase.Solutions); got != want {
+		t.Fatalf("replayed incremental solutions differ:\n got %s\nwant %s", got, want)
+	}
+	after := diagnose(t, tsB.URL, service.DiagnoseRequest{Bench: b, Tests: testJSON(tests), K: 2})
+	if !after.PoolHit {
+		t.Fatal("replayed legacy session did not serve a warm hit")
+	}
+	if got, want := mustJSON(t, after.Solutions), mustJSON(t, full.Solutions); got != want {
+		t.Fatalf("replayed solutions differ:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
@@ -36,14 +37,11 @@ type FaultModel struct {
 	// ForceZero adds the advanced-approach clauses pinning unselected
 	// correction inputs to zero.
 	ForceZero bool
-	// ConeOnly restricts each test copy to the erroneous output's fanin
-	// cone.
-	ConeOnly bool
 }
 
 // String renders the model compactly for keys and logs.
 func (m FaultModel) String() string {
-	return fmt.Sprintf("enc=%s,fz=%t,cone=%t", m.Encoding, m.ForceZero, m.ConeOnly)
+	return fmt.Sprintf("enc=%s,fz=%t", m.Encoding, m.ForceZero)
 }
 
 // Fingerprint hashes the structural identity of a circuit: gate kinds,
@@ -82,6 +80,20 @@ func Fingerprint(c *circuit.Circuit) string {
 // SessionKey derives the pool key of a (circuit, fault-model) pair.
 func SessionKey(fp string, m FaultModel) string {
 	return fp + "/" + m.String()
+}
+
+// canonicalKey strips the ",cone=<bool>" component that session keys
+// carried while the cone-restricted encoding was an opt-in fault-model
+// knob. Journals written then replay under the key without it: the two
+// encodings have the same solution space, so the sessions are
+// interchangeable.
+func canonicalKey(key string) string {
+	for _, suffix := range []string{",cone=false", ",cone=true"} {
+		if strings.HasSuffix(key, suffix) {
+			return strings.TrimSuffix(key, suffix)
+		}
+	}
+	return key
 }
 
 // testKey canonicalizes one failing test for the per-session dedup

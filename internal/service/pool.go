@@ -384,7 +384,6 @@ func (e *PoolEntry) rebuild(sess *cnf.DiagSession, maxK int) {
 			Bench:       e.jbench,
 			Encoding:    e.model.Encoding.String(),
 			ForceZero:   e.model.ForceZero,
-			ConeOnly:    e.model.ConeOnly,
 			MaxK:        maxK,
 		})
 		e.jstagedTests, e.jstagedK, e.jstagedSet = nil, 0, true
@@ -469,7 +468,6 @@ func (e *PoolEntry) builtRecordLocked() journal.Record {
 		Bench:       e.jbench,
 		Encoding:    e.model.Encoding.String(),
 		ForceZero:   e.model.ForceZero,
-		ConeOnly:    e.model.ConeOnly,
 		MaxK:        e.maxK,
 	}
 }

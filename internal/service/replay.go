@@ -52,21 +52,41 @@ func (s *Server) Replay(st *journal.State, workers int) ReplayReport {
 	span.SetDetail(fmt.Sprintf("%d sessions", len(st.Sessions)))
 	maxBytes, maxSessions := s.pool.Budgets()
 
+	// Sessions of a journal written while the cone-restricted encoding
+	// was optional may differ only in their legacy cone key component;
+	// they now share one key, and the most recently used one (the roster
+	// is MRU-first) carries the live test-set.
+	roster := make([]journal.SessionState, 0, len(st.Sessions))
+	seen := make(map[string]bool, len(st.Sessions))
+	for _, ss := range st.Sessions {
+		journaled := ss.Key
+		ss.Key = canonicalKey(ss.Key)
+		if seen[ss.Key] {
+			rep.Skipped++
+			child := span.Child("session")
+			child.SetDetail(journaled + ": skipped (superseded)")
+			child.End()
+			continue
+		}
+		seen[ss.Key] = true
+		roster = append(roster, ss)
+	}
+
 	var mu sync.Mutex // guards rep counts and entries
-	entries := make([]*PoolEntry, len(st.Sessions))
+	entries := make([]*PoolEntry, len(roster))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i := range st.Sessions {
+	for i := range roster {
 		// The roster is MRU-first, so once the pool budget is reached
 		// every remaining session is less recently used than everything
 		// already rebuilt: stop, don't thrash the LRU.
 		if s.pool.Len() >= maxSessions || s.pool.TotalBytes() >= maxBytes {
 			mu.Lock()
-			rep.Skipped += len(st.Sessions) - i
+			rep.Skipped += len(roster) - i
 			mu.Unlock()
-			for ; i < len(st.Sessions); i++ {
+			for ; i < len(roster); i++ {
 				child := span.Child("session")
-				child.SetDetail(st.Sessions[i].Key + ": skipped (pool budget)")
+				child.SetDetail(roster[i].Key + ": skipped (pool budget)")
 				child.End()
 			}
 			break
@@ -76,7 +96,7 @@ func (s *Server) Replay(st *journal.State, workers int) ReplayReport {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			ss := &st.Sessions[i]
+			ss := &roster[i]
 			child := span.Child("session")
 			entry, tests, err := s.replaySession(ss)
 			mu.Lock()
@@ -153,7 +173,7 @@ func (s *Server) replaySession(ss *journal.SessionState) (*PoolEntry, int, error
 	if fp := Fingerprint(c); fp != ss.Fingerprint {
 		return nil, 0, fmt.Errorf("fingerprint mismatch: journal %s, parsed %s", ss.Fingerprint, fp)
 	}
-	model := FaultModel{Encoding: encoding, ForceZero: ss.ForceZero, ConeOnly: ss.ConeOnly}
+	model := FaultModel{Encoding: encoding, ForceZero: ss.ForceZero}
 	key := SessionKey(ss.Fingerprint, model)
 	if ss.Key != "" && key != ss.Key {
 		return nil, 0, fmt.Errorf("key mismatch: journal %q, derived %q", ss.Key, key)

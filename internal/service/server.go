@@ -241,7 +241,6 @@ type DiagnoseRequest struct {
 	// Fault-model knobs (part of the session key).
 	Encoding  string `json:"encoding,omitempty"` // seqcounter|totalizer|pairwise
 	ForceZero bool   `json:"forceZero,omitempty"`
-	ConeOnly  bool   `json:"coneOnly,omitempty"`
 
 	MaxSolutions int   `json:"maxSolutions,omitempty"`
 	MaxConflicts int64 `json:"maxConflicts,omitempty"`
@@ -592,7 +591,7 @@ func (s *Server) nextRequestID() string {
 func (s *Server) serveWarm(ctx context.Context, c *circuit.Circuit, fp string, tests circuit.TestSet,
 	req *DiagnoseRequest, encoding cnf.CardEncoding, engine string) (*DiagnoseResponse, error) {
 
-	model := FaultModel{Encoding: encoding, ForceZero: req.ForceZero, ConeOnly: req.ConeOnly}
+	model := FaultModel{Encoding: encoding, ForceZero: req.ForceZero}
 	spec := req.runSpec()
 	key := SessionKey(fp, model)
 	poolSpan := trace.FromContext(ctx).Child("pool")
@@ -684,7 +683,6 @@ func (s *Server) serveCold(ctx context.Context, c *circuit.Circuit, tests circui
 		Candidates:   req.Candidates,
 		Encoding:     encoding,
 		ForceZero:    req.ForceZero,
-		ConeOnly:     req.ConeOnly,
 	})
 	// A cold run builds its instance and enumerates in one call, so both
 	// land in the solve phase (the round child spans split it per k).

@@ -155,6 +155,24 @@ func TestServerEquivalenceProperty(t *testing.T) {
 					if got := mustJSON(t, old.Solutions); got != want {
 						t.Fatalf("seed %d retired keys: %s != %s", seed, got, want)
 					}
+					// The retired cone-restriction knob, either way, lands on
+					// the same warm session: every copy is cone-restricted,
+					// so the knob no longer splits the pool key.
+					for _, cone := range []string{"true", "false"} {
+						legacy := strings.TrimSuffix(mustJSON(t, service.DiagnoseRequest{
+							Bench: bench, Tests: wire, K: 2, Shards: shards,
+						}), "}") + `,"coneOnly":` + cone + `}`
+						code, old := post[service.DiagnoseResponse](t, ts.URL+"/diagnose", json.RawMessage(legacy))
+						if code != http.StatusOK {
+							t.Fatalf("seed %d coneOnly=%s -> %d", seed, cone, code)
+						}
+						if got := mustJSON(t, old.Solutions); got != want {
+							t.Fatalf("seed %d coneOnly=%s: %s != %s", seed, cone, got, want)
+						}
+						if !old.PoolHit || old.Session != first.Session {
+							t.Fatalf("seed %d coneOnly=%s: hit=%v session %q, want the shared %q", seed, cone, old.PoolHit, old.Session, first.Session)
+						}
+					}
 
 					// Incremental: drop the first test, add it back.
 					sid := first.Session

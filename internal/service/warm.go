@@ -70,7 +70,6 @@ func NewWarmSession(c *circuit.Circuit, model FaultModel, maxK int) *cnf.DiagSes
 		MaxK:       maxK,
 		Encoding:   model.Encoding,
 		ForceZero:  model.ForceZero,
-		ConeOnly:   model.ConeOnly,
 		GuardTests: true,
 		// Warm sessions always carry a flight recorder: the ring is a
 		// few KiB per session and recording happens only at rare solver
