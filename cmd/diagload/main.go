@@ -20,9 +20,11 @@
 //	diagload -restart prime -state st.json   (then SIGKILL + restart the server)
 //	diagload -restart verify -state st.json
 //	    crash-equivalence gate against a diagserver -journal-dir: prime
-//	    warms the pool and records a solution baseline; verify waits out
-//	    the replay (503 warming), then asserts every request hits the
-//	    replayed pool warm (no re-encoding) with byte-identical solutions
+//	    warms the pool, retracts one test from each session and records
+//	    the post-edit solutions; verify waits out the replay (503
+//	    warming), then asserts a no-op edit on each replayed session and
+//	    a re-sent request both hit it warm (no re-encoding) with
+//	    byte-identical solutions
 package main
 
 import (
@@ -41,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/gen"
@@ -667,9 +670,10 @@ func runChaos(cfg config) error {
 }
 
 // restartState is the baseline the -restart prime phase writes and the
-// verify phase replays: the exact wire payloads plus the solutions the
-// pre-crash server produced for them. Carrying the payloads (not just
-// the workload seed) makes verify independent of generator drift.
+// verify phase replays: each session's circuit and live test-set after
+// the edit, as exact wire payloads, plus the solutions the pre-crash
+// server produced for them. Carrying the payloads (not just the
+// workload seed) makes verify independent of generator drift.
 type restartState struct {
 	K         int               `json:"k"`
 	Workloads []restartWorkload `json:"workloads"`
@@ -717,11 +721,15 @@ func runRestart(cfg config, phase, statePath string) error {
 	}
 }
 
-// runRestartPrime warms one session per circuit on a journaling server
-// and records the solution baseline. The caller then kills the server
-// (SIGKILL — no drain, no seal) and restarts it on the same journal
-// before running the verify phase.
+// runRestartPrime warms one session per circuit on a journaling server,
+// retracts the first test from each (so an edit crosses the crash) and
+// records the post-edit solution baseline. The caller then kills the
+// server (SIGKILL — no drain, no seal) and restarts it on the same
+// journal before running the verify phase.
 func runRestartPrime(cfg config, statePath string) error {
+	if cfg.tests < 2 {
+		return fmt.Errorf("-restart prime needs -tests >= 2 (one is retracted)")
+	}
 	loads, err := prepare(cfg)
 	if err != nil {
 		return err
@@ -732,15 +740,20 @@ func runRestartPrime(cfg config, statePath string) error {
 		if err != nil {
 			return err
 		}
-		if !resp.Complete {
+		edit, err := postJSON[service.DiagnoseResponse](cfg.addr, "/sessions/"+resp.Session+"/tests",
+			service.SessionTestsRequest{Remove: []int{0}})
+		if err != nil {
+			return err
+		}
+		if !resp.Complete || !edit.Complete {
 			return fmt.Errorf("prime: %s did not complete", wl.name)
 		}
-		sols, err := json.Marshal(resp.Solutions)
+		sols, err := json.Marshal(edit.Solutions)
 		if err != nil {
 			return err
 		}
 		st.Workloads = append(st.Workloads, restartWorkload{
-			Name: wl.name, Bench: wl.bench, Tests: wl.tests, Solutions: sols,
+			Name: wl.name, Bench: wl.bench, Tests: wl.tests[1:], Solutions: sols,
 		})
 	}
 	b, err := json.MarshalIndent(st, "", " ")
@@ -750,15 +763,17 @@ func runRestartPrime(cfg config, statePath string) error {
 	if err := os.WriteFile(statePath, b, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(cfg.out, "restart prime ok: %d sessions warmed and journaled, baseline in %s\n",
+	fmt.Fprintf(cfg.out, "restart prime ok: %d sessions warmed, edited and journaled, baseline in %s\n",
 		len(st.Workloads), statePath)
 	return nil
 }
 
 // runRestartVerify is the post-crash half of the gate: wait out the
-// boot replay, then re-issue every primed request and assert it lands
-// warm — pool hit, zero re-encoded test copies — with solutions
-// byte-identical to both the pre-crash baseline and a locally computed
+// boot replay, find each replayed session by its key and send it a
+// no-op edit — it must re-run the journaled post-edit test-set with the
+// journaled k — then re-issue the live test-set as a full request. Both
+// must land warm, with zero re-encoded test copies and solutions
+// byte-identical to the pre-crash baseline and to a locally computed
 // diagnosis. A cold rebuild or a single diverging byte fails the gate.
 func runRestartVerify(cfg config, statePath string) error {
 	raw, err := os.ReadFile(statePath)
@@ -776,7 +791,26 @@ func runRestartVerify(cfg config, statePath string) error {
 		return err
 	}
 	hits0, _ := fetchMetric(cfg.addr, "diag_pool_hits_total") // 0 on a fresh process
+	ids, err := sessionIDs(cfg.addr)
+	if err != nil {
+		return err
+	}
 	for _, wl := range st.Workloads {
+		c, err := circuit.ParseBench(wl.Name, strings.NewReader(wl.Bench))
+		if err != nil {
+			return fmt.Errorf("%s: %w", wl.Name, err)
+		}
+		id := ids[service.SessionKey(service.Fingerprint(c), service.FaultModel{Encoding: cnf.SeqCounter})]
+		if id == "" {
+			return fmt.Errorf("verify: %s has no replayed session", wl.Name)
+		}
+		edit, err := postJSON[service.DiagnoseResponse](cfg.addr, "/sessions/"+id+"/tests", service.SessionTestsRequest{})
+		if err != nil {
+			return err
+		}
+		if edit.Tests != len(wl.Tests) {
+			return fmt.Errorf("verify: %s replayed %d live tests, want the post-edit %d", wl.Name, edit.Tests, len(wl.Tests))
+		}
 		resp, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", service.DiagnoseRequest{
 			Bench: wl.Bench, Tests: wl.Tests, K: st.K,
 		})
@@ -786,13 +820,6 @@ func runRestartVerify(cfg config, statePath string) error {
 		if !resp.PoolHit {
 			return fmt.Errorf("verify: %s rebuilt cold — replay did not restore the session", wl.Name)
 		}
-		if resp.NewCopies != 0 {
-			return fmt.Errorf("verify: %s re-encoded %d test copies — replay lost the live test-set", wl.Name, resp.NewCopies)
-		}
-		got, err := json.Marshal(resp.Solutions)
-		if err != nil {
-			return err
-		}
 		// The state file is written indented (it is a debugging artifact),
 		// which re-indents the embedded solutions; compact before the
 		// byte-level comparison.
@@ -800,17 +827,30 @@ func runRestartVerify(cfg config, statePath string) error {
 		if err := json.Compact(&before, wl.Solutions); err != nil {
 			return fmt.Errorf("%s: baseline solutions: %w", wl.Name, err)
 		}
-		if !bytes.Equal(got, before.Bytes()) {
-			return fmt.Errorf("verify: %s solutions diverged from pre-crash baseline:\n before %s\n after  %s",
-				wl.Name, before.Bytes(), got)
-		}
 		want, err := localTruth(workload{name: wl.Name, bench: wl.Bench, tests: wl.Tests}, st.K)
 		if err != nil {
 			return err
 		}
-		if string(got) != want {
-			return fmt.Errorf("verify: %s solutions diverged from local baseline:\n local %s\n after %s",
-				wl.Name, want, got)
+		for _, r := range []struct {
+			what string
+			resp service.DiagnoseResponse
+		}{{"no-op edit", edit}, {"re-sent request", resp}} {
+			if r.resp.NewCopies != 0 {
+				return fmt.Errorf("verify: %s %s re-encoded %d test copies — replay lost the live test-set",
+					wl.Name, r.what, r.resp.NewCopies)
+			}
+			got, err := json.Marshal(r.resp.Solutions)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, before.Bytes()) {
+				return fmt.Errorf("verify: %s %s solutions diverged from pre-crash baseline:\n before %s\n after  %s",
+					wl.Name, r.what, before.Bytes(), got)
+			}
+			if string(got) != want {
+				return fmt.Errorf("verify: %s %s solutions diverged from local baseline:\n local %s\n after %s",
+					wl.Name, r.what, want, got)
+			}
 		}
 	}
 	hits1, err := fetchMetric(cfg.addr, "diag_pool_hits_total")
@@ -831,6 +871,24 @@ func runRestartVerify(cfg config, statePath string) error {
 	fmt.Fprintf(cfg.out, "restart verify ok: %d/%d sessions warm after crash (replayed=%d, pool hits +%d), solutions byte-identical\n",
 		len(st.Workloads), len(st.Workloads), replayed, hits1-hits0)
 	return nil
+}
+
+// sessionIDs lists the server's warm sessions as key -> session id.
+func sessionIDs(base string) (map[string]string, error) {
+	resp, err := http.Get(base + "/sessions")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var infos []service.EntryInfo
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+		return nil, fmt.Errorf("/sessions: decode: %w", err)
+	}
+	ids := make(map[string]string, len(infos))
+	for _, info := range infos {
+		ids[info.Key] = info.ID
+	}
+	return ids, nil
 }
 
 // runCompare measures the amortization the warm-session design exists

@@ -2,9 +2,11 @@ package main
 
 import (
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/service"
 )
 
@@ -83,5 +85,55 @@ func TestCompareAgainstInProcessServer(t *testing.T) {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}
+	}
+}
+
+// TestRestartAgainstInProcessServer: the -restart gate end to end on a
+// journaling server — prime (diagnose plus one retract edit per
+// session), crash without drain or seal, replay on the same journal,
+// and verify finds every session warm with the post-edit test-set.
+func TestRestartAgainstInProcessServer(t *testing.T) {
+	dir := t.TempDir()
+	journaled := func(pending bool) (*service.Server, *httptest.Server, *journal.Writer, *journal.State) {
+		jw, st, err := journal.Open(journal.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := service.NewServer(service.Options{
+			Scheduler:     service.SchedulerOptions{Workers: 2, Queue: 16},
+			Journal:       jw,
+			ReplayPending: pending,
+		})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return srv, ts, jw, st
+	}
+	state := filepath.Join(t.TempDir(), "st.json")
+
+	_, tsA, jwA, _ := journaled(false)
+	cfg := testConfig(tsA.URL)
+	cfg.circuits = []string{"s298x", "s400x"}
+	if err := runRestart(cfg, "prime", state); err != nil {
+		t.Fatal(err)
+	}
+	tsA.Close()
+	jwA.Close()
+
+	srvB, tsB, jwB, st := journaled(true)
+	defer jwB.Close()
+	replayed := make(chan struct{})
+	go func() {
+		defer close(replayed)
+		srvB.Replay(st, 2)
+	}()
+	var sb strings.Builder
+	cfg.addr, cfg.out = tsB.URL, &sb
+	err := runRestart(cfg, "verify", state)
+	<-replayed
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "restart verify ok: 2/2") {
+		t.Fatalf("verify report: %s", sb.String())
 	}
 }

@@ -1,6 +1,6 @@
 // Package journal is the durability layer of the warm-session service:
 // an append-only, length-prefixed, CRC-checksummed write-ahead log of
-// session lifecycle events (session built, live test-set deltas,
+// session lifecycle events (session built, live test-set replaced,
 // eviction, clean-shutdown seal). A restarted server replays the log to
 // rebuild its warm pool instead of forcing the fleet back through cold
 // builds.
@@ -21,7 +21,7 @@
 // compacted: the caller-supplied roster (current pool sessions + live
 // test-sets) is snapshotted into the fresh segment and every older
 // segment is deleted, so disk usage is bounded by the live roster plus
-// one segment of deltas — never by journal history.
+// one segment of appends — never by journal history.
 package journal
 
 import (

@@ -3,6 +3,7 @@ package journal
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/failpoint"
@@ -48,7 +49,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	w.Append(Record{Type: TypeTestsAdded, Key: "a", Reset: true, Tests: testTests(3, 0), K: 2})
 	w.Append(built("b"))
 	w.Append(Record{Type: TypeTestsAdded, Key: "b", Reset: true, Tests: testTests(2, 10)})
-	// Incremental edit on a: retract position 1, append one test.
+	// Incremental edit on a, in the retract+delta form older servers
+	// wrote (the fold still reads it): retract position 1, append one test.
 	w.Append(Record{Type: TypeTestsRetracted, Key: "a", Removed: []int{1}})
 	w.Append(Record{Type: TypeTestsAdded, Key: "a", Tests: testTests(1, 100)})
 	// c is built then evicted: must not replay.
@@ -98,6 +100,63 @@ func TestRebuildResetsSession(t *testing.T) {
 	st := readState(t, dir)
 	if len(st.Sessions) != 1 || st.Sessions[0].MaxK != 8 || len(st.Sessions[0].Tests) != 2 {
 		t.Fatalf("rebuild fold wrong: %+v", st.Sessions)
+	}
+}
+
+// TestSessionStateRecordsRoundTrip: Records is the inverse of the fold.
+// Appending the records of any sequence of states of one session, or
+// compacting to the last state's records, folds back to exactly that
+// last state — including an empty test set and a ladder rebuild (a
+// second session-built with a larger MaxK).
+func TestSessionStateRecordsRoundTrip(t *testing.T) {
+	base := SessionState{
+		Key: "k", Fingerprint: "fp-k", Bench: "# bench k",
+		Encoding: "totalizer", ForceZero: true, MaxK: 4,
+	}
+	withTests := base
+	withTests.Tests, withTests.K = testTests(3, 0), 2
+	empty := base
+	empty.K = 3
+	rebuilt := withTests
+	rebuilt.MaxK, rebuilt.Tests, rebuilt.K = 6, testTests(2, 40), 5
+	cases := map[string][]SessionState{
+		"tests":         {withTests},
+		"empty":         {empty},
+		"empty, no run": {base},
+		"edit":          {withTests, empty, withTests},
+		"rebuild":       {withTests, rebuilt},
+	}
+	for name, history := range cases {
+		dir := t.TempDir()
+		w, _, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range history {
+			for _, rec := range st.Records() {
+				w.Append(rec)
+			}
+		}
+		want := history[len(history)-1]
+		checkFolded(t, name+"/append", readState(t, dir), want)
+		w.Compact(want.Records())
+		w.Close()
+		checkFolded(t, name+"/compact", readState(t, dir), want)
+	}
+}
+
+func checkFolded(t *testing.T, name string, st *State, want SessionState) {
+	t.Helper()
+	if len(st.Sessions) != 1 {
+		t.Fatalf("%s: folded %d sessions, want 1", name, len(st.Sessions))
+	}
+	got := st.Sessions[0]
+	got.LastSeq = 0
+	if len(got.Tests) == 0 && len(want.Tests) == 0 {
+		got.Tests, want.Tests = nil, nil
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: fold of Records\n got %+v\nwant %+v", name, got, want)
 	}
 }
 

@@ -9,9 +9,11 @@ import (
 
 // Record types of the session lifecycle journal, in the vocabulary of
 // the warm-session pool: a session is built (cold build or ladder
-// rebuild), its live test-set changes by deltas, and it is evicted.
-// Seal marks a clean shutdown — a log ending in a seal needs no
-// torn-tail repair on the next boot.
+// rebuild), its live test-set is replaced after every run, and it is
+// evicted. Seal marks a clean shutdown — a log ending in a seal needs no
+// torn-tail repair on the next boot. The writer emits tests-added only
+// as a full reset; delta tests-added and tests-retracted records are
+// still folded so logs written by older servers replay.
 const (
 	TypeSessionBuilt   = "session-built"
 	TypeTestsAdded     = "tests-added"
@@ -46,16 +48,18 @@ type Record struct {
 	ForceZero   bool   `json:"forceZero,omitempty"`
 	MaxK        int    `json:"maxK,omitempty"`
 
-	// tests-added payload. Reset replaces the live test-set (a full
-	// /diagnose activation); otherwise the tests append to it (the
-	// incremental edit). K remembers the run's ladder bound so a
-	// replayed session restores sane incremental defaults.
+	// tests-added payload. Reset replaces the live test-set (every
+	// record the writer emits); otherwise the tests append to it (the
+	// incremental-edit deltas of older logs). K remembers the run's
+	// ladder bound so a replayed session restores sane incremental
+	// defaults.
 	Reset bool      `json:"reset,omitempty"`
 	Tests []TestRec `json:"tests,omitempty"`
 	K     int       `json:"k,omitempty"`
 
-	// tests-retracted payload: positions in the live test-set at the
-	// time of the edit, exactly as the incremental endpoint names them.
+	// tests-retracted payload (older logs only): positions in the live
+	// test-set at the time of the edit, exactly as the incremental
+	// endpoint names them.
 	Removed []int `json:"removed,omitempty"`
 }
 

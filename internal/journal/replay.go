@@ -25,6 +25,25 @@ type SessionState struct {
 	LastSeq int
 }
 
+// Records renders the session as the records whose fold reproduces it
+// (the inverse of folder.apply): its session-built record, then one
+// tests-added reset carrying the live test-set and K. The writer's
+// per-run appends and compaction snapshots are both built here.
+func (s SessionState) Records() []Record {
+	return []Record{
+		{
+			Type:        TypeSessionBuilt,
+			Key:         s.Key,
+			Fingerprint: s.Fingerprint,
+			Bench:       s.Bench,
+			Encoding:    s.Encoding,
+			ForceZero:   s.ForceZero,
+			MaxK:        s.MaxK,
+		},
+		{Type: TypeTestsAdded, Key: s.Key, Reset: true, Tests: s.Tests, K: s.K},
+	}
+}
+
 // State is the outcome of reading a journal directory: the live
 // session roster plus the health of the log itself.
 type State struct {

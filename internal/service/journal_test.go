@@ -64,8 +64,8 @@ func TestJournalCrashReplayServesByteIdentical(t *testing.T) {
 	r1 := diagnose(t, tsA.URL, service.DiagnoseRequest{Bench: b1, Tests: testJSON(tests1), K: 2})
 	diagnose(t, tsA.URL, service.DiagnoseRequest{Bench: b2, Tests: testJSON(tests2), K: 2})
 	// Incremental edit on session 1: retract the first test. The journal
-	// must fold this delta so the replayed session carries the edited
-	// set, not the original.
+	// must carry this edit so the replayed session holds the edited set,
+	// not the original.
 	code, incBase := post[service.DiagnoseResponse](t, tsA.URL+"/sessions/"+r1.Session+"/tests",
 		service.SessionTestsRequest{Remove: []int{0}})
 	if code != http.StatusOK {
@@ -185,8 +185,8 @@ func TestReplayLegacyConeKeys(t *testing.T) {
 	jw.Close()
 
 	// Rewrite the log in the legacy format: a stale cone=false session
-	// holding the history before the edit, then the live cone=true
-	// session holding all of it.
+	// holding the history before the edit's record, then the live
+	// cone=true session holding all of it.
 	segs, err := filepath.Glob(filepath.Join(dir, "diag-*.wal"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no journal segments (%v)", err)
@@ -204,10 +204,15 @@ func TestReplayLegacyConeKeys(t *testing.T) {
 		})
 		os.Remove(seg)
 	}
+	// The edit is the last request, so its record is the log's last.
+	edit := len(recs) - 1
+	if edit < 0 || recs[edit].Type != journal.TypeTestsAdded || len(recs[edit].Tests) != len(tests)-1 {
+		t.Fatalf("log does not end in the edit's record: %+v", recs)
+	}
 	var legacy []byte
 	for _, cone := range []bool{false, true} {
-		for _, rec := range recs {
-			if !cone && rec.Type == journal.TypeTestsRetracted {
+		for i, rec := range recs {
+			if !cone && i == edit {
 				break
 			}
 			var m map[string]any
@@ -231,6 +236,11 @@ func TestReplayLegacyConeKeys(t *testing.T) {
 	defer jw2.Close()
 	if len(st.Sessions) != 2 {
 		t.Fatalf("legacy roster: %d sessions, want 2", len(st.Sessions))
+	}
+	// The stale session must still hold the pre-edit set, or replaying
+	// the live one would pass regardless of which session won.
+	if got := []int{len(st.Sessions[0].Tests), len(st.Sessions[1].Tests)}; got[0] != len(tests)-1 || got[1] != len(tests) {
+		t.Fatalf("legacy live sets (MRU first): %v tests, want [%d %d]", got, len(tests)-1, len(tests))
 	}
 	srvB, tsB := newJournaledServer(t, jw2, true, service.PoolOptions{})
 	if rep := srvB.Replay(st, 2); rep.Sessions != 1 || rep.Skipped != 1 {

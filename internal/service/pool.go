@@ -23,8 +23,9 @@ type PoolOptions struct {
 	// MaxSessions bounds the number of warm sessions (0 = 64).
 	MaxSessions int
 	// Journal, when non-nil, receives the pool's session lifecycle
-	// records (build, test-set deltas, eviction) so a restarted server
-	// can replay its warm state. nil disables persistence.
+	// records (build, live test-set after every run, eviction) so a
+	// restarted server can replay its warm state. nil disables
+	// persistence.
 	Journal *journal.Writer
 }
 
@@ -111,25 +112,20 @@ type PoolEntry struct {
 	// lastSpec remembers the most recent run's knobs as incremental
 	// defaults.
 	lastSpec RunSpec
+	// activated is set by activate and cleared by Run, which then
+	// journals the session's new recipe.
+	activated bool
 
-	// Journal mirror, guarded by pool.mu: the session's durable
-	// identity (self-contained bench text + fingerprint, set once at
-	// build publish) and the live test-set/K the last run left behind —
-	// exactly what a compaction snapshot must emit for this session. An
-	// empty jbench means the session is not journalable (e.g. its
-	// circuit cannot be rendered as .bench text) and is skipped.
-	jbench string
-	jfp    string
-	jtests []journal.TestRec
-	jk     int
-	// Staging area for journal records produced inside Run's fn (under
-	// runMu): Run's post-accounting applies them under pool.mu, the
-	// journal's serialization point, so a compaction snapshot can never
-	// interleave with a half-applied delta.
-	jstaged      []journal.Record
-	jstagedTests []journal.TestRec
-	jstagedK     int
-	jstagedSet   bool
+	// The session's durable identity, set once at build publish: the
+	// circuit as self-contained .bench text and its fingerprint. An
+	// empty bench means the session is not journalable (e.g. its
+	// circuit cannot be rendered as .bench text).
+	bench string
+	fp    string
+	// journaled is the recipe last appended to the journal — what a
+	// compaction snapshot emits for this session. Guarded by pool.mu;
+	// the zero value means nothing is on the log yet.
+	journaled journal.SessionState
 
 	// Guarded by pool.mu.
 	bytes    int64
@@ -238,11 +234,8 @@ func (p *SessionPool) AcquireDetail(key string, build func() (Built, error)) (e 
 			e.statsSnap = snap
 			e.bytes = sessionBytes(snap)
 			p.totalBytes += e.bytes
-			if built.Source != "" {
-				e.jbench = built.Source
-				e.jfp = built.Fingerprint
-				p.journalLocked(e.builtRecordLocked())
-			}
+			e.bench = built.Source
+			e.fp = built.Fingerprint
 			p.evictLocked(e)
 			p.updateGaugesLocked()
 			p.mu.Unlock()
@@ -320,33 +313,42 @@ func (p *SessionPool) Release(e *PoolEntry) {
 
 // Run executes fn with exclusive use of the entry's session (requests
 // against one circuit queue here rather than race) and refreshes the
-// byte accounting and the cached cost snapshot afterwards.
+// byte accounting and the cached cost snapshot afterwards. When fn
+// activated a test-set, Run journals the session's new recipe.
 func (e *PoolEntry) Run(fn func(sess *cnf.DiagSession, circ *circuit.Circuit) error) error {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	err := fn(e.sess, e.circ)
 	snap := e.sess.Stats()
 	p := e.pool
+	persist := e.activated && p.jw != nil && e.bench != ""
+	e.activated = false
+	var recipe journal.SessionState
+	if persist {
+		recipe = e.recipe()
+	}
 	p.mu.Lock()
 	e.statsSnap = snap
 	e.uses++
 	e.lastUsed = time.Now()
 	delta := sessionBytes(snap) - e.bytes
 	e.bytes += delta
-	// Apply the fn's staged journal records under pool.mu (the journal's
-	// serialization point). An entry evicted while pinned is already out
-	// of the roster — its session-evicted record is on the log, so late
-	// deltas for it are dropped rather than resurrecting the key.
-	if e.jstagedSet || len(e.jstaged) > 0 {
-		if !e.evicted {
-			if e.jstagedSet {
-				e.jtests, e.jk = e.jstagedTests, e.jstagedK
-			}
-			for _, rec := range e.jstaged {
-				p.journalLocked(rec)
-			}
+	// Publish, then append, both under pool.mu (the journal's
+	// serialization point), so a compaction snapshot never sees a
+	// half-applied recipe. An entry evicted while pinned is already out
+	// of the roster — its session-evicted record is on the log, so a
+	// late recipe for it is dropped rather than resurrecting the key.
+	if persist && !e.evicted {
+		recs := recipe.Records()
+		if e.journaled.Key != "" && recipe.MaxK == e.journaled.MaxK {
+			// Same ladder: the session-built record is already on the
+			// log. Only a cold build or a rebuild writes a fresh one.
+			recs = recs[1:]
 		}
-		e.jstaged, e.jstagedTests, e.jstagedSet = nil, nil, false
+		e.journaled = recipe
+		for _, rec := range recs {
+			p.journalLocked(rec)
+		}
 	}
 	if !e.evicted {
 		p.totalBytes += delta
@@ -373,20 +375,35 @@ func (e *PoolEntry) rebuild(sess *cnf.DiagSession, maxK int) {
 	e.maxK = maxK
 	p.mu.Unlock()
 	p.Rebuilds.Inc()
-	// A rebuild journals as a fresh build: the old session's test copies
-	// are gone, so the fold must start the key over. The caller's
-	// subsequent test-set staging restores the live set on the log.
-	if p.jw != nil && e.jbench != "" {
-		e.jstaged = append(e.jstaged, journal.Record{
-			Type:        journal.TypeSessionBuilt,
-			Key:         e.key,
-			Fingerprint: e.jfp,
-			Bench:       e.jbench,
-			Encoding:    e.model.Encoding.String(),
-			ForceZero:   e.model.ForceZero,
-			MaxK:        maxK,
-		})
-		e.jstagedTests, e.jstagedK, e.jstagedSet = nil, 0, true
+}
+
+// activate installs a run's active test list (copy indices) and knobs
+// as the session's serving state, the base the incremental endpoint
+// edits, and marks it for Run to journal. Caller holds runMu via Run's
+// fn.
+func (e *PoolEntry) activate(active []int, spec RunSpec) {
+	e.current = active
+	e.lastSpec = spec
+	e.activated = true
+}
+
+// recipe derives the session's durable recipe from its serving state:
+// circuit, fault model, ladder width, live test-set and the last run's
+// K. Caller holds runMu.
+func (e *PoolEntry) recipe() journal.SessionState {
+	tests := make([]journal.TestRec, len(e.current))
+	for i, ci := range e.current {
+		tests[i] = toTestRec(e.sess.Tests[ci])
+	}
+	return journal.SessionState{
+		Key:         e.key,
+		Fingerprint: e.fp,
+		Bench:       e.bench,
+		Encoding:    e.model.Encoding.String(),
+		ForceZero:   e.model.ForceZero,
+		MaxK:        e.maxK,
+		Tests:       tests,
+		K:           e.lastSpec.K,
 	}
 }
 
@@ -425,7 +442,7 @@ func (p *SessionPool) dropLocked(e *PoolEntry) {
 	delete(p.byID, e.id)
 	p.lru.Remove(e.elem)
 	p.totalBytes -= e.bytes
-	if e.jbench != "" && e.sess != nil {
+	if e.journaled.Key != "" {
 		p.journalLocked(journal.Record{Type: journal.TypeSessionEvicted, Key: e.key})
 	}
 }
@@ -458,20 +475,6 @@ func (p *SessionPool) journalLocked(rec journal.Record) {
 	}
 }
 
-// builtRecordLocked renders the entry's SessionBuilt record. Caller
-// holds pool.mu.
-func (e *PoolEntry) builtRecordLocked() journal.Record {
-	return journal.Record{
-		Type:        journal.TypeSessionBuilt,
-		Key:         e.key,
-		Fingerprint: e.jfp,
-		Bench:       e.jbench,
-		Encoding:    e.model.Encoding.String(),
-		ForceZero:   e.model.ForceZero,
-		MaxK:        e.maxK,
-	}
-}
-
 // rosterLocked snapshots the live roster as journal records, least
 // recently used first so the fold's recency order matches the pool's
 // LRU order. Caller holds pool.mu.
@@ -479,18 +482,8 @@ func (p *SessionPool) rosterLocked() []journal.Record {
 	var out []journal.Record
 	for el := p.lru.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*PoolEntry)
-		if e.evicted || e.sess == nil || e.jbench == "" {
-			continue
-		}
-		out = append(out, e.builtRecordLocked())
-		if len(e.jtests) > 0 {
-			out = append(out, journal.Record{
-				Type:  journal.TypeTestsAdded,
-				Key:   e.key,
-				Reset: true,
-				Tests: e.jtests,
-				K:     e.jk,
-			})
+		if !e.evicted && e.journaled.Key != "" {
+			out = append(out, e.journaled.Records()...)
 		}
 	}
 	return out
@@ -525,46 +518,6 @@ func (p *SessionPool) Budgets() (maxBytes int64, maxSessions int) {
 	return p.opts.MaxBytes, p.opts.MaxSessions
 }
 
-// stageJournalReset stages a full test-set replacement (a /diagnose
-// activation) for the post-run journal append. Caller holds runMu via
-// Run's fn.
-func (e *PoolEntry) stageJournalReset(tests circuit.TestSet, k int) {
-	if e.pool.jw == nil || e.jbench == "" {
-		return
-	}
-	recs := toTestRecs(tests)
-	e.jstaged = append(e.jstaged, journal.Record{
-		Type:  journal.TypeTestsAdded,
-		Key:   e.key,
-		Reset: true,
-		Tests: recs,
-		K:     k,
-	})
-	e.jstagedTests, e.jstagedK, e.jstagedSet = recs, k, true
-}
-
-// stageJournalEdit stages an incremental retract+append edit; full is
-// the resulting live test-set (the roster mirror). Caller holds runMu.
-func (e *PoolEntry) stageJournalEdit(removed []int, add circuit.TestSet, full []journal.TestRec, k int) {
-	if e.pool.jw == nil || e.jbench == "" {
-		return
-	}
-	if len(removed) > 0 {
-		e.jstaged = append(e.jstaged, journal.Record{
-			Type:    journal.TypeTestsRetracted,
-			Key:     e.key,
-			Removed: append([]int(nil), removed...),
-		})
-	}
-	e.jstaged = append(e.jstaged, journal.Record{
-		Type:  journal.TypeTestsAdded,
-		Key:   e.key,
-		Tests: toTestRecs(add),
-		K:     k,
-	})
-	e.jstagedTests, e.jstagedK, e.jstagedSet = full, k, true
-}
-
 // toTestRec converts one test to its journal wire form (vector as a 0/1
 // string, one character per primary input).
 func toTestRec(t circuit.Test) journal.TestRec {
@@ -577,17 +530,6 @@ func toTestRec(t circuit.Test) journal.TestRec {
 		}
 	}
 	return journal.TestRec{Vector: string(b), Output: t.Output, Want: t.Want}
-}
-
-func toTestRecs(tests circuit.TestSet) []journal.TestRec {
-	if len(tests) == 0 {
-		return nil
-	}
-	out := make([]journal.TestRec, len(tests))
-	for i, t := range tests {
-		out[i] = toTestRec(t)
-	}
-	return out
 }
 
 // EntryInfo is a point-in-time public view of one pooled session.

@@ -475,6 +475,19 @@ func decodeTests(c *circuit.Circuit, in []TestJSON) (circuit.TestSet, error) {
 	return tests, nil
 }
 
+// checkCandidates rejects a candidate restriction naming anything but
+// internal gates of c: answered as-is, it would certify "no correction
+// of size <= k" for a malformed request. An empty list (all internal
+// gates) is legal.
+func checkCandidates(c *circuit.Circuit, ids []int) error {
+	for _, id := range ids {
+		if id < 0 || id >= len(c.Gates) || c.IsInput(id) {
+			return fmt.Errorf("candidate %d is not an internal gate", id)
+		}
+	}
+	return nil
+}
+
 func parseEncoding(name string) (cnf.CardEncoding, error) {
 	switch strings.ToLower(name) {
 	case "", "seq", "seqcounter":
@@ -519,6 +532,9 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tests, err := decodeTests(c, req.Tests)
+	if err == nil {
+		err = checkCandidates(c, req.Candidates)
+	}
 	if err != nil {
 		s.failures.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -745,6 +761,9 @@ func (s *Server) handleSessionTests(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.pool.Release(entry)
 	add, err := decodeAdd(entry.Circuit(), req.Add)
+	if err == nil {
+		err = checkCandidates(entry.Circuit(), req.Candidates)
+	}
 	if err != nil {
 		s.failures.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -402,6 +402,14 @@ func TestServerErrorPaths(t *testing.T) {
 			Engine: "cov", Mode: "warm"}, http.StatusBadRequest},
 		{"bad encoding", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
 			Encoding: "unary"}, http.StatusBadRequest},
+		{"negative candidate", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
+			Candidates: []int{-1}}, http.StatusBadRequest},
+		{"candidate past the gates", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
+			Candidates: []int{len(c.Gates)}, Mode: "cold"}, http.StatusBadRequest},
+		{"input candidate", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
+			Candidates: []int{c.Inputs[0]}, Mode: "warm"}, http.StatusBadRequest},
+		{"input candidate, cold", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
+			Candidates: []int{c.InternalGates()[0], c.Inputs[0]}, Mode: "cold"}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, _ := post[service.DiagnoseResponse](t, ts.URL+"/diagnose", tc.req)
@@ -417,6 +425,11 @@ func TestServerErrorPaths(t *testing.T) {
 	resp := diagnose(t, ts.URL, service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests), K: 2})
 	if !resp.Complete {
 		t.Fatal("server wedged after error paths")
+	}
+	code, _ = post[service.DiagnoseResponse](t, ts.URL+"/sessions/"+resp.Session+"/tests",
+		service.SessionTestsRequest{Candidates: []int{c.Inputs[0]}})
+	if code != http.StatusBadRequest {
+		t.Errorf("edit with an input candidate: %d, want 400", code)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
-	"repro/internal/journal"
 	"repro/internal/sat"
 	"repro/internal/trace"
 )
@@ -109,9 +108,7 @@ func (e *PoolEntry) Diagnose(ctx context.Context, tests circuit.TestSet, spec Ru
 			span.Lap("rebuild")
 		}
 		active, encoded, encode := e.ensureTests(tests)
-		e.current = active
-		e.lastSpec = spec
-		e.stageJournalReset(tests, spec.K)
+		e.activate(active, spec)
 		span.Lap("encode")
 		r, err := diagnoseActive(ctx, sess, active, spec)
 		if err != nil {
@@ -190,13 +187,7 @@ func (e *PoolEntry) Incremental(ctx context.Context, add circuit.TestSet, remove
 		if len(next) == 0 {
 			return fmt.Errorf("service: edit leaves an empty test-set")
 		}
-		e.current = next
-		e.lastSpec = merged
-		full := make([]journal.TestRec, 0, len(next))
-		for _, ci := range next {
-			full = append(full, toTestRec(sess.Tests[ci]))
-		}
-		e.stageJournalEdit(remove, add, full, merged.K)
+		e.activate(next, merged)
 		span.Lap("encode")
 		r, err := diagnoseActive(ctx, sess, next, merged)
 		if err != nil {
@@ -229,9 +220,7 @@ func (e *PoolEntry) Prime(tests circuit.TestSet, k int) error {
 	}
 	return e.Run(func(*cnf.DiagSession, *circuit.Circuit) error {
 		active, _, _ := e.ensureTests(tests)
-		e.current = active
-		e.lastSpec = RunSpec{K: k}
-		e.stageJournalReset(tests, k)
+		e.activate(active, RunSpec{K: k})
 		return nil
 	})
 }
