@@ -411,19 +411,6 @@ func (sess *DiagSession) NewRound() *Round {
 // to every Solve of the round.
 func (r *Round) Guard() sat.Lit { return r.guard }
 
-// BlockSubset adds a guarded blocking clause forbidding the given gate
-// set and all its supersets for the remainder of the round.
-func (r *Round) BlockSubset(gates []int) {
-	clause := make([]sat.Lit, 0, len(gates)+1)
-	clause = append(clause, r.guard.Neg())
-	for _, g := range gates {
-		if l, ok := r.sess.SelLit(g); ok {
-			clause = append(clause, l.Neg())
-		}
-	}
-	r.sess.Solver.AddClause(clause...)
-}
-
 // Retire ends the round, retracting its blocking clauses. Idempotent.
 func (r *Round) Retire() {
 	if r.retired {

@@ -56,6 +56,12 @@ type cegarOutcome struct {
 // maxSols caps the confirmed solutions (0 = unlimited); encoded marks
 // the tests present as copies; oracle must be dedicated to this call
 // (a Validator is not safe for concurrent use).
+//
+// Each (limit, abstraction) pair is one EnumerateProjected call, so a
+// confirmed solution is blocked on the held model trail like any BSAT
+// solution. A refuted candidate stops the call unblocked — a superset
+// of a spurious set can still be genuine — and the loop re-enters after
+// encoding the refuting test, which needs the solver back at level 0.
 func cegarLoop(sess *cnf.DiagSession, tests circuit.TestSet, encoded []bool, oracle *Validator, opts BSATOptions, round *cnf.Round, extra []sat.Lit, maxSols int) cegarOutcome {
 	solver := sess.Solver
 	solver.SetBudget(opts.MaxConflicts, opts.Timeout)
@@ -69,41 +75,55 @@ func cegarLoop(sess *cnf.DiagSession, tests circuit.TestSet, encoded []bool, ora
 	enumTime := func() time.Duration { return time.Since(start) - (sess.BuildTime - buildBase) }
 	out := cegarOutcome{complete: true}
 	base := append([]sat.Lit{round.Guard()}, extra...)
+	blockExtra := []sat.Lit{round.Guard().Neg()}
 enumerate:
 	for k := 1; k <= opts.K; k++ {
+		assumps := append(append([]sat.Lit(nil), base...), sess.AtMost(k)...)
 		for {
-			if maxSols > 0 && len(out.solutions) >= maxSols {
-				out.complete = false
-				break enumerate
+			remaining := 0
+			if maxSols > 0 {
+				if remaining = maxSols - len(out.solutions); remaining <= 0 {
+					out.complete = false
+					break enumerate
+				}
 			}
-			assumps := append(append([]sat.Lit(nil), base...), sess.AtMost(k)...)
-			switch solver.SolveContext(opts.Ctx, assumps...) {
-			case sat.StatusUnknown:
-				out.complete = false
-				break enumerate
-			case sat.StatusUnsat:
-				continue enumerate // next limit
-			}
-			gates := sess.ModelGates()
-			out.checked++
-			if refuter := oracle.FirstRefuting(gates, encoded); refuter >= 0 {
+			refuter := -1
+			_, complete := solver.EnumerateProjected(sess.Sels, sat.EnumOptions{
+				Assumptions:  assumps,
+				Ctx:          opts.Ctx,
+				MaxSolutions: remaining,
+				BlockExtra:   blockExtra,
+			}, func([]sat.Lit) bool {
+				gates := sess.ModelGates()
+				out.checked++
+				if refuter = oracle.FirstRefuting(gates, encoded); refuter >= 0 {
+					return false
+				}
+				// Confirmed against every test: a genuine solution, blocked
+				// with its supersets for the rest of the round (Lemma 3).
+				if len(out.solutions) == 0 {
+					out.firstAt = enumTime()
+				}
+				sort.Ints(gates)
+				out.solutions = append(out.solutions, gates)
+				return true
+			})
+			switch {
+			case refuter >= 0:
 				// Spurious under the full test-set: grow the abstraction
-				// with the counterexample and re-enumerate. No blocking —
-				// a superset of a spurious set can still be genuine.
+				// with the counterexample and re-enumerate this limit.
 				encoded[refuter] = true
 				sess.AddTest(tests[refuter])
 				out.refinements++
-				continue
+			case complete:
+				continue enumerate // next limit
+			case maxSols > 0 && len(out.solutions) >= maxSols:
+				// The cap's last solution is blocked; the top of the loop
+				// reports the capped run as incomplete.
+			default:
+				out.complete = false // budget or cancellation
+				break enumerate
 			}
-			// Confirmed against every test: a genuine solution. Block it
-			// and its supersets for the rest of the round (Lemma 3).
-			if len(out.solutions) == 0 {
-				out.firstAt = enumTime()
-			}
-			g := append([]int(nil), gates...)
-			sort.Ints(g)
-			out.solutions = append(out.solutions, g)
-			round.BlockSubset(gates)
 		}
 	}
 	out.elapsed = enumTime()

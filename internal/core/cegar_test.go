@@ -63,6 +63,55 @@ func TestCEGAREquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestCEGARCapReturnsDistinctGenuinePrefix: under MaxSolutions the
+// monolithic CEGAR loop stops at exactly the cap, with distinct
+// solutions that all belong to the monolithic BSAT set. The cap's last
+// solution is blocked like every other, so a sharded run never reports
+// it again from a shard. (A sharded capped run may return fewer than
+// the cap: each cube's capped prefix can hold supersets the merge
+// drops.)
+func TestCEGARCapReturnsDistinctGenuinePrefix(t *testing.T) {
+	checked := 0
+	for seed := int64(1); seed <= 12 && checked < 4; seed++ {
+		sc := makeScenario(t, seed, 2, 5)
+		if sc == nil {
+			continue
+		}
+		mono, err := BSAT(sc.faulty, sc.tests, BSATOptions{K: sc.k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mono.Complete || len(mono.Solutions) < 3 {
+			continue
+		}
+		checked++
+		all := map[string]bool{}
+		for _, s := range mono.Solutions {
+			all[s.Key()] = true
+		}
+		limit := len(mono.Solutions) - 1
+		for _, shards := range []int{1, 3} {
+			res, err := CEGARDiagnose(sc.faulty, sc.tests, BSATOptions{K: sc.k, MaxSolutions: limit, Shards: shards, ShardSample: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Complete || len(res.Solutions) > limit || (shards == 1 && len(res.Solutions) != limit) {
+				t.Fatalf("seed %d shards=%d: %d solutions (complete=%v) under cap %d of %d", seed, shards, len(res.Solutions), res.Complete, limit, len(mono.Solutions))
+			}
+			seen := map[string]bool{}
+			for _, s := range res.Solutions {
+				if seen[s.Key()] || (shards == 1 && !all[s.Key()]) {
+					t.Fatalf("seed %d shards=%d: solution %v repeated or not genuine: %v", seed, shards, s.Gates, res.Solutions)
+				}
+				seen[s.Key()] = true
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no scenario with at least 3 solutions")
+	}
+}
+
 // cegarLargeScenario prepares a suite circuit with a test-set of at
 // least m failing triples.
 func cegarLargeScenario(t *testing.T, name string, p, m int) (*circuit.Circuit, circuit.TestSet, int) {

@@ -72,7 +72,8 @@ type Backend interface {
 	FlightRecorder() *trace.Recorder
 
 	// EnumerateProjected enumerates models projected onto proj with
-	// subset blocking (the Figure 3/4 discipline).
+	// subset blocking (the Figure 3/4 discipline). It returns at level
+	// 0 on every exit; fn must not add clauses.
 	EnumerateProjected(proj []Lit, opts EnumOptions, fn func(trueLits []Lit) bool) (n int, complete bool)
 
 	// Clone returns an independent snapshot of the backend — clause

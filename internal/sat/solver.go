@@ -771,16 +771,9 @@ func (s *Solver) interrupted() bool {
 // restarts and every ctxPollConflicts conflicts, so cancellation
 // surfaces promptly even inside a long search.
 func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
-	if ctx == nil {
-		return s.Solve(assumptions...)
-	}
-	if ctx.Err() != nil {
-		return StatusUnknown
-	}
-	s.ctx = ctx
-	s.ctxNext = s.Stats.Conflicts + ctxPollConflicts
-	defer func() { s.ctx = nil }()
-	return s.Solve(assumptions...)
+	st := s.solve(ctx, assumptions)
+	s.cancelUntil(0)
+	return st
 }
 
 // Solve determines satisfiability under the given assumptions. On
@@ -788,6 +781,20 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
 // assumptions, ConflictSet holds a failed-assumption core. StatusUnknown
 // reports an expired budget; the solver remains usable.
 func (s *Solver) Solve(assumptions ...Lit) Status {
+	return s.SolveContext(nil, assumptions...)
+}
+
+// solve is SolveContext without the final return to level 0: on
+// StatusSat the model's trail stays assigned. Called above level 0 it
+// resumes the search from the trail it finds there, which must be a
+// fully propagated prefix under the same assumptions plus at most one
+// pending asserted literal — the state EnumerateProjected leaves after
+// attaching a blocking clause (addBlocking).
+func (s *Solver) solve(ctx context.Context, assumptions []Lit) Status {
+	s.conflictSet = s.conflictSet[:0]
+	if ctx != nil && ctx.Err() != nil {
+		return StatusUnknown
+	}
 	if !s.ok {
 		return StatusUnsat
 	}
@@ -798,11 +805,13 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.record(trace.EvDeadlineExit)
 		return StatusUnknown
 	}
+	s.ctx, s.ctxNext = ctx, s.Stats.Conflicts+ctxPollConflicts
+	defer func() { s.ctx = nil }()
 	s.assumptions = append(s.assumptions[:0], assumptions...)
-	s.conflictSet = s.conflictSet[:0]
-	defer s.cancelUntil(0)
 
-	if s.propagate() != CRefUndef {
+	// Above level 0 the trail is a held model prefix; search's own
+	// propagate takes the pending assertion and analyzes any conflict.
+	if s.decisionLevel() == 0 && s.propagate() != CRefUndef {
 		s.ok = false
 		s.record(trace.EvUnsat)
 		return StatusUnsat

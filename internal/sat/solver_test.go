@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -255,6 +256,58 @@ func TestSolveUnderAssumptions(t *testing.T) {
 	}
 	if s.Value(a) != LFalse {
 		t.Fatalf("!c forces !a: a=%v", s.Value(a))
+	}
+}
+
+// TestConflictSetClearedOnEveryEntry: a failed-assumption core belongs
+// to the solve that computed it. A later Solve that returns at once —
+// on a database already known UNSAT, an expired deadline or a cancelled
+// context — must not leave the previous core readable.
+func TestConflictSetClearedOnEveryEntry(t *testing.T) {
+	s := New()
+	a, b := s.NewVar(), s.NewVar()
+	s.AddClause(NegLit(a), PosLit(b))
+	s.AddClause(NegLit(a), NegLit(b))
+	if got := s.Solve(PosLit(a)); got != StatusUnsat {
+		t.Fatalf("under a: got %v, want UNSAT", got)
+	}
+	if cs := s.ConflictSet(); len(cs) != 1 || cs[0] != NegLit(a) {
+		t.Fatalf("core under a: got %v, want [¬a]", cs)
+	}
+	s.AddClause(PosLit(b))
+	if s.AddClause(NegLit(b)) {
+		t.Fatal("contradictory units accepted")
+	}
+	if got := s.Solve(); got != StatusUnsat {
+		t.Fatalf("UNSAT database: got %v, want UNSAT", got)
+	}
+	if cs := s.ConflictSet(); len(cs) != 0 {
+		t.Fatalf("stale core after an assumption-free UNSAT solve: %v", cs)
+	}
+
+	for _, early := range []string{"deadline", "ctx"} {
+		s := New()
+		a, b := s.NewVar(), s.NewVar()
+		s.AddClause(NegLit(a), PosLit(b))
+		s.AddClause(NegLit(a), NegLit(b))
+		if got := s.Solve(PosLit(a)); got != StatusUnsat || len(s.ConflictSet()) == 0 {
+			t.Fatalf("%s: under a: got %v with core %v", early, got, s.ConflictSet())
+		}
+		var got Status
+		if early == "deadline" {
+			s.Deadline = time.Now().Add(-time.Second)
+			got = s.Solve(PosLit(a))
+		} else {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			got = s.SolveContext(ctx, PosLit(a))
+		}
+		if got != StatusUnknown {
+			t.Fatalf("%s: got %v, want UNKNOWN", early, got)
+		}
+		if cs := s.ConflictSet(); len(cs) != 0 {
+			t.Fatalf("%s: stale core after an early exit: %v", early, cs)
+		}
 	}
 }
 
