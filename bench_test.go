@@ -380,26 +380,6 @@ func BenchmarkAblation_BSAT_Basic(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_BSAT_ForceZero(b *testing.B) {
-	sc, k, m := ablationScenario(b)
-	tests := sc.Tests.Prefix(m)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.BSAT(sc.Faulty, tests, core.BSATOptions{K: k, ForceZero: true, MaxSolutions: 500}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_BSAT_Totalizer(b *testing.B) {
-	sc, k, m := ablationScenario(b)
-	tests := sc.Tests.Prefix(m)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.BSAT(sc.Faulty, tests, core.BSATOptions{K: k, Encoding: 1, MaxSolutions: 500}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblation_BSAT_Hybrid(b *testing.B) {
 	sc, k, m := ablationScenario(b)
 	tests := sc.Tests.Prefix(m)

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/gen"
@@ -800,7 +799,7 @@ func runRestartVerify(cfg config, statePath string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", wl.Name, err)
 		}
-		id := ids[service.SessionKey(service.Fingerprint(c), service.FaultModel{Encoding: cnf.SeqCounter})]
+		id := ids[service.Fingerprint(c)]
 		if id == "" {
 			return fmt.Errorf("verify: %s has no replayed session", wl.Name)
 		}

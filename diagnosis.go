@@ -127,13 +127,6 @@ const (
 	FunctionChange  = faults.FunctionChange
 )
 
-// Cardinality encodings for the BSAT select-line bound.
-const (
-	SeqCounter = cnf.SeqCounter
-	Totalizer  = cnf.Totalizer
-	Pairwise   = cnf.Pairwise
-)
-
 // Unified engine layer: every diagnosis procedure behind one request/
 // response pair (see internal/core's engine registry).
 type (

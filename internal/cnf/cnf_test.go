@@ -171,72 +171,59 @@ func TestEncodeMuxSemantics(t *testing.T) {
 	}
 }
 
-// popLadderCheck verifies a ladder against direct popcounts for every
-// assignment of n inputs.
-func popLadderCheck(t *testing.T, enc CardEncoding, n, maxBound int) {
-	t.Helper()
-	for m := 0; m < 1<<uint(n); m++ {
-		for bound := 0; bound <= maxBound; bound++ {
+// TestTotalizerExhaustive checks the ladder against direct popcounts:
+// for n = 1..7 inputs, every build bound maxBound in 0..n (including the
+// truncated widths < n that warm sessions build), every assignment and
+// every enforced bound up to maxBound.
+func TestTotalizerExhaustive(t *testing.T) {
+	for n := 1; n <= 7; n++ {
+		for maxBound := 0; maxBound <= n; maxBound++ {
 			s := sat.New()
 			lits := make([]sat.Lit, n)
 			for i := range lits {
 				lits[i] = sat.PosLit(s.NewVar())
 			}
-			ladder, err := AddLadder(s, lits, maxBound, enc)
-			if err != nil {
-				t.Fatal(err)
+			ladder := AddLadder(s, lits, maxBound)
+			if w := min(maxBound+1, n); ladder.Width() != w {
+				t.Fatalf("n=%d maxBound=%d: width %d, want %d", n, maxBound, ladder.Width(), w)
 			}
-			for i, l := range lits {
-				if m>>uint(i)&1 == 1 {
-					s.AddClause(l)
-				} else {
-					s.AddClause(l.Neg())
+			for m := 0; m < 1<<uint(n); m++ {
+				assign := make([]sat.Lit, n)
+				for i, l := range lits {
+					if m>>uint(i)&1 == 1 {
+						assign[i] = l
+					} else {
+						assign[i] = l.Neg()
+					}
 				}
-			}
-			var assumps []sat.Lit
-			if a := ladder.AtMost(bound); a != sat.LitUndef {
-				assumps = append(assumps, a)
-			}
-			st := s.Solve(assumps...)
-			want := sat.StatusSat
-			if bits.OnesCount(uint(m)) > bound {
-				want = sat.StatusUnsat
-			}
-			if st != want {
-				t.Fatalf("%v n=%d m=%b bound=%d: got %v want %v", enc, n, m, bound, st, want)
+				for bound := 0; bound <= maxBound; bound++ {
+					assumps := assign
+					if a := ladder.AtMost(bound); a != sat.LitUndef {
+						assumps = append(assign[:n:n], a)
+					}
+					want := sat.StatusSat
+					if bits.OnesCount(uint(m)) > bound {
+						want = sat.StatusUnsat
+					}
+					if st := s.Solve(assumps...); st != want {
+						t.Fatalf("n=%d maxBound=%d m=%b bound=%d: got %v want %v", n, maxBound, m, bound, st, want)
+					}
+				}
 			}
 		}
 	}
 }
 
-func TestSeqCounterExhaustive(t *testing.T) {
-	popLadderCheck(t, SeqCounter, 5, 4)
-}
-
-func TestTotalizerExhaustive(t *testing.T) {
-	popLadderCheck(t, Totalizer, 5, 4)
-}
-
-func TestPairwiseExhaustive(t *testing.T) {
-	popLadderCheck(t, Pairwise, 5, 2)
-}
-
 func TestLadderEdgeCases(t *testing.T) {
 	s := sat.New()
 	// Empty input set.
-	l, err := AddLadder(s, nil, 3, SeqCounter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := AddLadder(s, nil, 3)
 	if l.AtMost(0) != sat.LitUndef {
 		t.Fatal("empty ladder should not constrain")
 	}
 	// Bound >= n needs no constraint.
 	lits := []sat.Lit{sat.PosLit(s.NewVar()), sat.PosLit(s.NewVar())}
-	l2, err := AddLadder(s, lits, 5, SeqCounter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := AddLadder(s, lits, 5)
 	if l2.AtMost(2) != sat.LitUndef || l2.AtMost(7) != sat.LitUndef {
 		t.Fatal("bound >= n should be unconstrained")
 	}
@@ -245,27 +232,9 @@ func TestLadderEdgeCases(t *testing.T) {
 	}
 	// A negative maxBound clamps to a width-1 ladder and a negative
 	// AtMost bound clamps to 0 — both total, neither may panic.
-	l3, err := AddLadder(s, lits, -2, SeqCounter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l3 := AddLadder(s, lits, -2)
 	if l3.AtMost(-1) == sat.LitUndef {
 		t.Fatal("AtMost(-1) on a width-1 ladder must constrain like AtMost(0)")
-	}
-	// An out-of-range encoding is a returned error, not a panic.
-	if _, err := AddLadder(s, lits, 2, CardEncoding(99)); err == nil {
-		t.Fatal("unknown encoding must error")
-	}
-}
-
-func TestAtMostDirect(t *testing.T) {
-	s := sat.New()
-	lits := []sat.Lit{sat.PosLit(s.NewVar()), sat.PosLit(s.NewVar()), sat.PosLit(s.NewVar())}
-	AtMostDirect(s, lits)
-	s.AddClause(lits[0])
-	s.AddClause(lits[1])
-	if s.Solve() != sat.StatusUnsat {
-		t.Fatal("two selected under at-most-one")
 	}
 }
 

@@ -28,17 +28,9 @@ type DiagOptions struct {
 	GroupLabels []int
 
 	// MaxK is the largest correction size the instance must support; the
-	// cardinality ladder is built to width MaxK+1 so every limit
+	// totalizer ladder is built to width MaxK+1 so every limit
 	// 1..MaxK is available as an assumption (incremental usage).
 	MaxK int
-
-	// Encoding selects the cardinality encoding (default SeqCounter).
-	Encoding CardEncoding
-
-	// ForceZero adds the advanced-approach clauses forcing the free
-	// correction value c to 0 while the select line is 0, removing up to
-	// |I| pointless decisions per copy (Section 2.3).
-	ForceZero bool
 
 	// Golden, when non-nil, supplies a reference implementation used to
 	// constrain all primary outputs (not only the erroneous one) to their

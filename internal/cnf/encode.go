@@ -2,7 +2,7 @@
 // functions, the diagnosis instance of the paper's Figure 2/3 (one circuit
 // copy per test, a correction multiplexer per candidate gate with a select
 // line shared across copies, and a cardinality bound over the selects),
-// and cardinality encodings (pairwise, sequential counter, totalizer).
+// and the one-way totalizer that bounds the selects.
 package cnf
 
 import (

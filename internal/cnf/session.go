@@ -174,15 +174,7 @@ func NewSession(c *circuit.Circuit, opts DiagOptions) *DiagSession {
 	if maxK <= 0 {
 		maxK = 1
 	}
-	ladder, err := AddLadder(s, sess.Sels, maxK, opts.Encoding)
-	if err != nil {
-		// An out-of-range encoding value is a programming error (the HTTP
-		// layer validates encoding names before building DiagOptions), but
-		// a shared server must degrade, not crash: fall back to the
-		// default encoding, which is valid for every ladder shape.
-		ladder, _ = AddLadder(s, sess.Sels, maxK, SeqCounter)
-	}
-	sess.Ladder = ladder
+	sess.Ladder = AddLadder(s, sess.Sels, maxK)
 	sess.BuildTime += time.Since(start)
 	return sess
 }
@@ -242,10 +234,6 @@ func (sess *DiagSession) AddTest(t circuit.Test) int {
 			cv := s.NewVar()
 			corrVars[g] = cv
 			EncodeMux(s, sat.PosLit(y), sess.Sels[j], sat.PosLit(cv), z)
-			if sess.opts.ForceZero {
-				// ¬sel -> ¬c
-				s.AddClause(sess.Sels[j], sat.NegLit(cv))
-			}
 		} else {
 			EncodeGate(s, gate, sat.PosLit(y), fan)
 		}

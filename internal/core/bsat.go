@@ -27,13 +27,6 @@ type BSATOptions struct {
 	Groups      [][]int
 	GroupLabels []int
 
-	// Encoding selects the cardinality encoding.
-	Encoding cnf.CardEncoding
-
-	// ForceZero adds the advanced clauses pinning unselected correction
-	// inputs to 0 (Section 2.3's first heuristic).
-	ForceZero bool
-
 	// Golden, when set, constrains all outputs of every copy to the
 	// specification values, not only the erroneous one.
 	Golden *circuit.Circuit
@@ -80,8 +73,6 @@ func (o BSATOptions) diagOptions() cnf.DiagOptions {
 		Groups:      o.Groups,
 		GroupLabels: o.GroupLabels,
 		MaxK:        o.K,
-		Encoding:    o.Encoding,
-		ForceZero:   o.ForceZero,
 		Golden:      o.Golden,
 		// Cold-path flight recording: a request that carries a recorder
 		// on its context (the service's cold-build path) has it

@@ -11,46 +11,38 @@ import (
 )
 
 // TestCEGAREquivalenceProperty is the correctness contract of the CEGAR
-// driver: on randomized circuits, fault injections and test-sets, and
-// across the solution-space-preserving encoding options, CEGARDiagnose
-// must return exactly the monolithic BSAT solution set while never
-// encoding more test copies than the monolith.
+// loop: on randomized circuits, fault injections and test-sets,
+// CEGARDiagnose must return exactly the monolithic BSAT solution set
+// while never encoding more test copies than the monolith.
 func TestCEGAREquivalenceProperty(t *testing.T) {
-	variants := []BSATOptions{
-		{},
-		{ForceZero: true},
-	}
 	f := func(seed int64) bool {
 		sc := makeScenario(t, seed%5000, 1+int(abs64(seed)%2), 6)
 		if sc == nil {
 			return true
 		}
-		for _, v := range variants {
-			opts := v
-			opts.K = sc.k
-			mono, err := BSAT(sc.faulty, sc.tests, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cegar, err := CEGARDiagnose(sc.faulty, sc.tests, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !mono.Complete || !cegar.Complete {
-				continue
-			}
-			if !SameSolutions(&mono.SolutionSet, &cegar.SolutionSet) {
-				t.Logf("seed %d opts %+v: cegar %v != mono %v", seed, opts, cegar.Solutions, mono.Solutions)
-				return false
-			}
-			if cegar.Copies > len(sc.tests) {
-				t.Logf("seed %d: %d copies for %d tests", seed, cegar.Copies, len(sc.tests))
-				return false
-			}
-			if cegar.Vars > mono.Vars {
-				t.Logf("seed %d: cegar instance larger than mono (%d > %d vars)", seed, cegar.Vars, mono.Vars)
-				return false
-			}
+		opts := BSATOptions{K: sc.k}
+		mono, err := BSAT(sc.faulty, sc.tests, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cegar, err := CEGARDiagnose(sc.faulty, sc.tests, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mono.Complete || !cegar.Complete {
+			return true
+		}
+		if !SameSolutions(&mono.SolutionSet, &cegar.SolutionSet) {
+			t.Logf("seed %d: cegar %v != mono %v", seed, cegar.Solutions, mono.Solutions)
+			return false
+		}
+		if cegar.Copies > len(sc.tests) {
+			t.Logf("seed %d: %d copies for %d tests", seed, cegar.Copies, len(sc.tests))
+			return false
+		}
+		if cegar.Vars > mono.Vars {
+			t.Logf("seed %d: cegar instance larger than mono (%d > %d vars)", seed, cegar.Vars, mono.Vars)
+			return false
 		}
 		return true
 	}

@@ -48,8 +48,6 @@ type Request struct {
 
 	// SAT-engine extras (ignored by bsim/cov).
 	Candidates []int
-	Encoding   cnf.CardEncoding
-	ForceZero  bool
 
 	// PT configures the path-tracing stage of bsim, cov and hybrid.
 	PT PTOptions
@@ -187,8 +185,6 @@ func (req Request) bsatOptions(ctx context.Context) BSATOptions {
 	return BSATOptions{
 		K:            req.k(),
 		Candidates:   req.Candidates,
-		Encoding:     req.Encoding,
-		ForceZero:    req.ForceZero,
 		MaxSolutions: req.MaxSolutions,
 		MaxConflicts: req.MaxConflicts,
 		Timeout:      req.Timeout,

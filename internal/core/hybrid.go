@@ -140,11 +140,7 @@ func covGuidedRepair(c *circuit.Circuit, tests circuit.TestSet, sess *cnf.DiagSe
 	seed := covRes.Solutions[0]
 	out.CovSolution = seed
 	if sess == nil {
-		sess = cnf.NewSession(c, cnf.DiagOptions{
-			MaxK:      opts.K,
-			Encoding:  opts.Encoding,
-			ForceZero: opts.ForceZero,
-		})
+		sess = cnf.NewSession(c, cnf.DiagOptions{MaxK: opts.K})
 		sess.AddTests(tests)
 	}
 	solver := sess.Solver

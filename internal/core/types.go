@@ -8,9 +8,10 @@
 //
 // together with the effect-analysis oracle (Definition 3 checked by
 // forced-value simulation), corrected-function extraction, the advanced
-// variants discussed in Sections 2.3 and 4 (force-zero clauses,
-// cone-restricted copies, fanout-free-region two-pass, test-set
-// partitioning), and the hybrid approaches sketched in Section 6.
+// variants discussed in Sections 2.3 and 4 (cone-restricted copies,
+// fanout-free-region two-pass, test-set partitioning), and the hybrid
+// approaches sketched in Section 6. Section 2.3's force-zero clauses
+// are kept as a test (TestForceZeroClausesCutDecisions), not an option.
 package core
 
 import (

@@ -153,10 +153,7 @@ func EnumerateSAT(p *Problem, opts Options) (*Result, error) {
 		}
 		s.AddClause(clause...)
 	}
-	ladder, err := cnf.AddLadder(s, lits, opts.MaxK, cnf.SeqCounter)
-	if err != nil {
-		return nil, err
-	}
+	ladder := cnf.AddLadder(s, lits, opts.MaxK)
 
 	res := &Result{Complete: true}
 	for k := 1; k <= opts.MaxK; k++ {

@@ -20,7 +20,7 @@ func testTests(n, from int) []TestRec {
 func built(key string) Record {
 	return Record{
 		Type: TypeSessionBuilt, Key: key, Fingerprint: "fp-" + key,
-		Bench: "# bench " + key, Encoding: "seqcounter", MaxK: 4,
+		Bench: "# bench " + key, MaxK: 4,
 	}
 }
 
@@ -109,10 +109,7 @@ func TestRebuildResetsSession(t *testing.T) {
 // last state — including an empty test set and a ladder rebuild (a
 // second session-built with a larger MaxK).
 func TestSessionStateRecordsRoundTrip(t *testing.T) {
-	base := SessionState{
-		Key: "k", Fingerprint: "fp-k", Bench: "# bench k",
-		Encoding: "totalizer", ForceZero: true, MaxK: 4,
-	}
+	base := SessionState{Key: "k", Fingerprint: "fp-k", Bench: "# bench k", MaxK: 4}
 	withTests := base
 	withTests.Tests, withTests.K = testTests(3, 0), 2
 	empty := base

@@ -41,11 +41,11 @@ type Record struct {
 	// session-built payload: everything needed to rebuild the warm
 	// session from nothing — the circuit as self-contained .bench text
 	// (independent of any generator suite drift), its fingerprint for
-	// verification, the fault model, and the ladder width.
+	// verification, and the ladder width. Logs written while the
+	// encoding had knobs also carry "encoding"/"forceZero" fields; the
+	// decoder ignores them.
 	Fingerprint string `json:"fp,omitempty"`
 	Bench       string `json:"bench,omitempty"`
-	Encoding    string `json:"encoding,omitempty"`
-	ForceZero   bool   `json:"forceZero,omitempty"`
 	MaxK        int    `json:"maxK,omitempty"`
 
 	// tests-added payload. Reset replaces the live test-set (every

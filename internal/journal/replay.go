@@ -4,14 +4,12 @@ import "sort"
 
 // SessionState is the folded warm state of one live session: everything
 // a restarted server needs to rebuild it and serve byte-identical
-// answers — the circuit, the fault model, the ladder width, and the
-// live test-set in activation order.
+// answers — the circuit, the ladder width, and the live test-set in
+// activation order.
 type SessionState struct {
 	Key         string
 	Fingerprint string
 	Bench       string
-	Encoding    string
-	ForceZero   bool
 	MaxK        int
 
 	// Tests is the live test-set (the current activation base the
@@ -36,8 +34,6 @@ func (s SessionState) Records() []Record {
 			Key:         s.Key,
 			Fingerprint: s.Fingerprint,
 			Bench:       s.Bench,
-			Encoding:    s.Encoding,
-			ForceZero:   s.ForceZero,
 			MaxK:        s.MaxK,
 		},
 		{Type: TypeTestsAdded, Key: s.Key, Reset: true, Tests: s.Tests, K: s.K},
@@ -83,8 +79,6 @@ func (f *folder) apply(rec Record) {
 			Key:         rec.Key,
 			Fingerprint: rec.Fingerprint,
 			Bench:       rec.Bench,
-			Encoding:    rec.Encoding,
-			ForceZero:   rec.ForceZero,
 			MaxK:        rec.MaxK,
 			LastSeq:     f.seq,
 		}

@@ -239,7 +239,7 @@ func TestServerQueueTimeout503(t *testing.T) {
 func TestWarmSessionSurvivesMidRunCancel(t *testing.T) {
 	c, tests, _ := faultScenario(t, 2)
 	pool := service.NewSessionPool(service.PoolOptions{})
-	key := service.SessionKey(service.Fingerprint(c), service.FaultModel{})
+	key := service.Fingerprint(c)
 	entry, _, err := pool.Acquire(key, warmBuilder(c, nil))
 	if err != nil {
 		t.Fatal(err)

@@ -41,11 +41,6 @@ func FuzzDiagnoseRequest(f *testing.F) {
 			return
 		}
 		// Errors are the expected outcome for garbage; panics are bugs.
-		if _, err := decodeTests(c, req.Tests); err != nil {
-			return
-		}
-		if _, err := parseEncoding(req.Encoding); err != nil {
-			return
-		}
+		_, _ = decodeTests(c, req.Tests)
 	})
 }

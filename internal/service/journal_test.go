@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/cnf"
 	"repro/internal/failpoint"
 	"repro/internal/journal"
 	"repro/internal/service"
@@ -129,7 +127,7 @@ func TestJournalCrashReplayServesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key1 := service.SessionKey(service.Fingerprint(parsed1), service.FaultModel{Encoding: cnf.SeqCounter})
+	key1 := service.Fingerprint(parsed1)
 	var id1 string
 	for _, info := range srvB.Pool().Snapshot() {
 		if info.Key == key1 {
@@ -163,12 +161,12 @@ func legacyFrame(payload []byte) []byte {
 	return append(hdr, payload...)
 }
 
-// TestReplayLegacyConeKeys: journals written while the cone-restricted
-// encoding was an opt-in knob carry a ",cone=<bool>" session-key suffix
-// and a coneOnly field on session-built records. Such a log replays to
-// identical answers under the current key. Two legacy sessions that
-// differed only in the knob now share that key and replay as one: the
-// more recently used one, with its live test-set.
+// TestReplayLegacyConeKeys: journals written while the encoding had
+// fault-model knobs carry a "/enc=…,fz=…[,cone=…]" session-key suffix
+// and encoding/forceZero/coneOnly fields on session-built records. Such
+// a log replays to identical answers under the fingerprint key. Legacy
+// sessions that differed only in the knobs now share that key and
+// replay as one: the most recently used one, with its live test-set.
 func TestReplayLegacyConeKeys(t *testing.T) {
 	dir := t.TempDir()
 	jw, _ := openJournal(t, dir)
@@ -184,9 +182,9 @@ func TestReplayLegacyConeKeys(t *testing.T) {
 	tsA.Close()
 	jw.Close()
 
-	// Rewrite the log in the legacy format: a stale cone=false session
-	// holding the history before the edit's record, then the live
-	// cone=true session holding all of it.
+	// Rewrite the log in the legacy formats: two stale sessions holding
+	// the history before the edit's record, then the live session
+	// holding all of it.
 	segs, err := filepath.Glob(filepath.Join(dir, "diag-*.wal"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no journal segments (%v)", err)
@@ -209,10 +207,19 @@ func TestReplayLegacyConeKeys(t *testing.T) {
 	if edit < 0 || recs[edit].Type != journal.TypeTestsAdded || len(recs[edit].Tests) != len(tests)-1 {
 		t.Fatalf("log does not end in the edit's record: %+v", recs)
 	}
+	legacyKnobs := []struct {
+		suffix string
+		fields map[string]any
+	}{
+		{"/enc=seqcounter,fz=false,cone=false", map[string]any{"encoding": "seqcounter", "coneOnly": false}},
+		{"/enc=pairwise,fz=true", map[string]any{"encoding": "pairwise", "forceZero": true}},
+		{"/enc=totalizer,fz=true,cone=true", map[string]any{"encoding": "totalizer", "forceZero": true, "coneOnly": true}},
+	}
 	var legacy []byte
-	for _, cone := range []bool{false, true} {
+	for s, knobs := range legacyKnobs {
+		live := s == len(legacyKnobs)-1
 		for i, rec := range recs {
-			if !cone && i == edit {
+			if !live && i == edit {
 				break
 			}
 			var m map[string]any
@@ -220,9 +227,11 @@ func TestReplayLegacyConeKeys(t *testing.T) {
 			if err := json.Unmarshal(raw, &m); err != nil {
 				t.Fatal(err)
 			}
-			m["key"] = fmt.Sprintf("%s,cone=%t", rec.Key, cone)
+			m["key"] = rec.Key + knobs.suffix
 			if rec.Type == journal.TypeSessionBuilt {
-				m["coneOnly"] = cone
+				for k, v := range knobs.fields {
+					m[k] = v
+				}
 			}
 			payload, _ := json.Marshal(m)
 			legacy = append(legacy, legacyFrame(payload)...)
@@ -234,20 +243,26 @@ func TestReplayLegacyConeKeys(t *testing.T) {
 
 	jw2, st := openJournal(t, dir)
 	defer jw2.Close()
-	if len(st.Sessions) != 2 {
-		t.Fatalf("legacy roster: %d sessions, want 2", len(st.Sessions))
+	if len(st.Sessions) != len(legacyKnobs) {
+		t.Fatalf("legacy roster: %d sessions, want %d", len(st.Sessions), len(legacyKnobs))
 	}
-	// The stale session must still hold the pre-edit set, or replaying
+	// The stale sessions must still hold the pre-edit set, or replaying
 	// the live one would pass regardless of which session won.
-	if got := []int{len(st.Sessions[0].Tests), len(st.Sessions[1].Tests)}; got[0] != len(tests)-1 || got[1] != len(tests) {
-		t.Fatalf("legacy live sets (MRU first): %v tests, want [%d %d]", got, len(tests)-1, len(tests))
+	for i, ss := range st.Sessions {
+		want := len(tests)
+		if i == 0 {
+			want--
+		}
+		if len(ss.Tests) != want {
+			t.Fatalf("legacy session %d (MRU first) %s: %d tests, want %d", i, ss.Key, len(ss.Tests), want)
+		}
 	}
 	srvB, tsB := newJournaledServer(t, jw2, true, service.PoolOptions{})
-	if rep := srvB.Replay(st, 2); rep.Sessions != 1 || rep.Skipped != 1 {
-		t.Fatalf("replay: %+v, want 1 session and 1 superseded", rep)
+	if rep := srvB.Replay(st, 2); rep.Sessions != 1 || rep.Skipped != len(legacyKnobs)-1 {
+		t.Fatalf("replay: %+v, want 1 session and %d superseded", rep, len(legacyKnobs)-1)
 	}
 	snap := srvB.Pool().Snapshot()
-	key := service.SessionKey(service.Fingerprint(c), service.FaultModel{Encoding: cnf.SeqCounter})
+	key := service.Fingerprint(c)
 	if len(snap) != 1 || snap[0].Key != key {
 		t.Fatalf("replayed pool %+v, want one session under %s", snap, key)
 	}

@@ -1,6 +1,6 @@
 // Package service turns the diagnosis engine registry into a
 // long-running concurrent server: a SessionPool keeps cnf.DiagSession
-// instances warm per (circuit, fault-model) key, a Scheduler bounds and
+// instances warm per circuit fingerprint, a Scheduler bounds and
 // queues request execution, and Server exposes the JSON-over-HTTP
 // surface (POST /diagnose, POST /sessions/{id}/tests, GET /healthz,
 // GET /metrics) that cmd/diagserver serves and cmd/diagload drives.
@@ -18,37 +18,20 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"strings"
 
 	"repro/internal/circuit"
-	"repro/internal/cnf"
 )
-
-// FaultModel pins the structural encoding parameters of a pooled
-// session — everything that changes the CNF itself. Per-request knobs
-// that are assumption-scoped on a live session (candidate restriction,
-// k-limits up to the ladder width, test activation) deliberately stay
-// out: requests differing only in those share one warm session.
-type FaultModel struct {
-	// Encoding selects the cardinality encoding of the ladder.
-	Encoding cnf.CardEncoding
-	// ForceZero adds the advanced-approach clauses pinning unselected
-	// correction inputs to zero.
-	ForceZero bool
-}
-
-// String renders the model compactly for keys and logs.
-func (m FaultModel) String() string {
-	return fmt.Sprintf("enc=%s,fz=%t", m.Encoding, m.ForceZero)
-}
 
 // Fingerprint hashes the structural identity of a circuit: gate kinds,
 // fanin wiring, truth tables, and the input/output interface. Two
 // circuits with equal fingerprints encode to identical CNF (up to
 // variable numbering), so the fingerprint — not the client-supplied
-// name — keys the session pool.
+// name — keys the session pool. Every per-request knob is
+// assumption-scoped on a live session (candidate restriction, k-limits
+// up to the ladder width, test activation), so requests on one circuit
+// share one warm session.
 func Fingerprint(c *circuit.Circuit) string {
 	h := sha256.New()
 	writeInt(h, len(c.Gates))
@@ -77,23 +60,13 @@ func Fingerprint(c *circuit.Circuit) string {
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
-// SessionKey derives the pool key of a (circuit, fault-model) pair.
-func SessionKey(fp string, m FaultModel) string {
-	return fp + "/" + m.String()
-}
-
-// canonicalKey strips the ",cone=<bool>" component that session keys
-// carried while the cone-restricted encoding was an opt-in fault-model
-// knob. Journals written then replay under the key without it: the two
-// encodings have the same solution space, so the sessions are
-// interchangeable.
+// canonicalKey maps a journaled session key to the fingerprint. Keys
+// written while the encoding had fault-model knobs carry a
+// "/enc=…,fz=…[,cone=…]" suffix; every setting has the same solution
+// space, so those sessions are interchangeable with the knob-free one.
 func canonicalKey(key string) string {
-	for _, suffix := range []string{",cone=false", ",cone=true"} {
-		if strings.HasSuffix(key, suffix) {
-			return strings.TrimSuffix(key, suffix)
-		}
-	}
-	return key
+	fp, _, _ := strings.Cut(key, "/")
+	return fp
 }
 
 // testKey canonicalizes one failing test for the per-session dedup

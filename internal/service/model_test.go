@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/cnf"
 	"repro/internal/journal"
 	"repro/internal/service"
 )
@@ -48,7 +47,7 @@ func TestJournalReplayModel(t *testing.T) {
 	for i := range models {
 		c, tests := scenario(t, 900+40*int64(i), 6)
 		models[i] = &modelSession{
-			key:   service.SessionKey(service.Fingerprint(c), service.FaultModel{Encoding: cnf.SeqCounter}),
+			key:   service.Fingerprint(c),
 			bench: benchText(t, c),
 			pool:  tests,
 		}

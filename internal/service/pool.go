@@ -35,8 +35,8 @@ const DefaultMaxBytes = 512 << 20
 // DefaultMaxSessions is the default warm-session count bound.
 const DefaultMaxSessions = 64
 
-// SessionPool keeps diagnosis sessions warm per (circuit, fault-model)
-// key. It provides:
+// SessionPool keeps diagnosis sessions warm per circuit fingerprint.
+// It provides:
 //
 //   - single-flight construction: concurrent requests for the same cold
 //     key build the session exactly once, the rest wait for it;
@@ -99,7 +99,6 @@ type PoolEntry struct {
 	runMu sync.Mutex
 	sess  *cnf.DiagSession
 	circ  *circuit.Circuit
-	model FaultModel
 	maxK  int
 
 	// testIndex maps canonical test keys to encoded copy indices, so a
@@ -157,7 +156,6 @@ func (e *PoolEntry) Circuit() *circuit.Circuit { return e.circ }
 type Built struct {
 	Session     *cnf.DiagSession
 	Circuit     *circuit.Circuit
-	Model       FaultModel
 	MaxK        int
 	Source      string
 	Fingerprint string
@@ -229,7 +227,6 @@ func (p *SessionPool) AcquireDetail(key string, build func() (Built, error)) (e 
 			p.mu.Lock()
 			e.sess = built.Session
 			e.circ = built.Circuit
-			e.model = built.Model
 			e.maxK = built.MaxK
 			e.statsSnap = snap
 			e.bytes = sessionBytes(snap)
@@ -388,8 +385,8 @@ func (e *PoolEntry) activate(active []int, spec RunSpec) {
 }
 
 // recipe derives the session's durable recipe from its serving state:
-// circuit, fault model, ladder width, live test-set and the last run's
-// K. Caller holds runMu.
+// circuit, ladder width, live test-set and the last run's K. Caller
+// holds runMu.
 func (e *PoolEntry) recipe() journal.SessionState {
 	tests := make([]journal.TestRec, len(e.current))
 	for i, ci := range e.current {
@@ -399,8 +396,6 @@ func (e *PoolEntry) recipe() journal.SessionState {
 		Key:         e.key,
 		Fingerprint: e.fp,
 		Bench:       e.bench,
-		Encoding:    e.model.Encoding.String(),
-		ForceZero:   e.model.ForceZero,
 		MaxK:        e.maxK,
 		Tests:       tests,
 		K:           e.lastSpec.K,

@@ -17,11 +17,9 @@ func warmBuilder(c *circuit.Circuit, builds *atomic.Int64) func() (service.Built
 		if builds != nil {
 			builds.Add(1)
 		}
-		model := service.FaultModel{}
 		return service.Built{
-			Session: service.NewWarmSession(c, model, 2),
+			Session: service.NewWarmSession(c, 2),
 			Circuit: c,
-			Model:   model,
 			MaxK:    2,
 		}, nil
 	}
@@ -32,7 +30,7 @@ func warmBuilder(c *circuit.Circuit, builds *atomic.Int64) func() (service.Built
 func TestPoolSingleFlight(t *testing.T) {
 	c, tests := scenario(t, 1, 4)
 	pool := service.NewSessionPool(service.PoolOptions{})
-	key := service.SessionKey(service.Fingerprint(c), service.FaultModel{})
+	key := service.Fingerprint(c)
 
 	var builds atomic.Int64
 	var hits atomic.Int64
@@ -84,8 +82,8 @@ func TestPoolEvictionRebuildsIdentical(t *testing.T) {
 	cA, testsA := scenario(t, 2, 4)
 	cB, _ := scenario(t, 40, 4)
 	pool := service.NewSessionPool(service.PoolOptions{MaxSessions: 1})
-	keyA := service.SessionKey(service.Fingerprint(cA), service.FaultModel{})
-	keyB := service.SessionKey(service.Fingerprint(cB), service.FaultModel{})
+	keyA := service.Fingerprint(cA)
+	keyB := service.Fingerprint(cB)
 	if keyA == keyB {
 		t.Fatal("distinct circuits with equal keys")
 	}
@@ -136,8 +134,8 @@ func TestPoolBusyEntriesSurviveEviction(t *testing.T) {
 	cA, testsA := scenario(t, 3, 3)
 	cB, _ := scenario(t, 60, 3)
 	pool := service.NewSessionPool(service.PoolOptions{MaxSessions: 1})
-	keyA := service.SessionKey(service.Fingerprint(cA), service.FaultModel{})
-	keyB := service.SessionKey(service.Fingerprint(cB), service.FaultModel{})
+	keyA := service.Fingerprint(cA)
+	keyB := service.Fingerprint(cB)
 
 	eA, _, err := pool.Acquire(keyA, warmBuilder(cA, nil))
 	if err != nil {
@@ -175,7 +173,7 @@ func TestPoolBusyEntriesSurviveEviction(t *testing.T) {
 func TestPoolByID(t *testing.T) {
 	c, tests := scenario(t, 4, 3)
 	pool := service.NewSessionPool(service.PoolOptions{})
-	key := service.SessionKey(service.Fingerprint(c), service.FaultModel{})
+	key := service.Fingerprint(c)
 	e, _, err := pool.Acquire(key, warmBuilder(c, nil))
 	if err != nil {
 		t.Fatal(err)

@@ -52,10 +52,11 @@ func (s *Server) Replay(st *journal.State, workers int) ReplayReport {
 	span.SetDetail(fmt.Sprintf("%d sessions", len(st.Sessions)))
 	maxBytes, maxSessions := s.pool.Budgets()
 
-	// Sessions of a journal written while the cone-restricted encoding
-	// was optional may differ only in their legacy cone key component;
-	// they now share one key, and the most recently used one (the roster
-	// is MRU-first) carries the live test-set.
+	// Sessions of a journal written while the encoding had fault-model
+	// knobs (ladder, force-zero, cone) may differ only in their legacy
+	// key suffix; they now share the fingerprint key, and the most
+	// recently used one (the roster is MRU-first) carries the live
+	// test-set.
 	roster := make([]journal.SessionState, 0, len(st.Sessions))
 	seen := make(map[string]bool, len(st.Sessions))
 	for _, ss := range st.Sessions {
@@ -162,10 +163,6 @@ func (s *Server) replaySession(ss *journal.SessionState) (*PoolEntry, int, error
 	if err := failpoint.Inject(journal.FailpointReplay); err != nil {
 		return nil, 0, fmt.Errorf("failpoint: %w", err)
 	}
-	encoding, err := parseEncoding(ss.Encoding)
-	if err != nil {
-		return nil, 0, err
-	}
 	c, err := circuit.ParseBench("journal", strings.NewReader(ss.Bench))
 	if err != nil {
 		return nil, 0, fmt.Errorf("parse bench: %w", err)
@@ -173,10 +170,8 @@ func (s *Server) replaySession(ss *journal.SessionState) (*PoolEntry, int, error
 	if fp := Fingerprint(c); fp != ss.Fingerprint {
 		return nil, 0, fmt.Errorf("fingerprint mismatch: journal %s, parsed %s", ss.Fingerprint, fp)
 	}
-	model := FaultModel{Encoding: encoding, ForceZero: ss.ForceZero}
-	key := SessionKey(ss.Fingerprint, model)
-	if ss.Key != "" && key != ss.Key {
-		return nil, 0, fmt.Errorf("key mismatch: journal %q, derived %q", ss.Key, key)
+	if ss.Key != "" && ss.Fingerprint != ss.Key {
+		return nil, 0, fmt.Errorf("key mismatch: journal %q, derived %q", ss.Key, ss.Fingerprint)
 	}
 	var tests circuit.TestSet
 	if len(ss.Tests) > 0 {
@@ -192,11 +187,10 @@ func (s *Server) replaySession(ss *journal.SessionState) (*PoolEntry, int, error
 	if maxK < 1 {
 		maxK = 1
 	}
-	entry, outcome, err := s.pool.AcquireDetail(key, func() (Built, error) {
+	entry, outcome, err := s.pool.AcquireDetail(ss.Fingerprint, func() (Built, error) {
 		return Built{
-			Session:     NewWarmSession(c, model, maxK),
+			Session:     NewWarmSession(c, maxK),
 			Circuit:     c,
-			Model:       model,
 			MaxK:        maxK,
 			Source:      ss.Bench,
 			Fingerprint: ss.Fingerprint,

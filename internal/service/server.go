@@ -238,10 +238,6 @@ type DiagnoseRequest struct {
 	SampleCap  int   `json:"sampleCap,omitempty"`
 	Candidates []int `json:"candidates,omitempty"`
 
-	// Fault-model knobs (part of the session key).
-	Encoding  string `json:"encoding,omitempty"` // seqcounter|totalizer|pairwise
-	ForceZero bool   `json:"forceZero,omitempty"`
-
 	MaxSolutions int   `json:"maxSolutions,omitempty"`
 	MaxConflicts int64 `json:"maxConflicts,omitempty"`
 	TimeoutMs    int64 `json:"timeoutMs,omitempty"`
@@ -488,19 +484,6 @@ func checkCandidates(c *circuit.Circuit, ids []int) error {
 	return nil
 }
 
-func parseEncoding(name string) (cnf.CardEncoding, error) {
-	switch strings.ToLower(name) {
-	case "", "seq", "seqcounter":
-		return cnf.SeqCounter, nil
-	case "totalizer":
-		return cnf.Totalizer, nil
-	case "pairwise":
-		return cnf.Pairwise, nil
-	default:
-		return 0, fmt.Errorf("unknown encoding %q (seqcounter, totalizer, pairwise)", name)
-	}
-}
-
 func (req *DiagnoseRequest) runSpec() RunSpec {
 	k := req.K
 	if k < 1 {
@@ -535,12 +518,6 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		err = checkCandidates(c, req.Candidates)
 	}
-	if err != nil {
-		s.failures.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	encoding, err := parseEncoding(req.Encoding)
 	if err != nil {
 		s.failures.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -588,9 +565,9 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		// test-set), so even a panicked attempt is safe to retry.
 		resp, derr = s.serveWithRetry(ctx, true, func(ctx context.Context) (*DiagnoseResponse, error) {
 			if useWarm {
-				return s.serveWarm(ctx, c, fp, tests, &req, encoding, engine)
+				return s.serveWarm(ctx, c, fp, tests, &req, engine)
 			}
-			return s.serveCold(ctx, c, tests, &req, encoding, engine)
+			return s.serveCold(ctx, c, tests, &req, engine)
 		})
 	})
 	s.finish(w, resp, derr, err, rid, span)
@@ -603,23 +580,20 @@ func (s *Server) nextRequestID() string {
 }
 
 // serveWarm runs the pooled path: acquire (or single-flight build) the
-// warm session for the (circuit, fault-model) key and diagnose on it.
+// warm session for the circuit's fingerprint and diagnose on it.
 func (s *Server) serveWarm(ctx context.Context, c *circuit.Circuit, fp string, tests circuit.TestSet,
-	req *DiagnoseRequest, encoding cnf.CardEncoding, engine string) (*DiagnoseResponse, error) {
+	req *DiagnoseRequest, engine string) (*DiagnoseResponse, error) {
 
-	model := FaultModel{Encoding: encoding, ForceZero: req.ForceZero}
 	spec := req.runSpec()
-	key := SessionKey(fp, model)
 	poolSpan := trace.FromContext(ctx).Child("pool")
-	entry, outcome, err := s.pool.AcquireDetail(key, func() (Built, error) {
+	entry, outcome, err := s.pool.AcquireDetail(fp, func() (Built, error) {
 		maxK := spec.K
 		if maxK < DefaultWarmMaxK {
 			maxK = DefaultWarmMaxK
 		}
 		return Built{
-			Session:     NewWarmSession(c, model, maxK),
+			Session:     NewWarmSession(c, maxK),
 			Circuit:     c,
-			Model:       model,
 			MaxK:        maxK,
 			Source:      s.benchSource(c),
 			Fingerprint: fp,
@@ -681,7 +655,7 @@ func (s *Server) benchSource(c *circuit.Circuit) string {
 
 // serveCold bypasses the pool: one monolithic core.Diagnose call.
 func (s *Server) serveCold(ctx context.Context, c *circuit.Circuit, tests circuit.TestSet,
-	req *DiagnoseRequest, encoding cnf.CardEncoding, engine string) (*DiagnoseResponse, error) {
+	req *DiagnoseRequest, engine string) (*DiagnoseResponse, error) {
 
 	// Cold runs build a throwaway solver, so they get a private flight
 	// recorder via the context (core's option plumbing installs it).
@@ -697,8 +671,6 @@ func (s *Server) serveCold(ctx context.Context, c *circuit.Circuit, tests circui
 		MaxSolutions: req.MaxSolutions,
 		MaxConflicts: req.MaxConflicts,
 		Candidates:   req.Candidates,
-		Encoding:     encoding,
-		ForceZero:    req.ForceZero,
 	})
 	// A cold run builds its instance and enumerates in one call, so both
 	// land in the solve phase (the round child spans split it per k).
@@ -876,7 +848,7 @@ func (s *Server) finish(w http.ResponseWriter, resp *DiagnoseResponse, derr, sch
 	if derr != nil {
 		code := http.StatusUnprocessableEntity
 		switch {
-		case errors.Is(derr, cnf.ErrLadderWidth), errors.Is(derr, cnf.ErrBadEncoding):
+		case errors.Is(derr, cnf.ErrLadderWidth):
 			// Malformed request parameters, not a serving failure.
 			code = http.StatusBadRequest
 		case errors.Is(derr, errAttemptPanic):

@@ -155,22 +155,29 @@ func TestServerEquivalenceProperty(t *testing.T) {
 					if got := mustJSON(t, old.Solutions); got != want {
 						t.Fatalf("seed %d retired keys: %s != %s", seed, got, want)
 					}
-					// The retired cone-restriction knob, either way, lands on
-					// the same warm session: every copy is cone-restricted,
-					// so the knob no longer splits the pool key.
-					for _, cone := range []string{"true", "false"} {
+					// The retired fault-model knobs (cone restriction,
+					// cardinality encoding — even a name that was never
+					// valid — and force-zero) land on the same warm session:
+					// every copy is cone-restricted over one totalizer, so
+					// no knob splits the pool key any more.
+					for _, knob := range []string{
+						`"coneOnly":true`, `"coneOnly":false`,
+						`"encoding":"seqcounter"`, `"encoding":"totalizer"`,
+						`"encoding":"pairwise"`, `"encoding":"unary"`,
+						`"forceZero":true`,
+					} {
 						legacy := strings.TrimSuffix(mustJSON(t, service.DiagnoseRequest{
 							Bench: bench, Tests: wire, K: 2, Shards: shards,
-						}), "}") + `,"coneOnly":` + cone + `}`
+						}), "}") + "," + knob + "}"
 						code, old := post[service.DiagnoseResponse](t, ts.URL+"/diagnose", json.RawMessage(legacy))
 						if code != http.StatusOK {
-							t.Fatalf("seed %d coneOnly=%s -> %d", seed, cone, code)
+							t.Fatalf("seed %d %s -> %d", seed, knob, code)
 						}
 						if got := mustJSON(t, old.Solutions); got != want {
-							t.Fatalf("seed %d coneOnly=%s: %s != %s", seed, cone, got, want)
+							t.Fatalf("seed %d %s: %s != %s", seed, knob, got, want)
 						}
 						if !old.PoolHit || old.Session != first.Session {
-							t.Fatalf("seed %d coneOnly=%s: hit=%v session %q, want the shared %q", seed, cone, old.PoolHit, old.Session, first.Session)
+							t.Fatalf("seed %d %s: hit=%v session %q, want the shared %q", seed, knob, old.PoolHit, old.Session, first.Session)
 						}
 					}
 
@@ -400,8 +407,6 @@ func TestServerErrorPaths(t *testing.T) {
 			Engine: "nope"}, http.StatusUnprocessableEntity},
 		{"warm non-bsat", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
 			Engine: "cov", Mode: "warm"}, http.StatusBadRequest},
-		{"bad encoding", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
-			Encoding: "unary"}, http.StatusBadRequest},
 		{"negative candidate", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
 			Candidates: []int{-1}}, http.StatusBadRequest},
 		{"candidate past the gates", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),

@@ -12,9 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// RunSpec is the per-request half of a warm diagnosis: everything that
-// is assumption-scoped (or merely a budget) on a live session. The
-// structural half lives in FaultModel.
+// RunSpec is everything a warm diagnosis request sets: all of it is
+// assumption-scoped (or merely a budget) on the live session, which the
+// circuit fingerprint alone identifies.
 type RunSpec struct {
 	// K is the correction-size ladder bound (minimum 1).
 	K int
@@ -61,14 +61,12 @@ type WarmReport struct {
 // guard-per-test copies (so any test subset activates by assumptions)
 // over all internal candidate gates (so any candidate restriction is an
 // assumption too).
-func NewWarmSession(c *circuit.Circuit, model FaultModel, maxK int) *cnf.DiagSession {
+func NewWarmSession(c *circuit.Circuit, maxK int) *cnf.DiagSession {
 	if maxK < 1 {
 		maxK = 1
 	}
 	return cnf.NewSession(c, cnf.DiagOptions{
 		MaxK:       maxK,
-		Encoding:   model.Encoding,
-		ForceZero:  model.ForceZero,
 		GuardTests: true,
 		// Warm sessions always carry a flight recorder: the ring is a
 		// few KiB per session and recording happens only at rare solver
@@ -102,7 +100,7 @@ func (e *PoolEntry) Diagnose(ctx context.Context, tests circuit.TestSet, spec Ru
 		span.Lap("session-wait")
 		rebuilt := false
 		if !sess.CanBound(spec.K) {
-			e.rebuild(NewWarmSession(circ, e.model, spec.K), spec.K)
+			e.rebuild(NewWarmSession(circ, spec.K), spec.K)
 			sess = e.sess
 			rebuilt = true
 			span.Lap("rebuild")
