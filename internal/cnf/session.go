@@ -35,7 +35,8 @@ import (
 type DiagSession struct {
 	// Solver is the SAT backend behind the session. It is the built-in
 	// CDCL solver by default; DiagOptions.Backend swaps in another
-	// implementation, and Fork clones it per enumeration shard.
+	// implementation, and sharded enumeration clones it per worker
+	// (ForkWorkers).
 	Solver  sat.Backend
 	Circuit *circuit.Circuit
 	// Tests lists the encoded test copies in AddTest order.
@@ -420,8 +421,9 @@ type RoundOptions struct {
 	// enumeration passes the shard's cube and the sample round's guard
 	// here — the assumption-scoped slice restriction.
 	ExtraAssumps []sat.Lit
-	// SampleCap bounds the sequential sample stage of EnumerateSharded
-	// (0 = the default of 64 solutions). Ignored by EnumerateRound.
+	// SampleCap bounds the sequential sample stage of a sharded
+	// EnumerateSlices run (0 = the default of 64 solutions). Ignored by
+	// EnumerateRound.
 	SampleCap int
 	// Restrict confines corrections to these candidate labels via
 	// assumptions (nil = all session candidates).
@@ -469,9 +471,10 @@ func (sess *DiagSession) EnumerateRound(opts RoundOptions, fn func(k int, gates 
 
 // enumerateInRound is EnumerateRound running inside a caller-managed
 // round: the round is neither created nor retired here, so its guarded
-// blocking clauses survive the call. Sharded enumeration relies on this
-// for the sample stage — clones forked afterwards inherit the blocking
-// and enumerate exactly the residual space while the guard is assumed.
+// blocking clauses survive the call. It is the BSAT slice of
+// EnumerateSlices, which relies on this for the sample stage — clones
+// forked afterwards inherit the blocking and enumerate exactly the
+// residual space while the guard is assumed.
 func (sess *DiagSession) enumerateInRound(r *Round, opts RoundOptions, fn func(k int, gates []int) bool) (n int, complete bool, err error) {
 	maxK := opts.MaxK
 	if maxK < 1 {

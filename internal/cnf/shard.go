@@ -198,12 +198,11 @@ func ScheduleCubes(cubes []Cube, n int) [][]Cube {
 	return workers
 }
 
-// ForkSession clones the session into an independent twin: the backend
-// is Cloned (keepLearnts forwards to sat.Backend.Clone) and the
-// per-copy tables are copied, so AddTest and enumeration on the fork
-// never touch the parent. The sharded workers (ForkWorkers) fork
-// through here.
-func (sess *DiagSession) ForkSession(keepLearnts bool) *DiagSession {
+// fork clones the session into an independent twin: the backend is
+// Cloned (keepLearnts forwards to sat.Backend.Clone) and the per-copy
+// tables are copied, so AddTest and enumeration on the fork never touch
+// the parent.
+func (sess *DiagSession) fork(keepLearnts bool) *DiagSession {
 	forked := &DiagSession{
 		Solver:     sess.Solver.Clone(keepLearnts),
 		Circuit:    sess.Circuit,
@@ -231,7 +230,7 @@ func (sess *DiagSession) ForkSession(keepLearnts bool) *DiagSession {
 func (sess *DiagSession) ForkWorkers(workers [][]Cube, keepLearnts bool) []*Shard {
 	shards := make([]*Shard, len(workers))
 	for i, cubes := range workers {
-		shards[i] = &Shard{Session: sess.ForkSession(keepLearnts), Index: i, Of: len(workers), Cubes: cubes}
+		shards[i] = &Shard{Session: sess.fork(keepLearnts), Index: i, Of: len(workers), Cubes: cubes}
 	}
 	return shards
 }
@@ -244,21 +243,6 @@ func (sess *DiagSession) ForkWorkers(workers [][]Cube, keepLearnts bool) []*Shar
 func (sh *Shard) Release() {
 	sh.Session = nil
 	sh.Cubes = nil
-}
-
-// Fork splits the session's solution space into up to n disjoint
-// assumption-scoped shards, each on a Clone of the backend, one cube
-// per shard. Without sample information the cubes come from the
-// deterministic staircase plan; callers that already hold known
-// solutions (a sample round) should PlanCubes from them and
-// ForkWorkers over a ScheduleCubes assignment for balanced loads.
-func (sess *DiagSession) Fork(n int, keepLearnts bool) []*Shard {
-	cubes := sess.PlanCubes(nil, n)
-	workers := make([][]Cube, len(cubes))
-	for i, c := range cubes {
-		workers[i] = []Cube{c}
-	}
-	return sess.ForkWorkers(workers, keepLearnts)
 }
 
 // ShardStats records one stage's contribution to a sharded enumeration:
@@ -287,8 +271,7 @@ type ShardStats struct {
 // DefaultSampleCap bounds the sequential sample stage of a sharded
 // enumeration: enough solutions to estimate candidate frequencies for
 // balanced cube planning, few enough that the stage stays a small
-// fraction of the run. Both sharded drivers (BSAT rounds here and the
-// CEGAR loops in core) share this default.
+// fraction of the run. EnumerateSlices applies it to every engine.
 const DefaultSampleCap = 64
 
 // CubeOversubscription is how many cubes a sharded enumeration plans
@@ -297,127 +280,140 @@ const DefaultSampleCap = 64
 // split cannot.
 const CubeOversubscription = 4
 
-// EnumerateSharded runs one enumeration round as a sample stage plus
-// disjoint assumption-scoped cubes spread over `shards` concurrent
-// workers, and returns the canonically merged solution list: every
-// solution's gates sorted ascending, solutions ordered by size then
-// lexicographically, and strict supersets dropped across stages so the
-// merged set satisfies the essential-only discipline of Lemma 3 — for a
-// completed run it is exactly the monolithic EnumerateRound solution
-// set, independent of the shard count.
+// EnumerateSharded runs one BSAT enumeration round through
+// EnumerateSlices: every slice is a plain Figure 3 round
+// (enumerateInRound) under the slice's assumptions. For a completed run
+// the canonically merged solution list is exactly the monolithic
+// EnumerateRound solution set, independent of the shard count.
+func (sess *DiagSession) EnumerateSharded(shards int, opts RoundOptions) (sols [][]int, complete bool, perShard []ShardStats, err error) {
+	return sess.EnumerateSlices(shards, opts, func(_ int, s *DiagSession, r *Round, budget RoundOptions, found func([]int)) (bool, error) {
+		_, complete, err := s.enumerateInRound(r, budget, func(_ int, gates []int) bool {
+			found(gates)
+			return true
+		})
+		return complete, err
+	})
+}
+
+// SliceFunc enumerates one slice of a driven enumeration on sess,
+// inside round (opened and retired by the driver), confined by
+// budget.ExtraAssumps and bounded by budget's MaxK, MaxSolutions,
+// MaxConflicts, Timeout and Ctx. It reports every solution (candidate
+// labels, any order) to found and returns whether the slice was
+// exhausted. worker is -1 for the stage on the live session and the
+// worker index on a forked clone; one worker's calls are sequential,
+// so per-worker state needs no locking. err aborts the run when the
+// live stage cannot start (ErrLadderWidth); cube errors are ignored,
+// as the live stage already validated the same limits.
+type SliceFunc func(worker int, sess *DiagSession, round *Round, budget RoundOptions, found func(gates []int)) (complete bool, err error)
+
+// EnumerateSlices is the one enumeration driver: every engine that
+// enumerates and blocks on a DiagSession (BSAT rounds, the CEGAR
+// refinement loop, warm service sessions) runs mono and sharded
+// enumeration through it, supplying only the per-slice search. It
+// returns the canonically merged solution list: every solution's gates
+// sorted ascending, solutions ordered by size then lexicographically,
+// and strict supersets dropped across stages so the merged set
+// satisfies the essential-only discipline of Lemma 3.
 //
-// The sample stage enumerates the first solutions (up to
-// RoundOptions.SampleCap, default 64) monolithically on the live
-// session inside a guarded round that is NOT retired until the workers
-// finish: the forked clones inherit its guarded blocking clauses (and
-// the learnt clauses warmed up by the stage) and assume its guard, so
-// they enumerate exactly the residual space. The sampled solutions
-// drive PlanCubes/ScheduleCubes toward balanced worker loads. If the
-// sample stage already exhausts the space, no forking happens at all.
+// shards <= 1 runs one slice on the live session inside one round; the
+// round is retired before returning, and perShard holds that single
+// stage (Shard == 0).
 //
-// Worker goroutines are additionally bounded by GOMAXPROCS so a
-// saturated machine runs them back to back instead of thrashing.
+// shards > 1 first runs a sample stage: the live-session slice bounded
+// to RoundOptions.SampleCap solutions (default DefaultSampleCap,
+// clamped to MaxSolutions) inside a guarded round that is NOT retired
+// until the workers finish, so the forked clones inherit its guarded
+// blocking clauses (and the learnt clauses warmed up by the stage) and
+// assume its guard — they enumerate exactly the residual space. The
+// sample settles the request without forking when it exhausts the
+// space, stops on a budget or cancellation short of the cap, or
+// already fills the caller's solution cap. Otherwise the sampled
+// solutions plan balanced cubes (PlanCubes/ScheduleCubes) and runCubes
+// drives one slice per served cube on the cloned workers, each in a
+// fresh round on its clone under the caller's ExtraAssumps, the cube
+// and the sample guard. The workers share what remains of the caller's
+// Timeout window. A traced run groups the sample stage under a
+// "sample" span and each cube under a "cube.w<worker>" span.
 //
 // complete reports whether every stage exhausted its slice within the
 // budgets (opts.MaxConflicts/Timeout/MaxSolutions apply per stage) and
 // no post-merge truncation occurred. perShard carries one entry for
-// the sample stage (Shard == -1) plus one per worker.
-//
-// shards <= 1 runs a plain round on the live session (no clone); the
-// output discipline is identical.
-//
-// The worker phase is fault tolerant: a panicking worker is recovered
-// (its clone presumed corrupted, the worker retired), the cube it was
-// serving is requeued for a surviving worker, and idle workers steal
-// pending cubes from loaded or dead ones. A cube that exhausts its
-// retry budget (RoundOptions.MaxCubeRetries) is abandoned and the run
-// reports complete=false — a degraded answer, never a wrong one: a
-// completed run's merge stays byte-identical to the fault-free
-// monolithic enumeration under any failure schedule. err is non-nil
-// only when the round cannot start at all (ErrLadderWidth).
-func (sess *DiagSession) EnumerateSharded(shards int, opts RoundOptions) (sols [][]int, complete bool, perShard []ShardStats, err error) {
-	if shards <= 1 {
-		start := time.Now()
-		before := sess.Solver.Statistics()
-		st := ShardStats{Shard: 0, Cubes: 1}
-		_, complete, err = sess.EnumerateRound(opts, func(k int, gates []int) bool {
-			if len(sols) == 0 {
-				st.First = time.Since(start)
-			}
-			sols = append(sols, sortedCopy(gates))
-			return true
-		})
-		if err != nil {
-			return nil, false, nil, err
+// the sample stage (Shard == -1) plus one per worker; the sample holds
+// the run's first solution whenever the run forked. The worker phase
+// is fault tolerant (see runCubes): a completed run's merge stays
+// byte-identical to the fault-free monolithic enumeration under any
+// failure schedule. err is non-nil only when the live stage cannot
+// start at all.
+func (sess *DiagSession) EnumerateSlices(shards int, opts RoundOptions, slice SliceFunc) (sols [][]int, complete bool, perShard []ShardStats, err error) {
+	stageOpts := opts
+	live := ShardStats{Cubes: 1}
+	sampleCap := 0
+	var sampleSpan *trace.Span
+	if shards > 1 {
+		live.Shard = -1
+		if sampleCap = opts.SampleCap; sampleCap <= 0 {
+			sampleCap = DefaultSampleCap
 		}
-		SortSolutions(sols)
-		st.Solutions = len(sols)
-		st.Complete = complete
-		st.Elapsed = time.Since(start)
-		st.Stats = sess.Solver.Statistics().Sub(before)
-		return sols, complete, []ShardStats{st}, nil
+		if opts.MaxSolutions > 0 && opts.MaxSolutions < sampleCap {
+			sampleCap = opts.MaxSolutions
+		}
+		stageOpts.MaxSolutions = sampleCap
+		// A traced sharded run groups the sample stage under its own
+		// child span, so a request trace distinguishes the monolithic
+		// warm-up from the forked cube work that follows.
+		if sampleSpan = trace.FromContext(opts.Ctx).Child("sample"); sampleSpan != nil {
+			stageOpts.Ctx = trace.NewContext(opts.Ctx, sampleSpan)
+		}
 	}
-
-	// Sample stage: a guarded, not-yet-retired round on the live session.
-	sampleCap := EffectiveSampleCap(opts.SampleCap, opts.MaxSolutions)
-	sampleRound := sess.NewRound()
-	defer sampleRound.Retire()
-	sampleOpts := opts
-	sampleOpts.MaxSolutions = sampleCap
-	// A traced sharded run groups the sample stage's round under its
-	// own child span, so a request trace distinguishes the monolithic
-	// warm-up from the forked cube work that follows.
-	sampleSpan := trace.FromContext(opts.Ctx).Child("sample")
-	if sampleSpan != nil {
-		sampleOpts.Ctx = trace.NewContext(opts.Ctx, sampleSpan)
-	}
-	sampleStart := time.Now()
-	sampleBefore := sess.Solver.Statistics()
-	sampleStat := ShardStats{Shard: -1, Cubes: 1}
+	round := sess.NewRound()
+	defer round.Retire()
+	start := time.Now()
+	before := sess.Solver.Statistics()
 	var sample [][]int
-	_, sampleComplete, err := sess.enumerateInRound(sampleRound, sampleOpts, func(k int, gates []int) bool {
+	liveComplete, err := slice(-1, sess, round, stageOpts, func(gates []int) {
 		if len(sample) == 0 {
-			sampleStat.First = time.Since(sampleStart)
+			live.First = time.Since(start)
 		}
 		sample = append(sample, sortedCopy(gates))
-		return true
 	})
 	sampleSpan.End()
 	if err != nil {
 		return nil, false, nil, err
 	}
-	sampleStat.Solutions = len(sample)
-	sampleStat.Complete = sampleComplete
-	sampleStat.Elapsed = time.Since(sampleStart)
-	sampleStat.Stats = sess.Solver.Statistics().Sub(sampleBefore)
-	perShard = append(perShard, sampleStat)
-	if SampleSettled(sampleComplete, len(sample), sampleCap, opts.MaxSolutions) {
+	live.Solutions = len(sample)
+	live.Complete = liveComplete
+	live.Elapsed = time.Since(start)
+	live.Stats = sess.Solver.Statistics().Sub(before)
+	perShard = []ShardStats{live}
+	if shards <= 1 || liveComplete || len(sample) < sampleCap ||
+		(opts.MaxSolutions > 0 && len(sample) >= opts.MaxSolutions) {
 		SortSolutions(sample)
-		return sample, sampleComplete, perShard, nil
+		return sample, liveComplete, perShard, nil
 	}
 
 	// The worker phase shares the caller's Timeout window with the
 	// sample stage instead of opening a second one.
 	workerOpts := opts
 	if opts.Timeout > 0 {
-		if workerOpts.Timeout = opts.Timeout - sampleStat.Elapsed; workerOpts.Timeout <= 0 {
+		if workerOpts.Timeout = opts.Timeout - live.Elapsed; workerOpts.Timeout <= 0 {
 			SortSolutions(sample)
 			return sample, false, perShard, nil
 		}
 	}
-	guard := sampleRound.Guard()
-	groups, stats, drained := sess.RunCubes(shards, workerOpts, sample, true,
-		func(_ int, sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool) {
+	guard := round.Guard()
+	groups, stats, drained := sess.runCubes(shards, workerOpts, sample, true,
+		func(worker int, sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool) {
 			// Caller restrictions stay in force; the cube and the sample
-			// guard are appended to them. The ladder-width error cannot
-			// fire here — the sample stage validated the same limit.
+			// guard are appended to them.
 			budget.ExtraAssumps = append(append(append([]sat.Lit(nil),
 				opts.ExtraAssumps...), cube.Assumps...), guard)
+			r := sh.Session.NewRound()
 			var local [][]int
-			_, c, _ := sh.Session.EnumerateRound(budget, func(k int, gates []int) bool {
+			c, _ := slice(worker, sh.Session, r, budget, func(gates []int) {
 				local = append(local, sortedCopy(gates))
-				return true
 			})
+			r.Retire()
 			return local, c
 		})
 
@@ -426,8 +422,11 @@ func (sess *DiagSession) EnumerateSharded(shards int, opts RoundOptions) (sols [
 		complete = complete && st.Complete
 	}
 	perShard = append(perShard, stats...)
-	sols, truncated := MergeTruncate(append([][][]int{sample}, groups...), opts.MaxSolutions)
-	return sols, complete && !truncated, perShard, nil
+	sols = MergeShardSolutions(append([][][]int{sample}, groups...))
+	if opts.MaxSolutions > 0 && len(sols) > opts.MaxSolutions {
+		sols, complete = sols[:opts.MaxSolutions], false
+	}
+	return sols, complete, perShard, nil
 }
 
 // DefaultCubeRetries is the default per-cube retry budget of a sharded
@@ -590,12 +589,11 @@ func runCube(worker int, sh *Shard, cube Cube, budget RoundOptions,
 	return sols, compl, nil
 }
 
-// RunCubes is the worker harness both sharded drivers (the BSAT rounds
-// above and the CEGAR loops in core) execute their cubes on: it plans
-// balanced cubes from the sample, LPT-schedules them onto `shards`
-// cloned workers as per-worker pending lists of a shared work queue,
-// and drives `run` once per served (worker, cube) — calls for one
-// worker are sequential, in its own goroutine — with stage-scoped
+// runCubes is the worker harness EnumerateSlices executes its cubes
+// on: it plans balanced cubes from the sample, LPT-schedules them onto
+// `shards` cloned workers as per-worker pending lists of a shared work
+// queue, and drives `run` once per served (worker, cube) — calls for
+// one worker are sequential, in its own goroutine — with stage-scoped
 // budgets: each cube receives the worker's remaining Timeout window and
 // remaining MaxSolutions allowance (the sample's finds count against
 // it), so a stage can never exceed the budgets the caller configured.
@@ -613,14 +611,14 @@ func runCube(worker int, sh *Shard, cube Cube, budget RoundOptions,
 // every fault: Panics, Retries, Steals, Abandoned.
 //
 // run returns the cube's solutions (each a sorted gate set) and whether
-// the cube's slice was exhausted. RunCubes returns the per-worker
+// the cube's slice was exhausted. runCubes returns the per-worker
 // solution groups and stats (First is cube-granular; the sample stage
 // owns the true first-solution time), plus drained: whether every
 // planned cube was fully served. Abandoned cubes, cubes stranded by
-// dead workers, and deadline leftovers all clear drained, so callers
+// dead workers, and deadline leftovers all clear drained, so the caller
 // must report complete = drained && every stat Complete. opts.Timeout
 // bounds the whole worker phase with one shared deadline.
-func (sess *DiagSession) RunCubes(shards int, opts RoundOptions, sample [][]int, keepLearnts bool,
+func (sess *DiagSession) runCubes(shards int, opts RoundOptions, sample [][]int, keepLearnts bool,
 	run func(worker int, sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool)) (groups [][][]int, stats []ShardStats, drained bool) {
 
 	loads := ScheduleCubes(sess.PlanCubes(sample, shards*CubeOversubscription), shards)
@@ -745,43 +743,6 @@ func (sess *DiagSession) RunCubes(shards int, opts RoundOptions, sample [][]int,
 	}
 	wg.Wait()
 	return groups, stats, queue.drained()
-}
-
-// EffectiveSampleCap resolves a sharded run's sample-stage bound:
-// sampleCap (0 = DefaultSampleCap) clamped to the caller's solution cap
-// when one is set. Both sharded drivers clamp through this.
-func EffectiveSampleCap(sampleCap, maxSolutions int) int {
-	if sampleCap <= 0 {
-		sampleCap = DefaultSampleCap
-	}
-	if maxSolutions > 0 && maxSolutions < sampleCap {
-		sampleCap = maxSolutions
-	}
-	return sampleCap
-}
-
-// SampleSettled reports whether a sharded run's sample stage already
-// settled the request so no cubes need to run: the space is exhausted
-// (complete), the stage stopped on a budget or cancellation rather
-// than the sample cap (found < sampleCap), or the caller's solution
-// cap is already full — forking would only enumerate residual space
-// the merge must discard. Both sharded drivers (BSAT rounds and CEGAR
-// loops) decide through this, so the stop discrimination cannot
-// diverge between them.
-func SampleSettled(complete bool, found, sampleCap, maxSolutions int) bool {
-	return complete || found < sampleCap || (maxSolutions > 0 && found >= maxSolutions)
-}
-
-// MergeTruncate merges per-stage solution lists canonically and caps
-// the result at max (0 = no cap), reporting whether the cap cut
-// anything. Both sharded drivers (BSAT rounds and CEGAR loops) finish
-// through this, so the merge discipline cannot diverge between them.
-func MergeTruncate(groups [][][]int, max int) (sols [][]int, truncated bool) {
-	sols = MergeShardSolutions(groups)
-	if max > 0 && len(sols) > max {
-		return sols[:max], true
-	}
-	return sols, false
 }
 
 func sortedCopy(gates []int) []int {

@@ -287,7 +287,7 @@ func TestShardedCancellationReleasesWorkers(t *testing.T) {
 func TestShardReleaseDropsClone(t *testing.T) {
 	c, tests := shardScenario(t, 11, 4)
 	sess := cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 2})
-	shards := sess.Fork(2, true)
+	shards := sess.ForkWorkers(cnf.ScheduleCubes(sess.PlanCubes(nil, 2), 2), true)
 	for _, sh := range shards {
 		if sh.Session == nil {
 			t.Fatal("fresh shard has no session")

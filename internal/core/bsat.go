@@ -81,6 +81,19 @@ func (o BSATOptions) diagOptions() cnf.DiagOptions {
 	}
 }
 
+// roundOptions is the enumeration request BSAT and CEGARDiagnose hand
+// to the session's driver.
+func (o BSATOptions) roundOptions() cnf.RoundOptions {
+	return cnf.RoundOptions{
+		MaxK:         o.K,
+		Ctx:          o.Ctx,
+		MaxSolutions: o.MaxSolutions,
+		MaxConflicts: o.MaxConflicts,
+		Timeout:      o.Timeout,
+		SampleCap:    o.ShardSample,
+	}
+}
+
 // BSATResult is the outcome of BasicSATDiagnose.
 type BSATResult struct {
 	SolutionSet
@@ -129,53 +142,25 @@ func BSAT(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*BSATRes
 	res.Vars, res.Clauses = sess.Size()
 
 	start := time.Now()
-	round := cnf.RoundOptions{
-		MaxK:         opts.K,
-		Ctx:          opts.Ctx,
-		MaxSolutions: opts.MaxSolutions,
-		MaxConflicts: opts.MaxConflicts,
-		Timeout:      opts.Timeout,
-		SampleCap:    opts.ShardSample,
+	sols, complete, perShard, err := sess.EnumerateSharded(opts.Shards, opts.roundOptions())
+	if err != nil {
+		return nil, err
+	}
+	res.Timings.All = time.Since(start)
+	// The live stage holds the run's first solution: a sharded run
+	// forks only after its sample stage filled a cap of at least one.
+	res.Timings.One = perShard[0].First
+	res.Complete = complete
+	// The live solver's total work (encoding included) plus the clones'.
+	res.Stats = sess.Solver.Statistics()
+	for _, st := range perShard[1:] {
+		res.Stats = res.Stats.Add(st.Stats)
 	}
 	if opts.Shards > 1 {
-		sols, complete, perShard, err := sess.EnumerateSharded(opts.Shards, round)
-		if err != nil {
-			return nil, err
-		}
-		for _, gates := range sols {
-			res.Solutions = append(res.Solutions, NewCorrection(gates))
-		}
-		res.Complete = complete
 		res.PerShard = perShard
-		res.Timings.All = time.Since(start)
-		var sampleElapsed time.Duration
-		for _, st := range perShard {
-			res.Stats = res.Stats.Add(st.Stats)
-			first := st.First
-			if st.Shard == -1 {
-				sampleElapsed = st.Elapsed
-			} else if first > 0 {
-				// Shard stages start after the sequential sample stage.
-				first += sampleElapsed
-			}
-			if first > 0 && (res.Timings.One == 0 || first < res.Timings.One) {
-				res.Timings.One = first
-			}
-		}
-	} else {
-		_, complete, err := sess.EnumerateRound(round, func(k int, gates []int) bool {
-			if len(res.Solutions) == 0 {
-				res.Timings.One = time.Since(start)
-			}
-			res.Solutions = append(res.Solutions, NewCorrection(gates))
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Complete = complete
-		res.Timings.All = time.Since(start)
-		res.Stats = sess.Solver.Statistics()
+	}
+	for _, gates := range sols {
+		res.Solutions = append(res.Solutions, NewCorrection(gates))
 	}
 	res.Canonicalize()
 	return res, nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/circuit"
@@ -32,105 +31,99 @@ type CEGARResult struct {
 	Checked int
 }
 
-// cegarOutcome is the raw result of one CEGAR enumeration loop (the
-// whole run for the monolithic driver, one shard's slice otherwise).
-type cegarOutcome struct {
-	solutions   [][]int // sorted gate sets, confirmation order
+// cegarWorker is the CEGAR state one enumeration worker owns across
+// its slices: the session it refines (the live one or a forked clone),
+// a dedicated simulation oracle (a Validator is not safe for concurrent
+// use), the encoded-test markers and the counters. Refinements
+// accumulate across a worker's cubes — the abstraction only tightens,
+// which stays sound for later cubes.
+type cegarWorker struct {
+	sess        *cnf.DiagSession
+	oracle      *Validator
+	encoded     []bool // tests present as copies
 	refinements int
 	checked     int
-	complete    bool
-	copies      int
 	encodeTime  time.Duration // refinement encoding time on this session
-	elapsed     time.Duration // pure enumeration wall time
-	firstAt     time.Duration // pure enumeration time to first solution
-	stats       sat.Stats
+	// firstAt is the pure enumeration time to the first solution of the
+	// worker's latest slice (the live stage runs exactly one).
+	firstAt time.Duration
 }
 
-// cegarLoop runs the counterexample-guided enumeration inside a
-// caller-managed round on one session: enumerate candidate corrections
-// of size 1..K on the abstraction, refute spurious ones with the
-// simulation oracle (growing the abstraction by the refuting test),
-// block confirmed ones through the round. The round is not retired
-// here, so its blocking survives for forked clones; extra assumptions
-// (a shard's cube plus the sample round's guard) confine the slice.
-// maxSols caps the confirmed solutions (0 = unlimited); encoded marks
-// the tests present as copies; oracle must be dedicated to this call
-// (a Validator is not safe for concurrent use).
+// enumerate is the CEGAR slice of EnumerateSlices: inside the round,
+// under budget.ExtraAssumps, it enumerates candidate corrections of
+// size 1..MaxK on the abstraction, refutes spurious ones with the
+// simulation oracle (growing the abstraction by the refuting test) and
+// reports confirmed ones to found, blocked through the round. It
+// returns whether the slice was exhausted within the budget.
 //
 // Each (limit, abstraction) pair is one EnumerateProjected call, so a
 // confirmed solution is blocked on the held model trail like any BSAT
 // solution. A refuted candidate stops the call unblocked — a superset
 // of a spurious set can still be genuine — and the loop re-enters after
 // encoding the refuting test, which needs the solver back at level 0.
-func cegarLoop(sess *cnf.DiagSession, tests circuit.TestSet, encoded []bool, oracle *Validator, opts BSATOptions, round *cnf.Round, extra []sat.Lit, maxSols int) cegarOutcome {
+func (w *cegarWorker) enumerate(tests circuit.TestSet, round *cnf.Round, budget cnf.RoundOptions, found func([]int)) bool {
+	sess := w.sess
 	solver := sess.Solver
-	solver.SetBudget(opts.MaxConflicts, opts.Timeout)
+	solver.SetBudget(budget.MaxConflicts, budget.Timeout)
 
 	// Timing discipline matches BSAT: encoding time (seed plus
 	// refinements) stays out of the enumeration columns, so the Table 2
 	// columns remain comparable across engines.
 	buildBase := sess.BuildTime
-	statsBase := solver.Statistics()
 	start := time.Now()
-	enumTime := func() time.Duration { return time.Since(start) - (sess.BuildTime - buildBase) }
-	out := cegarOutcome{complete: true}
-	base := append([]sat.Lit{round.Guard()}, extra...)
+	defer func() { w.encodeTime += sess.BuildTime - buildBase }()
+	base := append([]sat.Lit{round.Guard()}, budget.ExtraAssumps...)
 	blockExtra := []sat.Lit{round.Guard().Neg()}
+	confirmed := 0
 enumerate:
-	for k := 1; k <= opts.K; k++ {
+	for k := 1; k <= budget.MaxK; k++ {
 		assumps := append(append([]sat.Lit(nil), base...), sess.AtMost(k)...)
 		for {
 			remaining := 0
-			if maxSols > 0 {
-				if remaining = maxSols - len(out.solutions); remaining <= 0 {
-					out.complete = false
-					break enumerate
+			if budget.MaxSolutions > 0 {
+				if remaining = budget.MaxSolutions - confirmed; remaining <= 0 {
+					return false
 				}
 			}
 			refuter := -1
 			_, complete := solver.EnumerateProjected(sess.Sels, sat.EnumOptions{
 				Assumptions:  assumps,
-				Ctx:          opts.Ctx,
+				Ctx:          budget.Ctx,
 				MaxSolutions: remaining,
 				BlockExtra:   blockExtra,
 			}, func([]sat.Lit) bool {
 				gates := sess.ModelGates()
-				out.checked++
-				if refuter = oracle.FirstRefuting(gates, encoded); refuter >= 0 {
+				w.checked++
+				if refuter = w.oracle.FirstRefuting(gates, w.encoded); refuter >= 0 {
 					return false
 				}
 				// Confirmed against every test: a genuine solution, blocked
 				// with its supersets for the rest of the round (Lemma 3).
-				if len(out.solutions) == 0 {
-					out.firstAt = enumTime()
+				if confirmed == 0 {
+					w.firstAt = time.Since(start) - (sess.BuildTime - buildBase)
 				}
-				sort.Ints(gates)
-				out.solutions = append(out.solutions, gates)
+				confirmed++
+				found(gates)
 				return true
 			})
 			switch {
 			case refuter >= 0:
 				// Spurious under the full test-set: grow the abstraction
 				// with the counterexample and re-enumerate this limit.
-				encoded[refuter] = true
+				w.encoded[refuter] = true
 				sess.AddTest(tests[refuter])
-				out.refinements++
+				w.refinements++
 			case complete:
 				continue enumerate // next limit
-			case maxSols > 0 && len(out.solutions) >= maxSols:
+			case budget.MaxSolutions > 0 && confirmed >= budget.MaxSolutions:
 				// The cap's last solution is blocked; the top of the loop
 				// reports the capped run as incomplete.
 			default:
-				out.complete = false // budget or cancellation
-				break enumerate
+				return false // budget or cancellation
 			}
 		}
 	}
-	out.elapsed = enumTime()
-	out.encodeTime = sess.BuildTime - buildBase
-	out.copies = sess.NumTests()
-	out.stats = solver.Statistics().Sub(statsBase)
-	return out
+	return true
 }
 
 // CEGARDiagnose is the counterexample-guided form of BasicSATDiagnose:
@@ -153,10 +146,11 @@ enumerate:
 // test refutes it, so enumeration per limit k terminates exactly when
 // the genuine size-≤k solutions are exhausted.
 //
-// Options mirror BSATOptions, including Shards: with Shards > 1 the
-// seeded abstraction is forked into disjoint candidate shards
-// (cnf.DiagSession.Fork), each running its own refinement loop on a
-// cloned backend concurrently with a dedicated oracle and an
+// Options mirror BSATOptions, including Shards: the refinement loop is
+// the slice function of cnf.DiagSession.EnumerateSlices, so with
+// Shards > 1 a sample stage runs on the seeded session and the
+// abstraction is then forked into disjoint candidate cubes, each worker
+// refining its cloned backend with a dedicated oracle and an
 // independently grown copy set; the canonical merge restores exactly
 // the monolithic solution set. Groups and Golden are rejected: their
 // validity semantics (shared select lines across frame instances;
@@ -196,200 +190,76 @@ func CEGARDiagnose(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) 
 		opts.Steer(sess)
 	}
 
-	if opts.Shards > 1 {
-		return cegarSharded(c, tests, opts, sess, encoded)
+	// The live worker's oracle (per-test resident baselines, one effect
+	// analysis per candidate×test in O(affected cone)) is built before
+	// the clock starts; forked workers build theirs lazily, from their
+	// own goroutine, and inherit the live stage's refined copy set.
+	live := &cegarWorker{sess: sess, oracle: NewValidator(c, tests), encoded: encoded}
+	workers := make([]*cegarWorker, opts.Shards)
+	start := time.Now()
+	sols, complete, perShard, err := sess.EnumerateSlices(opts.Shards, opts.roundOptions(),
+		func(worker int, s *cnf.DiagSession, round *cnf.Round, budget cnf.RoundOptions, found func([]int)) (bool, error) {
+			w := live
+			if worker >= 0 {
+				if w = workers[worker]; w == nil {
+					w = &cegarWorker{sess: s, oracle: NewValidator(c, tests), encoded: append([]bool(nil), encoded...)}
+					workers[worker] = w
+				}
+			}
+			return w.enumerate(tests, round, budget, found), nil
+		})
+	if err != nil {
+		return nil, err
 	}
-
-	// The oracle: per-test resident baselines, one effect analysis per
-	// candidate×test in O(affected cone).
-	round := sess.NewRound()
-	out := func() cegarOutcome {
-		defer round.Retire()
-		return cegarLoop(sess, tests, encoded, NewValidator(c, tests), opts, round, nil, opts.MaxSolutions)
-	}()
 
 	res := &CEGARResult{BSATResult: BSATResult{sess: sess}}
-	cegarFinish(res, sess, out)
-	if res.Copies != seeds+res.Refinements {
-		panic("core: CEGAR copy accounting out of sync")
-	}
-	return res, nil
-}
-
-// cegarFinish fills a CEGARResult from a single-loop outcome: the
-// monolithic run, or a sharded run its sample stage already settled.
-// It reports the encoding's size, not the enumeration round's
-// artifacts: the round contributes one guard variable and one guarded
-// blocking clause per confirmed solution, which mono BSAT's
-// Vars/Clauses (read before its round) never count. The clause figure
-// is a close approximation — level-0 simplification during search may
-// already have dropped a few satisfied clauses from the count.
-func cegarFinish(res *CEGARResult, sess *cnf.DiagSession, out cegarOutcome) {
-	for _, g := range out.solutions {
+	for _, g := range sols {
 		res.Solutions = append(res.Solutions, NewCorrection(g))
 	}
-	res.Complete = out.complete
-	res.Timings.One = out.firstAt
-	res.Timings.All = out.elapsed
-	res.Timings.CNF = sess.BuildTime
-	res.Vars, res.Clauses = sess.Size()
-	res.Vars--
-	if res.Clauses -= len(res.Solutions); res.Clauses < 0 {
-		res.Clauses = 0
-	}
-	res.Stats = out.stats
-	res.Checked = out.checked
-	res.Refinements = out.refinements
-	res.Copies = out.copies
-	res.Canonicalize()
-}
-
-// cegarSharded runs the counterexample-guided enumeration as a sample
-// stage plus disjoint assumption-scoped shards: the first solutions are
-// confirmed monolithically on the seeded session (warming the solver
-// and measuring candidate frequencies), then the session is forked into
-// balanced cubes (cnf.PlanCubes/ForkCubes) — each clone inheriting the
-// sample's guarded blocking, the refined copies and the learnt clauses —
-// and every shard runs its own refinement loop concurrently with a
-// dedicated oracle and an independently grown copy set. Each shard
-// converges to exactly the genuine solutions of its residual slice, so
-// the canonical merge equals the monolithic result whenever every
-// stage completes.
-func cegarSharded(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions, sess *cnf.DiagSession, encoded []bool) (*CEGARResult, error) {
-	res := &CEGARResult{BSATResult: BSATResult{sess: sess}}
-
-	// Sample stage on the live session; its round is retired only after
-	// the shards finish (clones must inherit the guarded blocking).
-	// PerShard entries carry wall time (refinement encoding included),
-	// matching the worker entries RunCubes produces, so the bench's
-	// critical-path metric adds like units; the enumeration-only
-	// discipline lives in Timings, as for the monolithic driver.
-	sampleCap := cnf.EffectiveSampleCap(opts.ShardSample, opts.MaxSolutions)
-	sampleRound := sess.NewRound()
-	defer sampleRound.Retire()
-	sampleOracle := NewValidator(c, tests)
-	sample := cegarLoop(sess, tests, encoded, sampleOracle, opts, sampleRound, nil, sampleCap)
-	sampleWall := sample.elapsed + sample.encodeTime
-	res.PerShard = append(res.PerShard, cnf.ShardStats{
-		Shard:     -1,
-		Solutions: len(sample.solutions),
-		Complete:  sample.complete,
-		First:     sample.firstAt,
-		Elapsed:   sampleWall,
-		Stats:     sample.stats,
-	})
-	if cnf.SampleSettled(sample.complete, len(sample.solutions), sampleCap, opts.MaxSolutions) {
-		cegarFinish(res, sess, sample)
-		return res, nil
-	}
-
-	// Per-worker CEGAR state, initialized lazily from the worker's own
-	// goroutine (RunCubes calls one worker's cubes sequentially): a
-	// dedicated oracle, the inherited encoded-test markers, and the
-	// aggregate counters. The clone inherits the parent's copies as
-	// refined by the sample stage; refinements accumulate on the
-	// worker's clone across its cubes — the abstraction only tightens,
-	// which stays sound for later cubes.
-	type workerState struct {
-		oracle               *Validator
-		enc                  []bool
-		session              *cnf.DiagSession
-		refinements, checked int
-		copies               int
-		encodeTime           time.Duration
-	}
-	states := make([]*workerState, opts.Shards)
-	workersStart := time.Now()
-	// The worker phase shares the caller's Timeout window with the
-	// sample stage instead of opening a second one.
-	workerTimeout := opts.Timeout
-	if opts.Timeout > 0 {
-		if workerTimeout = opts.Timeout - sampleWall; workerTimeout <= 0 {
-			cegarFinish(res, sess, sample)
-			res.Complete = false
-			return res, nil
-		}
-	}
-	groups, stats, drained := sess.RunCubes(opts.Shards, cnf.RoundOptions{
-		MaxK:         opts.K,
-		Ctx:          opts.Ctx,
-		MaxSolutions: opts.MaxSolutions,
-		MaxConflicts: opts.MaxConflicts,
-		Timeout:      workerTimeout,
-	}, sample.solutions, true, func(worker int, sh *cnf.Shard, cube cnf.Cube, budget cnf.RoundOptions) ([][]int, bool) {
-		st := states[worker]
-		if st == nil {
-			st = &workerState{oracle: NewValidator(c, tests), enc: append([]bool(nil), encoded...), session: sh.Session}
-			states[worker] = st
-		}
-		cubeOpts := opts
-		cubeOpts.Timeout = budget.Timeout
-		extra := append(append([]sat.Lit(nil), cube.Assumps...), sampleRound.Guard())
-		round := sh.Session.NewRound()
-		out := cegarLoop(sh.Session, tests, st.enc, st.oracle, cubeOpts, round, extra, budget.MaxSolutions)
-		round.Retire()
-		st.refinements += out.refinements
-		st.checked += out.checked
-		st.copies = out.copies
-		st.encodeTime += out.encodeTime
-		return out.solutions, out.complete
-	})
-
-	// drained: every planned cube was fully served despite any worker
-	// faults; abandoned or stranded cubes degrade the run to incomplete.
-	res.Complete = drained
-	res.Checked = sample.checked
-	res.Refinements = sample.refinements
-	res.Stats = sample.stats
-	res.Copies = sample.copies
-	res.Timings.One = sample.firstAt
+	res.Complete = complete
+	res.Checked, res.Refinements, res.Copies = live.checked, live.refinements, sess.NumTests()
 	var maxEncode time.Duration
-	for i, wst := range stats {
-		res.Complete = res.Complete && wst.Complete
-		res.Stats = res.Stats.Add(wst.Stats)
-		if sample.firstAt == 0 && wst.First > 0 {
-			first := sample.elapsed + wst.First
-			if res.Timings.One == 0 || first < res.Timings.One {
-				res.Timings.One = first
-			}
-		}
-		res.PerShard = append(res.PerShard, wst)
-		st := states[i]
-		if st == nil {
+	for _, w := range workers {
+		if w == nil {
 			continue
 		}
-		res.Checked += st.checked
-		res.Refinements += st.refinements
-		if st.copies > res.Copies {
-			res.Copies = st.copies
-		}
-		if st.encodeTime > maxEncode {
-			maxEncode = st.encodeTime
-		}
-		// The largest shard encoding approximates the instance size (the
-		// mono-style guard/blocking adjustment is meaningless across
-		// clones carrying shard-slice constraints).
-		if v, cl := st.session.Size(); v > res.Vars {
+		res.Checked += w.checked
+		res.Refinements += w.refinements
+		res.Copies = max(res.Copies, w.sess.NumTests())
+		maxEncode = max(maxEncode, w.encodeTime)
+		// The largest worker encoding approximates the instance size (the
+		// live-size adjustment below is meaningless across clones carrying
+		// cube-slice constraints).
+		if v, cl := w.sess.Size(); v > res.Vars {
 			res.Vars, res.Clauses = v, cl
 		}
 	}
-	// All is actual wall time (sample stage plus the concurrent worker
-	// phase) minus the critical-path refinement encoding, matching the
-	// sharded BSAT convention so the Table 2 "All" column compares like
-	// with like; the per-worker critical path is in PerShard. CNF adds
-	// the critical-path refinement encoding.
-	res.Timings.All = sample.elapsed + time.Since(workersStart) - maxEncode
-	if res.Timings.All < 0 {
-		res.Timings.All = 0
+	for _, st := range perShard {
+		res.Stats = res.Stats.Add(st.Stats)
 	}
+	// All is wall time minus the refinement encoding on the critical
+	// path (the live stage's plus the slowest worker's), so the Table 2
+	// "All" column compares like with like across engines and shard
+	// counts; CNF adds the critical-path refinement encoding.
+	res.Timings.One = live.firstAt
+	res.Timings.All = max(time.Since(start)-live.encodeTime-maxEncode, 0)
 	res.Timings.CNF = sess.BuildTime + maxEncode
-
-	merged, truncated := cnf.MergeTruncate(append([][][]int{sample.solutions}, groups...), opts.MaxSolutions)
-	if truncated {
-		res.Complete = false
+	if opts.Shards > 1 {
+		res.PerShard = perShard
 	}
-	for _, g := range merged {
-		res.Solutions = append(res.Solutions, NewCorrection(g))
+	if len(perShard) == 1 {
+		// Nothing forked: report the encoding's size, not the round's
+		// artifacts — one guard variable and one guarded blocking clause
+		// per confirmed solution, which mono BSAT's Vars/Clauses (read
+		// before its round) never count. The clause figure is a close
+		// approximation: level-0 simplification during search may already
+		// have dropped a few satisfied clauses from the count.
+		res.Vars, res.Clauses = sess.Size()
+		res.Vars--
+		res.Clauses = max(res.Clauses-len(res.Solutions), 0)
+		if res.Copies != seeds+res.Refinements {
+			panic("core: CEGAR copy accounting out of sync")
+		}
 	}
 	res.Canonicalize()
 	return res, nil

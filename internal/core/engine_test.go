@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // canonicalLess is the canonical solution order: size, then numeric
@@ -131,6 +134,12 @@ func TestShardedBSATDirect(t *testing.T) {
 		if len(sharded.PerShard) == 0 {
 			t.Fatalf("seed %d: sharded run missing per-shard stats", seed)
 		}
+		// A forked run's sample stage holds its first solution.
+		if len(sharded.PerShard) > 1 {
+			if one := sharded.Timings.One; one <= 0 || one > sharded.PerShard[0].Elapsed {
+				t.Fatalf("seed %d: Timings.One %v outside (0, sample stage %v]", seed, one, sharded.PerShard[0].Elapsed)
+			}
+		}
 		total := 0
 		for _, st := range sharded.PerShard {
 			total += st.Solutions
@@ -145,6 +154,62 @@ func TestShardedBSATDirect(t *testing.T) {
 		}
 		if cegar.Complete && !sameOrder(mono.Solutions, cegar.Solutions) {
 			t.Fatalf("seed %d: sharded cegar %v != mono %v", seed, cegar.Solutions, mono.Solutions)
+		}
+	}
+}
+
+// TestTracedShardedDiagnose: a traced sharded run of either SAT engine
+// groups its stages under the engine span — exactly one "sample" child
+// for the live stage and a "cube.w<worker>" child per served cube — and
+// the stage counters account for every merged solution.
+func TestTracedShardedDiagnose(t *testing.T) {
+	var sc *scenario
+	for seed := int64(1); seed < 40 && sc == nil; seed++ {
+		cand := makeScenario(t, seed, 2, 5)
+		if cand == nil {
+			continue
+		}
+		// At least two solutions, so a ShardSample 1 run forks.
+		if mono, err := BSAT(cand.faulty, cand.tests, BSATOptions{K: cand.k}); err == nil && mono.Complete && len(mono.Solutions) >= 2 {
+			sc = cand
+		}
+	}
+	if sc == nil {
+		t.Fatal("no scenario with at least two solutions")
+	}
+	for _, engine := range []string{"bsat", "cegar"} {
+		root := trace.New("request")
+		rep, err := Diagnose(trace.NewContext(context.Background(), root), Request{
+			Engine: engine, Circuit: sc.faulty, Tests: sc.tests, K: sc.k, Shards: 2, ShardSample: 1,
+		})
+		root.End()
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		var engineSpan *trace.SpanJSON
+		for _, c := range root.Breakdown().Children {
+			if c.Name == "engine:"+engine {
+				engineSpan = c
+			}
+		}
+		if engineSpan == nil {
+			t.Fatalf("%s: no engine span", engine)
+		}
+		samples, cubes, cubeSols := 0, 0, 0
+		for _, c := range engineSpan.Children {
+			switch {
+			case c.Name == "sample":
+				samples++
+			case strings.HasPrefix(c.Name, "cube.w"):
+				cubes++
+				cubeSols += int(c.Counters["solutions"])
+			}
+		}
+		if samples != 1 || cubes == 0 {
+			t.Fatalf("%s: %d sample and %d cube spans, want 1 and >= 1", engine, samples, cubes)
+		}
+		if got := cubeSols + rep.PerShard[0].Solutions; got < len(rep.Solutions) {
+			t.Fatalf("%s: spans account for %d solutions, merged %d", engine, got, len(rep.Solutions))
 		}
 	}
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/circuit"
@@ -244,8 +243,8 @@ func (e *PoolEntry) ensureTests(tests circuit.TestSet) (active []int, encoded in
 	return active, encoded, encode
 }
 
-// diagnoseActive runs one enumeration round over the given active
-// copies. The projected solution space of a guard-activated,
+// diagnoseActive runs one (possibly sharded) enumeration round over the
+// given active copies. The projected solution space of a guard-activated,
 // assumption-restricted round is identical to a monolithic instance
 // built for exactly that test-set and candidate list (see the session
 // property tests), which is what makes warm responses byte-identical to
@@ -268,37 +267,19 @@ func diagnoseActive(ctx context.Context, sess *cnf.DiagSession, active []int, sp
 	rec := sess.Solver.FlightRecorder()
 	cursor := rec.Cursor()
 	before := sess.Solver.Statistics()
+	sols, complete, perShard, err := sess.EnumerateSharded(spec.Shards, round)
+	if err != nil {
+		return nil, err
+	}
+	rep.Solutions = sols
+	rep.Complete = complete
+	// The live solver's work of this run plus the worker clones'.
+	rep.Stats = sess.Solver.Statistics().Sub(before)
+	for _, st := range perShard[1:] {
+		rep.Stats = rep.Stats.Add(st.Stats)
+	}
 	if spec.Shards > 1 {
-		sols, complete, perShard, err := sess.EnumerateSharded(spec.Shards, round)
-		if err != nil {
-			return nil, err
-		}
-		rep.Solutions = sols
-		rep.Complete = complete
 		rep.PerShard = perShard
-		for _, st := range perShard {
-			if st.Shard != -1 {
-				// The sample stage's work is already inside the live
-				// solver's counters; only worker clones add on top.
-				rep.Stats = rep.Stats.Add(st.Stats)
-			}
-		}
-		rep.Stats = rep.Stats.Add(sess.Solver.Statistics().Sub(before))
-	} else {
-		var sols [][]int
-		_, complete, err := sess.EnumerateRound(round, func(k int, gates []int) bool {
-			g := append([]int(nil), gates...)
-			sort.Ints(g)
-			sols = append(sols, g)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		cnf.SortSolutions(sols)
-		rep.Solutions = sols
-		rep.Complete = complete
-		rep.Stats = sess.Solver.Statistics().Sub(before)
 	}
 	rep.Events = rec.Since(cursor)
 	rep.Vars, rep.Clauses = sess.Size()
