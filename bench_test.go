@@ -521,7 +521,7 @@ func BenchmarkSubstrate_Validate(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverClone measures Backend.Clone on the s1423x diagnosis
+// BenchmarkSolverClone measures Solver.Clone on the s1423x diagnosis
 // instance (p=4, m=16 encoded test copies) — the fork every shard worker
 // and every warm-session snapshot pays. The session is driven through
 // one solve first so the keepLearnts variant clones a realistic learnt

@@ -118,6 +118,11 @@ func main() {
 	if len(cfg.shards) == 0 {
 		cfg.shards = []int{1}
 	}
+	if err := cfg.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "diagload:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	switch {
 	case *smoke:
 		err = runSmoke(cfg)
@@ -134,6 +139,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "diagload:", err)
 		os.Exit(1)
 	}
+}
+
+// validate rejects flag values no mode can run with.
+func (cfg config) validate() error {
+	switch {
+	case len(cfg.circuits) == 0:
+		return fmt.Errorf("-circuits: need at least one circuit")
+	case cfg.n < 1:
+		return fmt.Errorf("-n: need at least one request, got %d", cfg.n)
+	case cfg.clients < 1:
+		return fmt.Errorf("-c: need at least one client, got %d", cfg.clients)
+	}
+	return nil
 }
 
 func splitList(s string) []string {

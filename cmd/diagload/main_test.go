@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -135,5 +138,44 @@ func TestRestartAgainstInProcessServer(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "restart verify ok: 2/2") {
 		t.Fatalf("verify report: %s", sb.String())
+	}
+}
+
+// TestUsageErrors: flag values no mode can run with (no circuits, no
+// requests, no clients) exit with status 2 and a usage error in every
+// mode instead of panicking or reporting an empty run. The test
+// re-executes its own binary as diagload with the flags under test.
+func TestUsageErrors(t *testing.T) {
+	if args := os.Getenv("DIAGLOAD_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"diagload"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	cases := []struct{ args, want string }{
+		{"-circuits=", "-circuits: need at least one circuit"},
+		{"-smoke -circuits=", "-circuits: need at least one circuit"},
+		{"-compare -circuits=,", "-circuits: need at least one circuit"},
+		{"-chaos -circuits=", "-circuits: need at least one circuit"},
+		{"-restart prime -circuits=", "-circuits: need at least one circuit"},
+		{"-c 0", "-c: need at least one client, got 0"},
+		{"-chaos -c 0", "-c: need at least one client, got 0"},
+		{"-n 0", "-n: need at least one request, got 0"},
+	}
+	// Port 1 refuses connections and the state file lives in a scratch
+	// directory: a run that got past the flag checks fails differently,
+	// never hangs and leaves nothing behind.
+	base := "-addr http://127.0.0.1:1 -state " + filepath.Join(t.TempDir(), "st.json") + " "
+	for _, tc := range cases {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrors$")
+		cmd.Env = append(os.Environ(), "DIAGLOAD_TEST_ARGS="+base+tc.args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s: exit %v, want status 2\n%s", tc.args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "diagload: "+tc.want) {
+			t.Errorf("%s: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
 	}
 }

@@ -144,7 +144,7 @@ func run(circuitName, goldenPath, faultyPath string, inject int, seed int64, mod
 		printSolutions(faulty, res.Solutions, sites, verbose)
 	}
 	if do("bsat") || do("hybrid") {
-		// SAT-family methods run through the unified engine registry.
+		// SAT-family methods run through the unified engine table.
 		req := diagnosis.Request{
 			Circuit:      faulty,
 			Tests:        tests,

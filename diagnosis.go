@@ -128,7 +128,7 @@ const (
 )
 
 // Unified engine layer: every diagnosis procedure behind one request/
-// response pair (see internal/core's engine registry).
+// response pair (see internal/core's engine table).
 type (
 	// Request is the unified diagnosis request: engine name, circuit,
 	// tests, correction-size ladder, shard count and budgets.
@@ -148,7 +148,7 @@ type (
 // cancellation through ctx, and, for the SAT engines, sharded parallel
 // enumeration through Request.Shards: with Shards > 1 the candidate
 // select-literals are partitioned into disjoint shards enumerated
-// concurrently on cloned solver backends, and for complete runs the
+// concurrently on cloned solvers, and for complete runs the
 // canonically merged result is identical to the monolithic run — the
 // same solutions in the same order for any shard count. A budget or
 // solution cap truncates sharded and monolithic runs to different
@@ -161,7 +161,7 @@ func Diagnose(ctx context.Context, req Request) (*Report, error) {
 	return core.Diagnose(ctx, req)
 }
 
-// Engines lists the registered diagnosis engines, sorted by name.
+// Engines lists the diagnosis engines, sorted by name.
 func Engines() []string { return core.EngineNames() }
 
 // NewBuilder starts a programmatic circuit description.

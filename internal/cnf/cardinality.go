@@ -37,7 +37,7 @@ func (l *Ladder) AtMost(bound int) sat.Lit {
 // counter width maxBound+1 (or len(lits), if smaller). A negative
 // maxBound is clamped to 0 (a width-1 ladder that can still enforce
 // AtMost(0)).
-func AddLadder(s sat.Builder, lits []sat.Lit, maxBound int) *Ladder {
+func AddLadder(s *sat.Solver, lits []sat.Lit, maxBound int) *Ladder {
 	n := len(lits)
 	width := min(max(maxBound, 0)+1, n)
 	if width == 0 {

@@ -171,6 +171,24 @@ func TestEncodeMuxSemantics(t *testing.T) {
 	}
 }
 
+// TestEncodeMuxZeroAlloc: the encoders add clauses straight into the
+// concrete solver, so a multiplexer costs no allocation once the
+// solver's arena and watch lists have grown. (A variadic AddClause
+// called through an interface heap-allocates every argument slice.)
+func TestEncodeMuxZeroAlloc(t *testing.T) {
+	s := sat.New()
+	y := sat.PosLit(s.NewVar())
+	sel := sat.PosLit(s.NewVar())
+	c := sat.PosLit(s.NewVar())
+	z := sat.PosLit(s.NewVar())
+	for i := 0; i < 4096; i++ {
+		EncodeMux(s, y, sel, c, z) // warm: grow the arena and watch lists
+	}
+	if allocs := testing.AllocsPerRun(100, func() { EncodeMux(s, y, sel, c, z) }); allocs != 0 {
+		t.Fatalf("EncodeMux allocated %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestTotalizerExhaustive checks the ladder against direct popcounts:
 // for n = 1..7 inputs, every build bound maxBound in 0..n (including the
 // truncated widths < n that warm sessions build), every assignment and

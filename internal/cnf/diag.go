@@ -47,24 +47,13 @@ type DiagOptions struct {
 	// leave this off.
 	GuardTests bool
 
-	// Backend, when non-nil, supplies the SAT backend the session encodes
-	// into instead of the built-in CDCL solver (sat.New). The encoders
-	// only require the sat.Builder surface, so any sat.Backend
-	// implementation slots in here.
-	Backend sat.Backend
-
-	// Recorder, when non-nil, is installed on the backend as its flight
+	// Recorder, when non-nil, is installed on the solver as its flight
 	// recorder: the solver's rare search events (restarts, reductions,
 	// models, budget exits) land in its ring, and clones forked for
 	// sharded runs inherit it. Observation-only — the
 	// search trajectory is identical with or without it.
 	Recorder *trace.Recorder
 }
-
-// Instance is a built diagnosis SAT instance. It is the same object as
-// the incremental DiagSession; BuildDiag is simply NewSession followed
-// by AddTests.
-type Instance = DiagSession
 
 // NoVar marks an absent variable: a gate outside a copy's cone, or a
 // gate without a correction multiplexer.
@@ -74,8 +63,8 @@ const NoVar sat.Var = -1
 // one constrained copy per test of the fanin cone of that test's
 // erroneous output (see coneFor), a correction multiplexer per candidate
 // gate whose select line is shared across copies, and a cardinality
-// ladder over the select lines.
-func BuildDiag(c *circuit.Circuit, tests circuit.TestSet, opts DiagOptions) *Instance {
+// ladder over the select lines. It is NewSession followed by AddTests.
+func BuildDiag(c *circuit.Circuit, tests circuit.TestSet, opts DiagOptions) *DiagSession {
 	sess := NewSession(c, opts)
 	sess.AddTests(tests)
 	return sess

@@ -15,7 +15,7 @@ import (
 
 // EncodeCopy adds one Tseitin copy of the circuit to the solver and
 // returns the variable of every gate output, indexed by gate ID.
-func EncodeCopy(s sat.Builder, c *circuit.Circuit) []sat.Var {
+func EncodeCopy(s *sat.Solver, c *circuit.Circuit) []sat.Var {
 	return EncodeCopyWithInputs(s, c, nil)
 }
 
@@ -23,7 +23,7 @@ func EncodeCopy(s sat.Builder, c *circuit.Circuit) []sat.Var {
 // variables (indexed by input position); nil allocates fresh ones. Shared
 // input variables are how miters (e.g. distinguishing-test ATPG) tie two
 // circuits to the same stimulus.
-func EncodeCopyWithInputs(s sat.Builder, c *circuit.Circuit, inputs []sat.Var) []sat.Var {
+func EncodeCopyWithInputs(s *sat.Solver, c *circuit.Circuit, inputs []sat.Var) []sat.Var {
 	vars := make([]sat.Var, len(c.Gates))
 	for i := range c.Gates {
 		if pos := c.InputPos(i); pos >= 0 && inputs != nil {
@@ -48,7 +48,7 @@ func EncodeCopyWithInputs(s sat.Builder, c *circuit.Circuit, inputs []sat.Var) [
 
 // EncodeGate adds the Tseitin clauses tying literal out to the gate
 // function over the fanin literals.
-func EncodeGate(s sat.Builder, g *circuit.Gate, out sat.Lit, fan []sat.Lit) {
+func EncodeGate(s *sat.Solver, g *circuit.Gate, out sat.Lit, fan []sat.Lit) {
 	switch g.Kind {
 	case logic.Const0:
 		s.AddClause(out.Neg())
@@ -77,13 +77,13 @@ func EncodeGate(s sat.Builder, g *circuit.Gate, out sat.Lit, fan []sat.Lit) {
 	}
 }
 
-func encodeEq(s sat.Builder, a, b sat.Lit) {
+func encodeEq(s *sat.Solver, a, b sat.Lit) {
 	s.AddClause(a.Neg(), b)
 	s.AddClause(a, b.Neg())
 }
 
 // encodeAnd: out <-> AND(fan).
-func encodeAnd(s sat.Builder, out sat.Lit, fan []sat.Lit) {
+func encodeAnd(s *sat.Solver, out sat.Lit, fan []sat.Lit) {
 	long := make([]sat.Lit, 0, len(fan)+1)
 	for _, f := range fan {
 		s.AddClause(out.Neg(), f)
@@ -94,7 +94,7 @@ func encodeAnd(s sat.Builder, out sat.Lit, fan []sat.Lit) {
 }
 
 // encodeOr: out <-> OR(fan).
-func encodeOr(s sat.Builder, out sat.Lit, fan []sat.Lit) {
+func encodeOr(s *sat.Solver, out sat.Lit, fan []sat.Lit) {
 	long := make([]sat.Lit, 0, len(fan)+1)
 	for _, f := range fan {
 		s.AddClause(out, f.Neg())
@@ -105,7 +105,7 @@ func encodeOr(s sat.Builder, out sat.Lit, fan []sat.Lit) {
 }
 
 // encodeXor2: out <-> a XOR b.
-func encodeXor2(s sat.Builder, out, a, b sat.Lit) {
+func encodeXor2(s *sat.Solver, out, a, b sat.Lit) {
 	s.AddClause(out.Neg(), a, b)
 	s.AddClause(out.Neg(), a.Neg(), b.Neg())
 	s.AddClause(out, a.Neg(), b)
@@ -114,7 +114,7 @@ func encodeXor2(s sat.Builder, out, a, b sat.Lit) {
 
 // encodeXorChain ties out to the parity of the fanins via fresh chain
 // variables (linear clauses instead of the exponential direct encoding).
-func encodeXorChain(s sat.Builder, out sat.Lit, fan []sat.Lit) {
+func encodeXorChain(s *sat.Solver, out sat.Lit, fan []sat.Lit) {
 	switch len(fan) {
 	case 1:
 		encodeEq(s, out, fan[0])
@@ -135,7 +135,7 @@ func encodeXorChain(s sat.Builder, out sat.Lit, fan []sat.Lit) {
 // encodeTable enumerates minterms: for every input assignment, a clause
 // forces the tabulated output value. Exponential in fanin, which is
 // bounded by logic.MaxTableInputs.
-func encodeTable(s sat.Builder, t *logic.Table, out sat.Lit, fan []sat.Lit) {
+func encodeTable(s *sat.Solver, t *logic.Table, out sat.Lit, fan []sat.Lit) {
 	if len(fan) != t.N {
 		panic("cnf: table arity mismatch")
 	}
@@ -168,7 +168,7 @@ func encodeTable(s sat.Builder, t *logic.Table, out sat.Lit, fan []sat.Lit) {
 
 // EncodeMux adds y <-> (s ? c : z), the correction multiplexer of the
 // paper's Figure 2(a).
-func EncodeMux(solver sat.Builder, y, sel, c, z sat.Lit) {
+func EncodeMux(solver *sat.Solver, y, sel, c, z sat.Lit) {
 	solver.AddClause(sel, y.Neg(), z)
 	solver.AddClause(sel, y, z.Neg())
 	solver.AddClause(sel.Neg(), y.Neg(), c)

@@ -151,25 +151,26 @@ func TestRunCubesRetriesTransientFailures(t *testing.T) {
 	}
 }
 
-// TestRunCubesAbandonsAfterRetryBudget: with retries disabled
-// (MaxCubeRetries < 0), a single injected failure abandons its cube
-// immediately and the phase reports not drained.
+// TestRunCubesAbandonsAfterRetryBudget: four injected failures exhaust
+// the retry budget (DefaultCubeRetries = 3) of one cube, which is then
+// abandoned, and the phase reports not drained. A single-candidate
+// session plans a single cube, so every failure hits the same cube.
 func TestRunCubesAbandonsAfterRetryBudget(t *testing.T) {
 	defer failpoint.Disable()
 	c, tests, sample := faultScenario(t, 2)
-	sess := cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 2})
-	if err := failpoint.Enable("cnf/cube=error(1)x1", 7); err != nil {
+	sess := cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 2, Candidates: sample[0][:1]})
+	if err := failpoint.Enable("cnf/cube=error(1)x4", 7); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, drained := sess.RunCubes(1, cnf.RoundOptions{MaxK: 2, MaxCubeRetries: -1}, sample, true,
+	_, stats, drained := sess.RunCubes(1, cnf.RoundOptions{MaxK: 2}, sample, true,
 		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			return nil, true
 		})
 	if drained {
 		t.Fatal("phase drained despite an abandoned cube")
 	}
-	if stats[0].Retries != 0 || stats[0].Abandoned != 1 {
-		t.Fatalf("counters: %+v, want 0 retries + 1 abandoned", stats[0])
+	if stats[0].Retries != 3 || stats[0].Abandoned != 1 {
+		t.Fatalf("counters: %+v, want 3 retries + 1 abandoned", stats[0])
 	}
 	if stats[0].Complete {
 		t.Fatal("worker with an abandoned cube reported complete")

@@ -30,14 +30,11 @@ import (
 //     the solver reusable for the next query.
 //
 // BuildDiag remains as the monolithic constructor (NewSession + AddTests
-// in one call); Instance is an alias of DiagSession, so the two views
-// are the same object. A DiagSession is not safe for concurrent use.
+// in one call). A DiagSession is not safe for concurrent use.
 type DiagSession struct {
-	// Solver is the SAT backend behind the session. It is the built-in
-	// CDCL solver by default; DiagOptions.Backend swaps in another
-	// implementation, and sharded enumeration clones it per worker
-	// (ForkWorkers).
-	Solver  sat.Backend
+	// Solver is the CDCL solver behind the session; sharded enumeration
+	// clones it per worker (ForkWorkers).
+	Solver  *sat.Solver
 	Circuit *circuit.Circuit
 	// Tests lists the encoded test copies in AddTest order.
 	Tests circuit.TestSet
@@ -90,7 +87,7 @@ type SessionStats struct {
 	// blocking clauses have been retracted; BudgetedRounds the rounds
 	// that ran under a finite conflict or wall-clock budget.
 	Rounds, RetiredRounds, BudgetedRounds int
-	// Solver holds the backend's accumulated work counters.
+	// Solver holds the solver's accumulated work counters.
 	Solver sat.Stats
 }
 
@@ -108,7 +105,7 @@ func (sess *DiagSession) Stats() SessionStats {
 		Rounds:         sess.rounds,
 		RetiredRounds:  sess.retiredRounds,
 		BudgetedRounds: sess.budgetedRounds,
-		Solver:         sess.Solver.Statistics(),
+		Solver:         sess.Solver.Stats,
 	}
 }
 
@@ -117,13 +114,8 @@ func (sess *DiagSession) Stats() SessionStats {
 // candidate set and MaxK), test copies are appended later with AddTest.
 func NewSession(c *circuit.Circuit, opts DiagOptions) *DiagSession {
 	start := time.Now()
-	var s sat.Backend = opts.Backend
-	if s == nil {
-		s = sat.New()
-	}
-	if opts.Recorder != nil {
-		s.SetRecorder(opts.Recorder)
-	}
+	s := sat.New()
+	s.SetRecorder(opts.Recorder)
 
 	// Normalize the selection units to groups with labels.
 	groups := opts.Groups
@@ -437,12 +429,6 @@ type RoundOptions struct {
 	MaxConflicts int64
 	// Timeout bounds the whole round (0 = unlimited).
 	Timeout time.Duration
-	// MaxCubeRetries bounds how often one cube of a sharded run may be
-	// retried after a worker panic or an injected transient failure
-	// (0 = DefaultCubeRetries, negative = no retries). Ignored by
-	// EnumerateRound. A cube that exhausts its retries is abandoned and
-	// the run reports complete=false.
-	MaxCubeRetries int
 }
 
 // ErrLadderWidth reports a round limit the session's ladder cannot
@@ -490,12 +476,12 @@ func (sess *DiagSession) enumerateInRound(r *Round, opts RoundOptions, fn func(k
 
 	// A traced round gets its own child span with per-k phases and the
 	// solver's Stats delta captured at the round boundary. Untraced
-	// rounds (span == nil) skip even the Statistics snapshot.
+	// rounds (span == nil) skip even the Stats snapshot.
 	span := trace.FromContext(opts.Ctx).Child("round")
 	if span != nil {
-		before := sess.Solver.Statistics()
+		before := sess.Solver.Stats
 		defer func() {
-			spanStats(span, sess.Solver.Statistics().Sub(before))
+			spanStats(span, sess.Solver.Stats.Sub(before))
 			span.Counter("solutions", int64(n))
 			span.End()
 		}()

@@ -25,19 +25,19 @@ type Cube struct {
 }
 
 // Shard is one worker of a forked enumeration: an independent session
-// over a cloned backend plus the assumption cubes it serves
+// over a cloned solver plus the assumption cubes it serves
 // sequentially. The cubes of one fork partition the projected solution
 // space — every correction satisfies exactly one cube — so the workers
 // never repeat a solution, and the canonical merge of their outputs
 // equals the monolithic enumeration.
 //
 // Slices are scoped purely by assumptions, never by asserted clauses:
-// the forked backend stays an unconstrained copy of the parent
+// the forked solver stays an unconstrained copy of the parent
 // encoding, assumptions propagate from decision level 0 (no auxiliary
 // encoding taxing every solve), and one clone serves any number of
 // cubes in turn.
 type Shard struct {
-	// Session is the forked session: cloned backend plus copied per-copy
+	// Session is the forked session: cloned solver plus copied per-copy
 	// tables, so AddTest and enumeration on the shard never touch the
 	// parent (or the sibling shards).
 	Session *DiagSession
@@ -198,8 +198,8 @@ func ScheduleCubes(cubes []Cube, n int) [][]Cube {
 	return workers
 }
 
-// fork clones the session into an independent twin: the backend is
-// Cloned (keepLearnts forwards to sat.Backend.Clone) and the per-copy
+// fork clones the session into an independent twin: the solver is
+// Cloned (keepLearnts forwards to sat.Solver.Clone) and the per-copy
 // tables are copied, so AddTest and enumeration on the fork never touch
 // the parent.
 func (sess *DiagSession) fork(keepLearnts bool) *DiagSession {
@@ -225,7 +225,7 @@ func (sess *DiagSession) fork(keepLearnts bool) *DiagSession {
 }
 
 // ForkWorkers clones the session once per worker load (keepLearnts
-// forwards to sat.Backend.Clone) and couples each clone with its cubes.
+// forwards to sat.Solver.Clone) and couples each clone with its cubes.
 // The parent session stays untouched and fully usable.
 func (sess *DiagSession) ForkWorkers(workers [][]Cube, keepLearnts bool) []*Shard {
 	shards := make([]*Shard, len(workers))
@@ -369,7 +369,7 @@ func (sess *DiagSession) EnumerateSlices(shards int, opts RoundOptions, slice Sl
 	round := sess.NewRound()
 	defer round.Retire()
 	start := time.Now()
-	before := sess.Solver.Statistics()
+	before := sess.Solver.Stats
 	var sample [][]int
 	liveComplete, err := slice(-1, sess, round, stageOpts, func(gates []int) {
 		if len(sample) == 0 {
@@ -384,7 +384,7 @@ func (sess *DiagSession) EnumerateSlices(shards int, opts RoundOptions, slice Sl
 	live.Solutions = len(sample)
 	live.Complete = liveComplete
 	live.Elapsed = time.Since(start)
-	live.Stats = sess.Solver.Statistics().Sub(before)
+	live.Stats = sess.Solver.Stats.Sub(before)
 	perShard = []ShardStats{live}
 	if shards <= 1 || liveComplete || len(sample) < sampleCap ||
 		(opts.MaxSolutions > 0 && len(sample) >= opts.MaxSolutions) {
@@ -429,9 +429,10 @@ func (sess *DiagSession) EnumerateSlices(shards int, opts RoundOptions, slice Sl
 	return sols, complete, perShard, nil
 }
 
-// DefaultCubeRetries is the default per-cube retry budget of a sharded
-// run: how often one cube may be requeued after a worker panic or an
-// injected transient failure before it is abandoned.
+// DefaultCubeRetries is the per-cube retry budget of a sharded run: how
+// often one cube may be requeued after a worker panic or an injected
+// transient failure before it is abandoned, which makes the run report
+// complete=false.
 const DefaultCubeRetries = 3
 
 // FailpointCube is the failpoint evaluated before every cube attempt of
@@ -604,7 +605,7 @@ func runCube(worker int, sh *Shard, cube Cube, budget RoundOptions,
 // barrier and the FailpointCube injection point; a failed attempt's
 // partial output is discarded (a retry re-enumerates the cube from
 // scratch — the canonical merge drops supersets, not duplicates) and
-// the cube is requeued up to opts.MaxCubeRetries times before it is
+// the cube is requeued up to DefaultCubeRetries times before it is
 // abandoned. A recovered panic additionally retires the worker — its
 // clone is presumed corrupted — and idle workers steal the pending
 // cubes of dead or lagging ones. The per-worker ShardStats account
@@ -624,12 +625,6 @@ func (sess *DiagSession) runCubes(shards int, opts RoundOptions, sample [][]int,
 	loads := ScheduleCubes(sess.PlanCubes(sample, shards*CubeOversubscription), shards)
 	forks := sess.ForkWorkers(loads, keepLearnts)
 	queue := newCubeQueue(loads)
-	maxRetries := opts.MaxCubeRetries
-	if maxRetries == 0 {
-		maxRetries = DefaultCubeRetries
-	} else if maxRetries < 0 {
-		maxRetries = 0
-	}
 	groups = make([][][]int, len(forks))
 	stats = make([]ShardStats, len(forks))
 	// A traced run attaches one child span per served cube to the
@@ -720,7 +715,7 @@ func (sess *DiagSession) runCubes(shards int, opts RoundOptions, sample [][]int,
 					st.Panics++
 					alive = false // clone presumed corrupted; worker retires
 				}
-				if att.tries++; att.tries > maxRetries {
+				if att.tries++; att.tries > DefaultCubeRetries {
 					st.Abandoned++
 					st.Complete = false
 					queue.forfeit()
@@ -733,7 +728,7 @@ func (sess *DiagSession) runCubes(shards int, opts RoundOptions, sample [][]int,
 			st.Solutions = len(local)
 			st.First = first
 			st.Elapsed = time.Since(start)
-			st.Stats = sh.Session.Solver.Statistics()
+			st.Stats = sh.Session.Solver.Stats
 			stats[i] = st
 			// The clone's work counters are captured above; drop the
 			// clone itself now so cancelled runs release solver memory

@@ -41,7 +41,7 @@ type BSATOptions struct {
 	Timeout time.Duration
 
 	// Shards > 1 forks the enumeration into that many disjoint candidate
-	// shards, each running concurrently on a cloned backend: a sequential
+	// shards, each running concurrently on a cloned solver: a sequential
 	// sample stage enumerates the first solutions monolithically, plans
 	// balanced assumption cubes from their candidate frequencies
 	// (cnf.DiagSession.PlanCubes), and the forked shards enumerate the
@@ -64,7 +64,7 @@ type BSATOptions struct {
 	// construction — the hook the hybrid approach uses to tune decision
 	// heuristics from simulation results (Section 6). Steering carries
 	// into forked shards: clones copy activities and saved phases.
-	Steer func(inst *cnf.Instance)
+	Steer func(sess *cnf.DiagSession)
 }
 
 func (o BSATOptions) diagOptions() cnf.DiagOptions {
@@ -76,7 +76,7 @@ func (o BSATOptions) diagOptions() cnf.DiagOptions {
 		Golden:      o.Golden,
 		// Cold-path flight recording: a request that carries a recorder
 		// on its context (the service's cold-build path) has it
-		// installed on the session's backend at construction.
+		// installed on the session's solver at construction.
 		Recorder: trace.RecorderFromContext(o.Ctx),
 	}
 }
@@ -152,7 +152,7 @@ func BSAT(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*BSATRes
 	res.Timings.One = perShard[0].First
 	res.Complete = complete
 	// The live solver's total work (encoding included) plus the clones'.
-	res.Stats = sess.Solver.Statistics()
+	res.Stats = sess.Solver.Stats
 	for _, st := range perShard[1:] {
 		res.Stats = res.Stats.Add(st.Stats)
 	}
@@ -312,7 +312,7 @@ func FFRTwoPass(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*B
 		res := &BSATResult{sess: sess}
 		// Stats is this pass's own solver work.
 		res.Vars, res.Clauses = vars, clauses
-		before := sess.Solver.Statistics()
+		before := sess.Solver.Stats
 		start := time.Now()
 		// The ladder-width error cannot fire: the session was built with
 		// MaxK = opts.K, the same limit every pass enumerates under.
@@ -332,7 +332,7 @@ func FFRTwoPass(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*B
 		})
 		res.Complete = complete
 		res.Timings.All = time.Since(start)
-		res.Stats = sess.Solver.Statistics().Sub(before)
+		res.Stats = sess.Solver.Stats.Sub(before)
 		res.Canonicalize()
 		return res
 	}

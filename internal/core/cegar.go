@@ -150,7 +150,7 @@ enumerate:
 // the slice function of cnf.DiagSession.EnumerateSlices, so with
 // Shards > 1 a sample stage runs on the seeded session and the
 // abstraction is then forked into disjoint candidate cubes, each worker
-// refining its cloned backend with a dedicated oracle and an
+// refining its cloned solver with a dedicated oracle and an
 // independently grown copy set; the canonical merge restores exactly
 // the monolithic solution set. Groups and Golden are rejected: their
 // validity semantics (shared select lines across frame instances;

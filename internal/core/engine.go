@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/circuit"
@@ -20,8 +19,8 @@ import (
 // Fields an engine does not use are ignored (e.g. Shards for bsim/cov,
 // PT for bsat/cegar).
 type Request struct {
-	// Engine names the registered procedure: "bsim", "cov", "bsat",
-	// "cegar" or "hybrid" (RegisterEngine adds more). "" means "bsat".
+	// Engine names the procedure: "bsim", "cov", "bsat", "cegar" or
+	// "hybrid". "" means "bsat".
 	Engine string
 
 	// Circuit is the faulty implementation; Tests the failing triples
@@ -51,8 +50,6 @@ type Request struct {
 
 	// PT configures the path-tracing stage of bsim, cov and hybrid.
 	PT PTOptions
-	// CovEngine selects the covering enumerator of cov.
-	CovEngine CovEngine
 }
 
 // Report is the unified diagnosis response: the canonical solution set
@@ -91,40 +88,26 @@ type Report struct {
 	Elapsed time.Duration
 }
 
-// EngineFunc is a registered diagnosis procedure. It must return the
-// solutions in canonical order (SolutionSet.Canonicalize) and respect
-// ctx cancellation by reporting an incomplete result promptly. Engines
-// whose stages are non-interruptible (bsim's millisecond-scale path
-// tracing) must at least check ctx between stages and on entry.
-type EngineFunc func(ctx context.Context, req Request) (*Report, error)
+// engineFunc is one diagnosis procedure of the engine table. It must
+// return the solutions in canonical order (SolutionSet.Canonicalize) and
+// respect ctx cancellation by reporting an incomplete result promptly.
+// Engines whose stages are non-interruptible (bsim's millisecond-scale
+// path tracing) must at least check ctx between stages and on entry.
+type engineFunc func(ctx context.Context, req Request) (*Report, error)
 
-var (
-	engineMu  sync.RWMutex
-	engineReg = make(map[string]EngineFunc)
-)
-
-// RegisterEngine adds a diagnosis procedure to the registry under the
-// given name. The five built-in engines are registered at package
-// initialization; external packages can add their own (the name must be
-// new). RegisterEngine is safe for concurrent use.
-func RegisterEngine(name string, fn EngineFunc) {
-	if name == "" || fn == nil {
-		panic("core: RegisterEngine requires a name and a function")
-	}
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	if _, dup := engineReg[name]; dup {
-		panic("core: engine " + name + " registered twice")
-	}
-	engineReg[name] = fn
+// engines is the fixed table of diagnosis procedures Diagnose serves.
+var engines = map[string]engineFunc{
+	"bsim":   runBSIM,
+	"cov":    runCOV,
+	"bsat":   runBSAT,
+	"cegar":  runCEGAR,
+	"hybrid": runHybrid,
 }
 
-// EngineNames lists the registered engines, sorted.
+// EngineNames lists the engines Diagnose serves, sorted.
 func EngineNames() []string {
-	engineMu.RLock()
-	defer engineMu.RUnlock()
-	names := make([]string, 0, len(engineReg))
-	for name := range engineReg {
+	names := make([]string, 0, len(engines))
+	for name := range engines {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -150,9 +133,7 @@ func Diagnose(ctx context.Context, req Request) (*Report, error) {
 	if name == "" {
 		name = "bsat"
 	}
-	engineMu.RLock()
-	fn := engineReg[name]
-	engineMu.RUnlock()
+	fn := engines[name]
 	if fn == nil {
 		return nil, fmt.Errorf("core: unknown engine %q (registered: %v)", name, EngineNames())
 	}
@@ -207,75 +188,76 @@ func bsatReport(res *BSATResult, copies int) *Report {
 	}
 }
 
-func init() {
-	RegisterEngine("bsim", func(ctx context.Context, req Request) (*Report, error) {
-		// Path tracing runs in milliseconds and has no interruption
-		// point; honor an already-cancelled context up front.
-		if ctx.Err() != nil {
-			return &Report{}, nil
-		}
-		res := BSIM(req.Circuit, req.Tests, req.PT)
-		rep := &Report{Timings: Timings{All: res.Elapsed}}
-		// BSIM yields candidate regions, not corrections: report each
-		// per-test candidate set Ci as one (unguaranteed) entry.
-		rep.Solutions = make([]Correction, len(res.Sets))
-		for i, ci := range res.Sets {
-			rep.Solutions[i] = NewCorrection(ci)
-		}
-		rep.Complete = true
-		rep.Canonicalize()
-		return rep, nil
+func runBSIM(ctx context.Context, req Request) (*Report, error) {
+	// Path tracing runs in milliseconds and has no interruption
+	// point; honor an already-cancelled context up front.
+	if ctx.Err() != nil {
+		return &Report{}, nil
+	}
+	res := BSIM(req.Circuit, req.Tests, req.PT)
+	rep := &Report{Timings: Timings{All: res.Elapsed}}
+	// BSIM yields candidate regions, not corrections: report each
+	// per-test candidate set Ci as one (unguaranteed) entry.
+	rep.Solutions = make([]Correction, len(res.Sets))
+	for i, ci := range res.Sets {
+		rep.Solutions[i] = NewCorrection(ci)
+	}
+	rep.Complete = true
+	rep.Canonicalize()
+	return rep, nil
+}
+
+func runCOV(ctx context.Context, req Request) (*Report, error) {
+	// The BSIM stage has no interruption point; honor an
+	// already-cancelled context before it (the covering enumeration
+	// itself polls ctx). The covering layer has no native wall-clock
+	// budget, so Request.Timeout is enforced through the context.
+	if ctx.Err() != nil {
+		return &Report{}, nil
+	}
+	if req.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
+		defer cancel()
+	}
+	res, err := COV(req.Circuit, req.Tests, CovOptions{
+		K:            req.k(),
+		PT:           req.PT,
+		MaxSolutions: req.MaxSolutions,
+		MaxConflicts: req.MaxConflicts,
+		Ctx:          ctx,
 	})
-	RegisterEngine("cov", func(ctx context.Context, req Request) (*Report, error) {
-		// The BSIM stage has no interruption point; honor an
-		// already-cancelled context before it (the covering enumeration
-		// itself polls ctx). The covering layer has no native wall-clock
-		// budget, so Request.Timeout is enforced through the context.
-		if ctx.Err() != nil {
-			return &Report{}, nil
-		}
-		if req.Timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, req.Timeout)
-			defer cancel()
-		}
-		res, err := COV(req.Circuit, req.Tests, CovOptions{
-			K:            req.k(),
-			PT:           req.PT,
-			Engine:       req.CovEngine,
-			MaxSolutions: req.MaxSolutions,
-			MaxConflicts: req.MaxConflicts,
-			Ctx:          ctx,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep := &Report{SolutionSet: res.SolutionSet, Timings: res.Timings}
-		rep.Canonicalize()
-		return rep, nil
-	})
-	RegisterEngine("bsat", func(ctx context.Context, req Request) (*Report, error) {
-		res, err := BSAT(req.Circuit, req.Tests, req.bsatOptions(ctx))
-		if err != nil {
-			return nil, err
-		}
-		return bsatReport(res, len(req.Tests)), nil
-	})
-	RegisterEngine("cegar", func(ctx context.Context, req Request) (*Report, error) {
-		res, err := CEGARDiagnose(req.Circuit, req.Tests, req.bsatOptions(ctx))
-		if err != nil {
-			return nil, err
-		}
-		rep := bsatReport(&res.BSATResult, res.Copies)
-		rep.Refinements = res.Refinements
-		rep.Checked = res.Checked
-		return rep, nil
-	})
-	RegisterEngine("hybrid", func(ctx context.Context, req Request) (*Report, error) {
-		res, _, err := HybridBSAT(req.Circuit, req.Tests, req.bsatOptions(ctx), req.PT)
-		if err != nil {
-			return nil, err
-		}
-		return bsatReport(res, len(req.Tests)), nil
-	})
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{SolutionSet: res.SolutionSet, Timings: res.Timings}
+	rep.Canonicalize()
+	return rep, nil
+}
+
+func runBSAT(ctx context.Context, req Request) (*Report, error) {
+	res, err := BSAT(req.Circuit, req.Tests, req.bsatOptions(ctx))
+	if err != nil {
+		return nil, err
+	}
+	return bsatReport(res, len(req.Tests)), nil
+}
+
+func runCEGAR(ctx context.Context, req Request) (*Report, error) {
+	res, err := CEGARDiagnose(req.Circuit, req.Tests, req.bsatOptions(ctx))
+	if err != nil {
+		return nil, err
+	}
+	rep := bsatReport(&res.BSATResult, res.Copies)
+	rep.Refinements = res.Refinements
+	rep.Checked = res.Checked
+	return rep, nil
+}
+
+func runHybrid(ctx context.Context, req Request) (*Report, error) {
+	res, _, err := HybridBSAT(req.Circuit, req.Tests, req.bsatOptions(ctx), req.PT)
+	if err != nil {
+		return nil, err
+	}
+	return bsatReport(res, len(req.Tests)), nil
 }

@@ -23,7 +23,7 @@ import (
 func HybridBSAT(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions, pt PTOptions) (*BSATResult, *BSIMResult, error) {
 	bsim := BSIM(c, tests, pt)
 	steered := opts
-	steered.Steer = func(inst *cnf.Instance) {
+	steered.Steer = func(sess *cnf.DiagSession) {
 		max := 0
 		for _, m := range bsim.MarkCount {
 			if m > max {
@@ -33,15 +33,15 @@ func HybridBSAT(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions, pt 
 		if max == 0 {
 			return
 		}
-		for j, g := range inst.Candidates {
+		for j, g := range sess.Candidates {
 			m := bsim.MarkCount[g]
 			if m == 0 {
 				continue
 			}
-			v := inst.Sels[j].Var()
-			inst.Solver.BumpActivity(v, float64(m))
+			v := sess.Sels[j].Var()
+			sess.Solver.BumpActivity(v, float64(m))
 			if 2*m >= max {
-				inst.Solver.SetPolarity(v, true)
+				sess.Solver.SetPolarity(v, true)
 			}
 		}
 	}

@@ -204,7 +204,7 @@ func TestCloneThenDiverge(t *testing.T) {
 	}
 	orig := build()
 	twin := build()
-	clone := orig.Clone(false).(*Solver)
+	clone := orig.Clone(false)
 
 	// Mutate the original hard: solve (learnts, saved phases), pin facts
 	// (level-0 trail + simplify), reduce and compact (arena relocation).
@@ -261,7 +261,7 @@ func TestCloneMidSessionMatchesTwin(t *testing.T) {
 	if orig.Stats.Conflicts == 0 {
 		t.Fatal("no conflicts before the fork; test exercises nothing")
 	}
-	clone := orig.Clone(true).(*Solver)
+	clone := orig.Clone(true)
 
 	// Mutate the original hard post-fork.
 	var block []Lit
@@ -340,7 +340,7 @@ func TestCloneConcurrentWorkers(t *testing.T) {
 	results := make([]Status, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		clone := s.Clone(w%2 == 0).(*Solver)
+		clone := s.Clone(w%2 == 0)
 		wg.Add(1)
 		go func(w int, c *Solver) {
 			defer wg.Done()

@@ -18,7 +18,7 @@ package sat
 // per request.
 //
 // The clone starts with fresh budgets (no conflict cap, no deadline, no
-// context) and zeroed Statistics, so per-clone work is attributable —
+// context) and zeroed Stats, so per-clone work is attributable —
 // sharded enumeration reads each shard's solver effort directly off its
 // clone.
 //
@@ -28,7 +28,7 @@ package sat
 // guarded by level > 0), and top-level trail entries are never undone.
 // Dropping them also keeps reduceDB's locked() check from pinning
 // clauses in the clone that the pre-arena Clone would not have pinned.
-func (s *Solver) Clone(keepLearnts bool) Backend {
+func (s *Solver) Clone(keepLearnts bool) *Solver {
 	if s.decisionLevel() != 0 {
 		panic("sat: Clone above decision level 0")
 	}

@@ -30,7 +30,7 @@ func randomInstance(nVars int, seed uint64) (*Solver, []Var) {
 
 func TestCloneAgreesWithOriginal(t *testing.T) {
 	s, vars := randomInstance(120, 0x2545F4914F6CDD1D)
-	clone := s.Clone(false).(*Solver)
+	clone := s.Clone(false)
 
 	// Same verdict on the bare instance and under assumption probes.
 	if a, b := s.Solve(), clone.Solve(); a != b {
@@ -48,7 +48,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	s := New()
 	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(PosLit(a), PosLit(b))
-	clone := s.Clone(false).(*Solver)
+	clone := s.Clone(false)
 
 	// Contradicting the clone must leave the original satisfiable.
 	clone.AddClause(NegLit(a))
@@ -60,7 +60,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatalf("original should stay SAT, got %v", st)
 	}
 	// And fresh variables on the clone must not leak into the original.
-	clone2 := s.Clone(false).(*Solver)
+	clone2 := s.Clone(false)
 	clone2.NewVar()
 	if clone2.NumVars() != s.NumVars()+1 {
 		t.Fatalf("clone NewVar: %d vs original %d", clone2.NumVars(), s.NumVars())
@@ -75,8 +75,8 @@ func TestCloneLearnts(t *testing.T) {
 	if s.NumLearnts() == 0 {
 		t.Skip("instance solved without retained learnt clauses")
 	}
-	with := s.Clone(true).(*Solver)
-	without := s.Clone(false).(*Solver)
+	with := s.Clone(true)
+	without := s.Clone(false)
 	if with.NumLearnts() != s.NumLearnts() {
 		t.Fatalf("keepLearnts clone has %d learnts, original %d", with.NumLearnts(), s.NumLearnts())
 	}
@@ -84,8 +84,8 @@ func TestCloneLearnts(t *testing.T) {
 		t.Fatalf("bare clone carries %d learnt clauses", without.NumLearnts())
 	}
 	// Clone statistics start at zero for per-shard attribution.
-	if with.Statistics() != (Stats{}) {
-		t.Fatalf("clone statistics not fresh: %+v", with.Statistics())
+	if with.Stats != (Stats{}) {
+		t.Fatalf("clone statistics not fresh: %+v", with.Stats)
 	}
 	// Both clones remain correct solvers.
 	if a, b := with.Solve(), without.Solve(); a != StatusSat || b != StatusSat {
@@ -99,7 +99,7 @@ func TestCloneAfterTopLevelFacts(t *testing.T) {
 	s.AddClause(PosLit(a))            // unit fact
 	s.AddClause(NegLit(a), PosLit(b)) // propagates b at level 0
 	s.AddClause(NegLit(b), PosLit(c))
-	clone := s.Clone(false).(*Solver)
+	clone := s.Clone(false)
 	if st := clone.Solve(); st != StatusSat {
 		t.Fatalf("clone of top-level-propagated solver: %v", st)
 	}

@@ -272,7 +272,7 @@ func TestEnumerateHeldTrailExitsAtLevelZero(t *testing.T) {
 				extra := randomClauses(rng, inst.nVars, 1, 2)[0]
 				s.AddClause(extra...)
 				fresh.AddClause(extra...)
-				clone := s.Clone(true).(*Solver)
+				clone := s.Clone(true)
 				for probe := 0; probe < 4; probe++ {
 					assumps := []Lit{MkLit(Var(rng.Intn(inst.nVars)), rng.Intn(2) == 1)}
 					want := fresh.Solve(assumps...)

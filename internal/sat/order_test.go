@@ -106,7 +106,7 @@ func TestOrderMatchesOracle(t *testing.T) {
 				in.in[want] = false
 			default:
 				if len(insts) < 4 {
-					c := s.Clone(true).(*Solver)
+					c := s.Clone(true)
 					insts = append(insts, &inst{c, append([]bool(nil), in.in...)})
 				}
 			}
@@ -259,7 +259,7 @@ func TestOrderCloneDecisionSequence(t *testing.T) {
 	if s.order.nzero == 0 || len(s.order.heap) == 0 {
 		t.Fatalf("search left one tier empty (heap %d, bitset %d); test exercises nothing", len(s.order.heap), s.order.nzero)
 	}
-	c := s.Clone(true).(*Solver)
+	c := s.Clone(true)
 	base := s.Stats
 	a, b := decideUntilConflict(s, nil), decideUntilConflict(c, nil)
 	if len(a) < 2 {

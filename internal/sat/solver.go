@@ -181,10 +181,6 @@ func (s *Solver) ValueLit(l Lit) LBool {
 // Solve proved unsatisfiability (a failed-assumption core, negated form).
 func (s *Solver) ConflictSet() []Lit { return s.conflictSet }
 
-// Statistics returns the accumulated work counters (the Stats field,
-// behind the Backend interface).
-func (s *Solver) Statistics() Stats { return s.Stats }
-
 // SetPolarity fixes the saved phase of v: the value the solver tries
 // first when branching on v. Hybrid diagnosis uses this to steer the
 // search toward simulation-derived candidate sets.

@@ -1,4 +1,4 @@
-// Package service turns the diagnosis engine registry into a
+// Package service turns the diagnosis engine table into a
 // long-running concurrent server: a SessionPool keeps cnf.DiagSession
 // instances warm per circuit fingerprint, a Scheduler bounds and
 // queues request execution, and Server exposes the JSON-over-HTTP

@@ -226,7 +226,7 @@ type DiagnoseRequest struct {
 
 	Tests []TestJSON `json:"tests"`
 
-	// Engine names the registered procedure ("" = bsat). Mode selects
+	// Engine names the procedure ("" = bsat). Mode selects
 	// the serving path: "auto" (default — warm-session path for bsat,
 	// cold otherwise), "warm" (require the pooled path), or "cold"
 	// (bypass the pool, monolithic core.Diagnose).

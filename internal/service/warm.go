@@ -266,7 +266,7 @@ func diagnoseActive(ctx context.Context, sess *cnf.DiagSession, active []int, sp
 	// a recorder-less session yields cursor 0 and a nil event slice.
 	rec := sess.Solver.FlightRecorder()
 	cursor := rec.Cursor()
-	before := sess.Solver.Statistics()
+	before := sess.Solver.Stats
 	sols, complete, perShard, err := sess.EnumerateSharded(spec.Shards, round)
 	if err != nil {
 		return nil, err
@@ -274,7 +274,7 @@ func diagnoseActive(ctx context.Context, sess *cnf.DiagSession, active []int, sp
 	rep.Solutions = sols
 	rep.Complete = complete
 	// The live solver's work of this run plus the worker clones'.
-	rep.Stats = sess.Solver.Statistics().Sub(before)
+	rep.Stats = sess.Solver.Stats.Sub(before)
 	for _, st := range perShard[1:] {
 		rep.Stats = rep.Stats.Add(st.Stats)
 	}
