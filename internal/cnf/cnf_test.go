@@ -34,7 +34,7 @@ func TestGateEncodingsExhaustive(t *testing.T) {
 				}
 				out := sat.PosLit(s.NewVar())
 				g := &circuit.Gate{Kind: k}
-				EncodeGate(s, g, out, fan)
+				EncodeGate(s, g, out, fan, sat.LitUndef)
 				for i, f := range fan {
 					if in[i] {
 						s.AddClause(f)
@@ -63,8 +63,8 @@ func TestConstAndTableEncodings(t *testing.T) {
 	s := sat.New()
 	out0 := sat.PosLit(s.NewVar())
 	out1 := sat.PosLit(s.NewVar())
-	EncodeGate(s, &circuit.Gate{Kind: logic.Const0}, out0, nil)
-	EncodeGate(s, &circuit.Gate{Kind: logic.Const1}, out1, nil)
+	EncodeGate(s, &circuit.Gate{Kind: logic.Const0}, out0, nil, sat.LitUndef)
+	EncodeGate(s, &circuit.Gate{Kind: logic.Const1}, out1, nil, sat.LitUndef)
 	if s.Solve() != sat.StatusSat || s.ValueLit(out0) != sat.LFalse || s.ValueLit(out1) != sat.LTrue {
 		t.Fatal("const encodings wrong")
 	}
@@ -79,7 +79,7 @@ func TestConstAndTableEncodings(t *testing.T) {
 		s := sat.New()
 		fan := []sat.Lit{sat.PosLit(s.NewVar()), sat.PosLit(s.NewVar()), sat.PosLit(s.NewVar())}
 		out := sat.PosLit(s.NewVar())
-		EncodeGate(s, &circuit.Gate{Kind: logic.TableKind, Table: tab}, out, fan)
+		EncodeGate(s, &circuit.Gate{Kind: logic.TableKind, Table: tab}, out, fan, sat.LitUndef)
 		for i, f := range fan {
 			if m>>uint(i)&1 == 1 {
 				s.AddClause(f)
@@ -139,53 +139,106 @@ func TestEncodeCopyMatchesSimulation(t *testing.T) {
 	}
 }
 
-func TestEncodeMuxSemantics(t *testing.T) {
-	for m := 0; m < 8; m++ {
-		s := sat.New()
-		y := sat.PosLit(s.NewVar())
-		sel := sat.PosLit(s.NewVar())
-		c := sat.PosLit(s.NewVar())
-		z := sat.PosLit(s.NewVar())
-		EncodeMux(s, y, sel, c, z)
-		selV, cV, zV := m&1 == 1, m&2 == 2, m&4 == 4
-		unit := func(l sat.Lit, v bool) {
-			if v {
-				s.AddClause(l)
-			} else {
-				s.AddClause(l.Neg())
+// relaxGates lists one gate of every kind EncodeGate handles, at the
+// arities where the encodings differ: constants, buffer and inverter,
+// AND/OR with their negations, XOR chains of three and four fanins, and
+// a random truth table.
+func relaxGates() []*circuit.Gate {
+	rng := rand.New(rand.NewSource(9))
+	tab := logic.NewTable(3)
+	for m := 0; m < tab.Rows(); m++ {
+		tab.Set(m, rng.Intn(2) == 1)
+	}
+	gates := []*circuit.Gate{
+		{Kind: logic.Const0}, {Kind: logic.Const1},
+		{Kind: logic.Buf, Fanin: make([]int, 1)}, {Kind: logic.Not, Fanin: make([]int, 1)},
+		{Kind: logic.TableKind, Table: tab, Fanin: make([]int, 3)},
+	}
+	for _, k := range []logic.Kind{logic.And, logic.Nand, logic.Or, logic.Nor} {
+		gates = append(gates, &circuit.Gate{Kind: k, Fanin: make([]int, 3)})
+	}
+	for _, k := range []logic.Kind{logic.Xor, logic.Xnor} {
+		gates = append(gates, &circuit.Gate{Kind: k, Fanin: make([]int, 3)}, &circuit.Gate{Kind: k, Fanin: make([]int, 4)})
+	}
+	return gates
+}
+
+// TestEncodeGateRelaxedSemantics: a relaxed gate is the candidate of the
+// diagnosis instance. For every gate kind and fanin assignment, relax
+// false forces the output to the gate function, and relax true leaves
+// both output values satisfiable — the two cases of Figure 2(a)'s
+// multiplexer with a free correction value.
+func TestEncodeGateRelaxedSemantics(t *testing.T) {
+	for _, g := range relaxGates() {
+		ar := len(g.Fanin)
+		for m := 0; m < 1<<uint(ar); m++ {
+			s := sat.New()
+			fan := make([]sat.Lit, ar)
+			in := make([]bool, ar)
+			assumps := make([]sat.Lit, ar)
+			for i := range fan {
+				fan[i] = sat.PosLit(s.NewVar())
+				in[i] = m>>uint(i)&1 == 1
+				assumps[i] = sat.MkLit(fan[i].Var(), !in[i])
 			}
-		}
-		unit(sel, selV)
-		unit(c, cV)
-		unit(z, zV)
-		if s.Solve() != sat.StatusSat {
-			t.Fatalf("m=%d unsat", m)
-		}
-		want := zV
-		if selV {
-			want = cV
-		}
-		if got := s.ValueLit(y) == sat.LTrue; got != want {
-			t.Fatalf("m=%d: y=%v want %v", m, got, want)
+			out := sat.PosLit(s.NewVar())
+			relax := sat.PosLit(s.NewVar())
+			EncodeGate(s, g, out, fan, relax)
+			var want bool
+			if g.Kind == logic.TableKind {
+				want = g.Table.Get(m)
+			} else {
+				want = logic.EvalBit(g.Kind, in)
+			}
+			for _, y := range []bool{false, true} {
+				yLit := sat.MkLit(out.Var(), !y)
+				if st := s.Solve(append(assumps, relax.Neg(), yLit)...); (st == sat.StatusSat) != (y == want) {
+					t.Fatalf("%v/%d minterm %d, relax off, y=%v: %v (function %v)", g.Kind, ar, m, y, st, want)
+				}
+				if st := s.Solve(append(assumps, relax, yLit)...); st != sat.StatusSat {
+					t.Fatalf("%v/%d minterm %d, relax on, y=%v: %v", g.Kind, ar, m, y, st)
+				}
+			}
 		}
 	}
 }
 
-// TestEncodeMuxZeroAlloc: the encoders add clauses straight into the
-// concrete solver, so a multiplexer costs no allocation once the
-// solver's arena and watch lists have grown. (A variadic AddClause
-// called through an interface heap-allocates every argument slice.)
-func TestEncodeMuxZeroAlloc(t *testing.T) {
-	s := sat.New()
-	y := sat.PosLit(s.NewVar())
-	sel := sat.PosLit(s.NewVar())
-	c := sat.PosLit(s.NewVar())
-	z := sat.PosLit(s.NewVar())
-	for i := 0; i < 4096; i++ {
-		EncodeMux(s, y, sel, c, z) // warm: grow the arena and watch lists
-	}
-	if allocs := testing.AllocsPerRun(100, func() { EncodeMux(s, y, sel, c, z) }); allocs != 0 {
-		t.Fatalf("EncodeMux allocated %v allocs/op, want 0", allocs)
+// TestEncodeGateZeroAlloc: the encoder builds every clause in a stack
+// buffer and adds it straight into the concrete solver, so a gate costs
+// no allocation, plain or relaxed, once the solver's arena and watch
+// lists have grown.
+func TestEncodeGateZeroAlloc(t *testing.T) {
+	kinds := []logic.Kind{logic.Buf, logic.Not, logic.And, logic.Nand, logic.Or, logic.Nor, logic.Xor, logic.Xnor, logic.TableKind}
+	for _, k := range kinds {
+		for ar := 1; ar <= 6; ar++ {
+			if (k == logic.Buf || k == logic.Not) && ar > 1 {
+				break
+			}
+			g := &circuit.Gate{Kind: k, Fanin: make([]int, ar)}
+			if k == logic.TableKind {
+				g.Table = logic.NewTable(ar)
+				g.Table.Set(1, true)
+			}
+			for _, relaxed := range []bool{false, true} {
+				s := sat.New()
+				fan := make([]sat.Lit, ar)
+				for i := range fan {
+					fan[i] = sat.PosLit(s.NewVar())
+				}
+				out := sat.PosLit(s.NewVar())
+				relax := sat.LitUndef
+				if relaxed {
+					relax = sat.PosLit(s.NewVar())
+				}
+				encode := func() { EncodeGate(s, g, out, fan, relax) }
+				for i := 0; i < 4096; i++ {
+					encode() // warm: grow the arena and watch lists
+				}
+				if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+					t.Errorf("%v/%d relaxed=%v: %v allocs/op, want 0", k, ar, relaxed, allocs)
+				}
+			}
+		}
 	}
 }
 
@@ -285,9 +338,10 @@ func TestBuildDiagInstanceSize(t *testing.T) {
 
 // TestBuildDiagEncodesOutputCone pins the encoding's shape: each test
 // copy allocates variables for exactly the fanin cone of its erroneous
-// output — one gate variable per cone gate, plus a multiplexer input and
-// a correction value per cone candidate — and nothing outside it. With
-// Golden every output is constrained, so a copy covers the union cone.
+// output — one variable per cone gate, candidates included, since a
+// relaxed candidate's output is its own correction value — and nothing
+// outside it. With Golden every output is constrained, so a copy covers
+// the union cone.
 func TestBuildDiagEncodesOutputCone(t *testing.T) {
 	c, err := gen.Generate(gen.Spec{Name: "cone", Inputs: 10, Outputs: 6, Gates: 120, Seed: 23})
 	if err != nil {
@@ -313,21 +367,15 @@ func TestBuildDiagEncodesOutputCone(t *testing.T) {
 			after, _ := sess.Size()
 			want := 0
 			for g, in := range cone {
-				gv, cv := sess.GateVars[i][g], sess.CorrVars[i][g]
-				_, isCand := sess.SelLit(g)
+				gv := sess.GateVars[i][g]
 				switch {
-				case !in && (gv != NoVar || cv != NoVar):
-					t.Fatalf("golden=%v copy %d: gate %d outside the cone is encoded (%d, %d)", golden != nil, i, g, gv, cv)
+				case !in && gv != NoVar:
+					t.Fatalf("golden=%v copy %d: gate %d outside the cone is encoded (%d)", golden != nil, i, g, gv)
 				case in && gv == NoVar:
 					t.Fatalf("golden=%v copy %d: cone gate %d has no variable", golden != nil, i, g)
-				case in && isCand != (cv != NoVar):
-					t.Fatalf("golden=%v copy %d: cone gate %d candidate=%v but correction var %d", golden != nil, i, g, isCand, cv)
 				}
 				if in {
 					want++
-					if isCand {
-						want += 2 // multiplexer data input z and correction value c
-					}
 				} else {
 					strict = true
 				}

@@ -8,8 +8,8 @@ import (
 
 // DiagOptions configures the diagnosis SAT instance of Figure 2/3.
 type DiagOptions struct {
-	// Candidates lists the gate IDs eligible for correction (multiplexer
-	// insertion). Nil means every internal (non-input) gate, the basic
+	// Candidates lists the gate IDs eligible for correction (given a
+	// select line). Nil means every internal (non-input) gate, the basic
 	// BSAT configuration. The advanced two-pass approach passes the
 	// fanout-free-region roots here first.
 	Candidates []int
@@ -55,14 +55,13 @@ type DiagOptions struct {
 	Recorder *trace.Recorder
 }
 
-// NoVar marks an absent variable: a gate outside a copy's cone, or a
-// gate without a correction multiplexer.
+// NoVar marks an absent variable: a gate outside a copy's cone.
 const NoVar sat.Var = -1
 
 // BuildDiag constructs the SAT instance F of the paper's Figure 2(b):
 // one constrained copy per test of the fanin cone of that test's
-// erroneous output (see coneFor), a correction multiplexer per candidate
-// gate whose select line is shared across copies, and a cardinality
+// erroneous output (see coneFor), a select line per candidate gate
+// relaxing its clauses in every copy (see EncodeGate), and a cardinality
 // ladder over the select lines. It is NewSession followed by AddTests.
 func BuildDiag(c *circuit.Circuit, tests circuit.TestSet, opts DiagOptions) *DiagSession {
 	sess := NewSession(c, opts)
@@ -78,11 +77,12 @@ func BuildDiag(c *circuit.Circuit, tests circuit.TestSet, opts DiagOptions) *Dia
 // the copy to the cone leaves the solution space projected onto the
 // select lines unchanged. The cone is fanin-closed, so it is a
 // self-contained sub-instance, and the part of a copy outside it only
-// feeds unconstrained gates: with its inputs fixed by the test vector and
-// its correction values free, it is satisfiable under every select
-// assignment. Dropping it removes logic that can never influence the
-// constrained output, and with it the decisions and propagations the
-// search would spend re-simulating that logic in every copy.
+// feeds unconstrained gates: with its inputs fixed by the test vector it
+// is satisfiable under every select assignment, since every gate there
+// either computes its function or, when selected, takes a free value.
+// Dropping it removes logic that can never influence the constrained
+// output, and with it the decisions and propagations the search would
+// spend re-simulating that logic in every copy.
 func coneFor(c *circuit.Circuit, t circuit.Test, allOutputs bool) circuit.Bitset {
 	an := c.Analysis()
 	if !allOutputs {

@@ -1,8 +1,9 @@
 // Package cnf translates circuits into CNF: Tseitin encodings of gate
 // functions, the diagnosis instance of the paper's Figure 2/3 (one circuit
-// copy per test, a correction multiplexer per candidate gate with a select
-// line shared across copies, and a cardinality bound over the selects),
-// and the one-way totalizer that bounds the selects.
+// copy per test, and per candidate gate a select line shared across
+// copies that relaxes the gate's clauses in every copy, the equivalent of
+// Figure 2(a)'s correction multiplexer), and the one-way totalizer that
+// bounds the selects.
 package cnf
 
 import (
@@ -41,136 +42,132 @@ func EncodeCopyWithInputs(s *sat.Solver, c *circuit.Circuit, inputs []sat.Var) [
 		for j, f := range g.Fanin {
 			fan[j] = sat.PosLit(vars[f])
 		}
-		EncodeGate(s, g, sat.PosLit(vars[i]), fan)
+		EncodeGate(s, g, sat.PosLit(vars[i]), fan, sat.LitUndef)
 	}
 	return vars
 }
 
 // EncodeGate adds the Tseitin clauses tying literal out to the gate
-// function over the fanin literals.
-func EncodeGate(s *sat.Solver, g *circuit.Gate, out sat.Lit, fan []sat.Lit) {
+// function over the fanin literals. A relax literal other than
+// sat.LitUndef is appended to every clause, the XOR chain's included:
+// while relax is false out equals the gate function, and while it is
+// true every clause is satisfied and out is free. A candidate gate of the
+// diagnosis instance is relaxed by its select line, so when selected its
+// output in each copy is that copy's correction value.
+func EncodeGate(s *sat.Solver, g *circuit.Gate, out sat.Lit, fan []sat.Lit, relax sat.Lit) {
+	e := gateClauses{s: s, relax: relax}
 	switch g.Kind {
 	case logic.Const0:
-		s.AddClause(out.Neg())
+		e.add(out.Neg())
 	case logic.Const1:
-		s.AddClause(out)
+		e.add(out)
 	case logic.Buf:
-		encodeEq(s, out, fan[0])
+		e.eq(out, fan[0])
 	case logic.Not:
-		encodeEq(s, out, fan[0].Neg())
+		e.eq(out, fan[0].Neg())
 	case logic.And:
-		encodeAnd(s, out, fan)
+		e.and(out, fan, false)
 	case logic.Nand:
-		encodeAnd(s, out.Neg(), fan)
-	case logic.Or:
-		encodeOr(s, out, fan)
+		e.and(out.Neg(), fan, false)
+	case logic.Or: // out <-> OR(fan) is ¬out <-> AND(¬fan)
+		e.and(out.Neg(), fan, true)
 	case logic.Nor:
-		encodeOr(s, out.Neg(), fan)
+		e.and(out, fan, true)
 	case logic.Xor:
-		encodeXorChain(s, out, fan)
+		e.xorChain(out, fan)
 	case logic.Xnor:
-		encodeXorChain(s, out.Neg(), fan)
+		e.xorChain(out.Neg(), fan)
 	case logic.TableKind:
-		encodeTable(s, g.Table, out, fan)
+		e.table(g.Table, out, fan)
 	default:
 		panic(fmt.Sprintf("cnf: cannot encode gate kind %v", g.Kind))
 	}
 }
 
-func encodeEq(s *sat.Solver, a, b sat.Lit) {
-	s.AddClause(a.Neg(), b)
-	s.AddClause(a, b.Neg())
+// clauseCap sizes the stack buffers clauses are built in: the longest
+// table clause (logic.MaxTableInputs fanins, out and relax) fits, so
+// only AND/OR gates wider than that allocate.
+const clauseCap = logic.MaxTableInputs + 2
+
+// gateClauses emits one gate's clauses, each relaxed by relax unless it
+// is sat.LitUndef.
+type gateClauses struct {
+	s     *sat.Solver
+	relax sat.Lit
 }
 
-// encodeAnd: out <-> AND(fan).
-func encodeAnd(s *sat.Solver, out sat.Lit, fan []sat.Lit) {
-	long := make([]sat.Lit, 0, len(fan)+1)
+func (e gateClauses) add(lits ...sat.Lit) {
+	var buf [clauseCap]sat.Lit
+	c := append(buf[:0], lits...)
+	if e.relax != sat.LitUndef {
+		c = append(c, e.relax)
+	}
+	e.s.AddClause(c...)
+}
+
+func (e gateClauses) eq(a, b sat.Lit) {
+	e.add(a.Neg(), b)
+	e.add(a, b.Neg())
+}
+
+// and: out <-> AND(fan), with every fanin negated when inv is set.
+func (e gateClauses) and(out sat.Lit, fan []sat.Lit, inv bool) {
+	var buf [clauseCap]sat.Lit
+	long := buf[:0]
 	for _, f := range fan {
-		s.AddClause(out.Neg(), f)
+		if inv {
+			f = f.Neg()
+		}
+		e.add(out.Neg(), f)
 		long = append(long, f.Neg())
 	}
-	long = append(long, out)
-	s.AddClause(long...)
+	e.add(append(long, out)...)
 }
 
-// encodeOr: out <-> OR(fan).
-func encodeOr(s *sat.Solver, out sat.Lit, fan []sat.Lit) {
-	long := make([]sat.Lit, 0, len(fan)+1)
-	for _, f := range fan {
-		s.AddClause(out, f.Neg())
-		long = append(long, f)
-	}
-	long = append(long, out.Neg())
-	s.AddClause(long...)
+// xor2: out <-> a XOR b.
+func (e gateClauses) xor2(out, a, b sat.Lit) {
+	e.add(out.Neg(), a, b)
+	e.add(out.Neg(), a.Neg(), b.Neg())
+	e.add(out, a.Neg(), b)
+	e.add(out, a, b.Neg())
 }
 
-// encodeXor2: out <-> a XOR b.
-func encodeXor2(s *sat.Solver, out, a, b sat.Lit) {
-	s.AddClause(out.Neg(), a, b)
-	s.AddClause(out.Neg(), a.Neg(), b.Neg())
-	s.AddClause(out, a.Neg(), b)
-	s.AddClause(out, a, b.Neg())
-}
-
-// encodeXorChain ties out to the parity of the fanins via fresh chain
+// xorChain ties out to the parity of the fanins via fresh chain
 // variables (linear clauses instead of the exponential direct encoding).
-func encodeXorChain(s *sat.Solver, out sat.Lit, fan []sat.Lit) {
-	switch len(fan) {
-	case 1:
-		encodeEq(s, out, fan[0])
-		return
-	case 2:
-		encodeXor2(s, out, fan[0], fan[1])
+func (e gateClauses) xorChain(out sat.Lit, fan []sat.Lit) {
+	if len(fan) == 1 {
+		e.eq(out, fan[0])
 		return
 	}
 	acc := fan[0]
-	for i := 1; i < len(fan)-1; i++ {
-		t := sat.PosLit(s.NewVar())
-		encodeXor2(s, t, acc, fan[i])
+	for _, f := range fan[1 : len(fan)-1] {
+		t := sat.PosLit(e.s.NewVar())
+		e.xor2(t, acc, f)
 		acc = t
 	}
-	encodeXor2(s, out, acc, fan[len(fan)-1])
+	e.xor2(out, acc, fan[len(fan)-1])
 }
 
-// encodeTable enumerates minterms: for every input assignment, a clause
+// table enumerates minterms: for every input assignment, a clause
 // forces the tabulated output value. Exponential in fanin, which is
 // bounded by logic.MaxTableInputs.
-func encodeTable(s *sat.Solver, t *logic.Table, out sat.Lit, fan []sat.Lit) {
+func (e gateClauses) table(t *logic.Table, out sat.Lit, fan []sat.Lit) {
 	if len(fan) != t.N {
 		panic("cnf: table arity mismatch")
 	}
-	if t.N == 0 {
-		if t.Get(0) {
-			s.AddClause(out)
-		} else {
-			s.AddClause(out.Neg())
-		}
-		return
-	}
-	clause := make([]sat.Lit, 0, t.N+1)
+	var buf [clauseCap]sat.Lit
 	for m := 0; m < t.Rows(); m++ {
-		clause = clause[:0]
+		clause := buf[:0]
 		for i, f := range fan {
 			if m>>uint(i)&1 == 1 {
-				clause = append(clause, f.Neg())
-			} else {
-				clause = append(clause, f)
+				f = f.Neg()
 			}
+			clause = append(clause, f)
 		}
-		if t.Get(m) {
-			clause = append(clause, out)
-		} else {
-			clause = append(clause, out.Neg())
+		o := out
+		if !t.Get(m) {
+			o = out.Neg()
 		}
-		s.AddClause(clause...)
+		e.add(append(clause, o)...)
 	}
-}
-
-// EncodeMux adds y <-> (s ? c : z), the correction multiplexer of the
-// paper's Figure 2(a).
-func EncodeMux(solver *sat.Solver, y, sel, c, z sat.Lit) {
-	solver.AddClause(sel, y.Neg(), z)
-	solver.AddClause(sel, y, z.Neg())
-	solver.AddClause(sel.Neg(), y.Neg(), c)
-	solver.AddClause(sel.Neg(), y, c.Neg())
 }

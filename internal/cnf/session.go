@@ -46,11 +46,9 @@ type DiagSession struct {
 	Ladder     *Ladder
 
 	// GateVars[i][g] is the output variable of gate g in test copy i, or
-	// NoVar when the gate is outside the encoded cone of copy i.
+	// NoVar when the gate is outside the encoded cone of copy i. For a
+	// selected candidate it is the copy's correction value.
 	GateVars [][]sat.Var
-	// CorrVars[i][g] is the free correction value injected at gate g in
-	// test copy i, or NoVar when g has no multiplexer in that copy.
-	CorrVars [][]sat.Var
 	// TestGuards holds the per-copy activation literal of sessions built
 	// with DiagOptions.GuardTests (nil otherwise): a copy's input/output
 	// constraints only bind while its guard is assumed true.
@@ -175,8 +173,9 @@ func NewSession(c *circuit.Circuit, opts DiagOptions) *DiagSession {
 // AddTest appends one constrained copy for the test and returns its copy
 // index. The copy covers the fanin cone of the test's erroneous output
 // (every output's cone with Golden; see coneFor) and shares the
-// session's select lines; only its gate and correction-value variables
-// are fresh, and GateVars/CorrVars hold NoVar outside the cone. Sessions
+// session's select lines; only its gate variables are fresh, one per
+// cone gate, and GateVars holds NoVar outside the cone. Each candidate's
+// clauses are relaxed by its select line (see EncodeGate). Sessions
 // with GuardTests attach the copy's constraints to a fresh guard literal
 // instead of asserting them, so the copy can be scoped per round.
 func (sess *DiagSession) AddTest(t circuit.Test) int {
@@ -199,11 +198,10 @@ func (sess *DiagSession) AddTest(t circuit.Test) int {
 
 	inCone := coneFor(c, t, sess.golden != nil)
 	gateVars := make([]sat.Var, len(c.Gates))
-	corrVars := make([]sat.Var, len(c.Gates))
 	for g := range gateVars {
 		gateVars[g] = NoVar
-		corrVars[g] = NoVar
 	}
+	var fan []sat.Lit
 	for g := range c.Gates {
 		if !inCone.Has(g) {
 			continue
@@ -217,24 +215,16 @@ func (sess *DiagSession) AddTest(t circuit.Test) int {
 			constrain(sat.MkLit(y, !t.Vector[pos]))
 			continue
 		}
-		fan := make([]sat.Lit, len(gate.Fanin))
-		for fi, f := range gate.Fanin {
-			fan[fi] = sat.PosLit(gateVars[f])
+		fan = fan[:0]
+		for _, f := range gate.Fanin {
+			fan = append(fan, sat.PosLit(gateVars[f]))
 		}
-		if j, isCand := sess.selIndex[g]; isCand {
-			z := sat.PosLit(s.NewVar())
-			EncodeGate(s, gate, z, fan)
-			cv := s.NewVar()
-			corrVars[g] = cv
-			EncodeMux(s, sat.PosLit(y), sess.Sels[j], sat.PosLit(cv), z)
-		} else {
-			EncodeGate(s, gate, sat.PosLit(y), fan)
-		}
+		relax, _ := sess.SelLit(g) // sat.LitUndef for a non-candidate
+		EncodeGate(s, gate, sat.PosLit(y), fan, relax)
 	}
 	i := len(sess.Tests)
 	sess.Tests = append(sess.Tests, t)
 	sess.GateVars = append(sess.GateVars, gateVars)
-	sess.CorrVars = append(sess.CorrVars, corrVars)
 
 	// Constrain the erroneous output to its correct value.
 	constrain(sat.MkLit(gateVars[t.Output], !t.Want))
@@ -302,7 +292,8 @@ func (sess *DiagSession) CanBound(k int) bool {
 // assumed off. This replaces the per-subset instance rebuilds of the
 // two-pass and scoped heuristics — the solution space over the restricted
 // selects is identical to an instance built with Candidates = cands,
-// because an unselected multiplexer passes its gate function through.
+// because a candidate whose select line is off computes its gate
+// function, exactly like a gate that is no candidate.
 func (sess *DiagSession) RestrictAssumps(cands []int) []sat.Lit {
 	allowed := make(map[int]bool, len(cands))
 	for _, g := range cands {
@@ -356,8 +347,12 @@ func (sess *DiagSession) ModelGates() []int {
 	return gates
 }
 
-// gatesOf maps projected select literals back to candidate labels.
+// gatesOf maps projected select literals back to candidate labels. A
+// session without select lines has only the empty projection.
 func (sess *DiagSession) gatesOf(trueLits []sat.Lit) []int {
+	if len(trueLits) == 0 {
+		return nil
+	}
 	base := sess.Sels[0].Var()
 	gates := make([]int, len(trueLits))
 	for i, l := range trueLits {

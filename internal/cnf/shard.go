@@ -211,7 +211,6 @@ func (sess *DiagSession) fork(keepLearnts bool) *DiagSession {
 		Sels:       sess.Sels,
 		Ladder:     sess.Ladder,
 		GateVars:   append([][]sat.Var(nil), sess.GateVars...),
-		CorrVars:   append([][]sat.Var(nil), sess.CorrVars...),
 		TestGuards: append([]sat.Lit(nil), sess.TestGuards...),
 		selIndex:   sess.selIndex,
 		opts:       sess.opts,

@@ -17,8 +17,8 @@ import (
 type BSATOptions struct {
 	K int // maximum correction size (required)
 
-	// Candidates restricts multiplexer insertion (nil = every internal
-	// gate, the basic approach).
+	// Candidates restricts the gates that get a select line (nil = every
+	// internal gate, the basic approach).
 	Candidates []int
 
 	// Groups, with GroupLabels, makes several gate instances share one
@@ -115,7 +115,8 @@ func (r *BSATResult) Session() *cnf.DiagSession { return r.sess }
 
 // BSAT implements BasicSATDiagnose (Figure 3): build the instance F —
 // one constrained copy per test of its erroneous output's fanin cone,
-// correction multiplexers with select lines shared across copies, a
+// candidate gates relaxed by select lines shared across copies (Figure
+// 2(a)'s multiplexer in equivalent form; see package cnf), a
 // cardinality ladder — then for limits i = 1..K enumerate all solutions,
 // adding a blocking clause per solution. Every returned correction is
 // valid (Lemma 1) and contains only essential candidates (Lemma 3),
@@ -182,11 +183,12 @@ type GateFunction struct {
 
 // ExtractFunctions re-solves the live session with the given correction
 // selected and reads back, for every corrected gate and every test copy
-// whose cone contains it, the fanin values and the injected correction
-// value — yielding the partial specification of the repaired gate
-// functions. A copy whose cone does not contain the gate does not
-// encode it and adds no care minterm: the gate cannot affect that copy's
-// failing output, so a value read there would require nothing.
+// whose cone contains it, the fanin values and the gate's output, which
+// its select line leaves free as the copy's correction value — yielding
+// the partial specification of the repaired gate functions. A copy whose
+// cone does not contain the gate does not encode it and adds no care
+// minterm: the gate cannot affect that copy's failing output, so a value
+// read there would require nothing.
 // The correction must be one of the enumerated solutions (or at least a
 // valid correction). Because the enumeration rounds are retired (their
 // blocking clauses retracted), no fresh instance is built: the query is
@@ -212,8 +214,8 @@ func (r *BSATResult) ExtractFunctions(corr Correction) ([]GateFunction, error) {
 		gate := &sess.Circuit.Gates[g]
 		gf := GateFunction{Gate: g, Fanin: append([]int(nil), gate.Fanin...), Care: make(map[int]bool), Agrees: true}
 		for i := range sess.Tests {
-			cv := sess.CorrVars[i][g]
-			if cv == cnf.NoVar {
+			y := sess.GateVars[i][g]
+			if y == cnf.NoVar {
 				continue
 			}
 			minterm := 0
@@ -231,7 +233,7 @@ func (r *BSATResult) ExtractFunctions(corr Correction) ([]GateFunction, error) {
 			if !ok {
 				continue
 			}
-			val := sess.Solver.Value(cv) == sat.LTrue
+			val := sess.Solver.Value(y) == sat.LTrue
 			if prev, seen := gf.Care[minterm]; seen && prev != val {
 				gf.Agrees = false
 			}
@@ -263,7 +265,7 @@ func ffrCandidates(c *circuit.Circuit) (roots []int, rootOf []int) {
 }
 
 // FFRTwoPass is the dominator-style two-pass heuristic of the advanced
-// SAT-based approach (Section 2.3): pass 1 inserts multiplexers only at
+// SAT-based approach (Section 2.3): pass 1 selects only
 // fanout-free-region roots (every path from a region gate to an output
 // passes through its root, so a root correction can emulate any region
 // correction); pass 2 refines within the regions named by pass-1
@@ -272,8 +274,8 @@ func ffrCandidates(c *circuit.Circuit) (roots []int, rootOf []int) {
 // exact claim for its heuristics it may omit fine-grained solutions
 // whose region roots were redundant at the coarse level; see DESIGN.md.
 //
-// Both passes run on one shared DiagSession: the instance (with
-// multiplexers at every internal gate) is encoded once, and each pass
+// Both passes run on one shared DiagSession: the instance (with a
+// select line at every internal gate) is encoded once, and each pass
 // confines its candidate tier by select-line assumptions instead of
 // rebuilding — the projected solution spaces are identical to the
 // per-pass instances of the monolithic formulation. Accordingly both
@@ -281,7 +283,7 @@ func ffrCandidates(c *circuit.Circuit) (roots []int, rootOf []int) {
 // build cost lands in pass 1's Timings.CNF (pass 2's is zero — that is
 // the saving), and each Stats covers only its own pass's solver work.
 //
-// Trade-off of the shared instance: pass 1 solves over the full-mux
+// Trade-off of the shared instance: pass 1 solves over the full
 // encoding (selects at every internal gate, assumed off outside the
 // root tier) instead of the old roots-only instance, so its per-Solve
 // cost no longer shrinks with the root count — the price paid for

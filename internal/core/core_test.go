@@ -168,8 +168,8 @@ func TestExtractFunctionsSkipsCopiesOutsideCone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cv := res.Session().CorrVars[1][g]; cv != cnf.NoVar {
-		t.Fatalf("gate %d outside copy 1's cone has correction var %d", g, cv)
+	if y := res.Session().GateVars[1][g]; y != cnf.NoVar {
+		t.Fatalf("gate %d outside copy 1's cone has variable %d", g, y)
 	}
 	funcs, err := res.ExtractFunctions(NewCorrection([]int{g, h}))
 	if err != nil {

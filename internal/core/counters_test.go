@@ -13,8 +13,9 @@ import (
 	"repro/internal/expt"
 )
 
-// The diagnosis counter gate: the small Table 2 enumeration cells are
-// run through core.Diagnose and their deterministic work counters
+// The diagnosis counter gate: Table 2 enumeration cells, among them the
+// reference and CEGAR jobs whose counters the docs quote, are run
+// through core.Diagnose and their deterministic work counters
 // (solutions, solver decisions/propagations/conflicts, instance size)
 // are compared against testdata/diag_counters.json. Any drift fails —
 // a change that is meant to move the search regenerates the baseline
@@ -59,11 +60,14 @@ func (j counterJob) name() string {
 	return name
 }
 
-// counterJobs are the small table2-enum cells of the benchmark harness.
+// counterJobs are table2-enum cells of the benchmark harness: three
+// small ones, the reference job and the CEGAR job.
 var counterJobs = []counterJob{
 	{circuit: "s298x", p: 2, seed: 1, m: 8, engine: "bsat", k: 2},
 	{circuit: "s298x", p: 2, seed: 1, m: 8, engine: "bsat", k: 2, shards: 2},
 	{circuit: "s400x", p: 2, seed: 3, m: 8, engine: "cegar", k: 2},
+	{circuit: "s1423x", p: 4, seed: 1, m: 16, engine: "bsat", k: 3},
+	{circuit: "s1423x", p: 2, seed: 5, m: 8, engine: "cegar", k: 3},
 }
 
 func runCounterJob(t *testing.T, j counterJob) diagCounters {

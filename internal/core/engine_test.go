@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/trace"
 )
 
@@ -275,6 +276,31 @@ func TestDiagnoseRegistry(t *testing.T) {
 		}
 		if rep.Guaranteed {
 			t.Fatalf("%s must not claim the Lemma 1/3 guarantee", engine)
+		}
+	}
+}
+
+// TestEmptyCandidateSet: with no candidate gates, a test-set the
+// circuit already passes has exactly one correction, the empty one, on
+// every SAT engine and shard count.
+func TestEmptyCandidateSet(t *testing.T) {
+	sc := firstScenario(t, 1, 1, 4)
+	passing := append(circuit.TestSet(nil), sc.tests...)
+	for i := range passing {
+		passing[i].Want = !passing[i].Want // what the faulty circuit computes
+	}
+	for _, run := range []struct {
+		engine string
+		shards int
+	}{{"bsat", 1}, {"bsat", 2}, {"cegar", 1}} {
+		rep, err := Diagnose(context.Background(), Request{
+			Engine: run.engine, Circuit: sc.faulty, Tests: passing, K: 1, Shards: run.shards, Candidates: []int{},
+		})
+		if err != nil {
+			t.Fatalf("%s shards=%d: %v", run.engine, run.shards, err)
+		}
+		if !rep.Complete || len(rep.Solutions) != 1 || rep.Solutions[0].Size() != 0 {
+			t.Fatalf("%s shards=%d: solutions %v complete=%v, want the empty correction alone", run.engine, run.shards, rep.Solutions, rep.Complete)
 		}
 	}
 }

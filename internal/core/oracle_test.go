@@ -8,8 +8,8 @@ import (
 
 // oracleSolutions computes BSAT's answer by brute-force simulation: every
 // candidate subset of size ≤ k that the Validator accepts and that has no
-// valid proper subset. Validity is monotone (a selected multiplexer may
-// pass its gate function through), so scanning subsets by increasing
+// valid proper subset. Validity is monotone (a selected candidate's free
+// value may equal its gate function), so scanning subsets by increasing
 // size and discarding supersets of earlier answers leaves exactly the
 // valid sets without a valid proper subset.
 func oracleSolutions(c *circuit.Circuit, tests circuit.TestSet, k int) *SolutionSet {

@@ -54,7 +54,7 @@ type PTOptions struct {
 // value (XOR/XNOR, truth tables) mark all inputs. The returned candidate
 // set Ci contains the visited internal gates in ascending ID order;
 // primary inputs terminate traces and are not candidates (corrections
-// apply at gates, mirroring the multiplexer placement of BSAT).
+// apply at gates, mirroring BSAT's candidate gates).
 //
 // The simulator must wrap the faulty implementation the test failed on.
 //

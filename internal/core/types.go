@@ -11,7 +11,8 @@
 // variants discussed in Sections 2.3 and 4 (cone-restricted copies,
 // fanout-free-region two-pass, test-set partitioning), and the hybrid
 // approaches sketched in Section 6. Section 2.3's force-zero clauses
-// are kept as a test (TestForceZeroClausesCutDecisions), not an option.
+// have nothing to act on: a candidate gate is relaxed by its select
+// line, so there is no free correction input to pin while it is off.
 package core
 
 import (

@@ -16,8 +16,8 @@ const maxValidateGates = 20
 // the correct value at the test's erroneous output. Because the fanin
 // values of a corrected gate are fixed within a single test, replacing a
 // gate function by an arbitrary Boolean function is per test exactly a
-// free output constant — the same semantics BSAT's per-test correction
-// inputs c^i_g give a selected multiplexer.
+// free output constant — the same semantics BSAT gives a selected
+// candidate, whose output is free in each test copy.
 //
 // All 2^|gates| forced assignments of one test are packed into 64-wide
 // simulation words, so corrections up to size 6 need a single

@@ -1,5 +1,7 @@
 package sat
 
+import "slices"
+
 // watchSlab stores every literal's watch list in one flat []watch,
 // addressed by per-literal {off, n, cap} ranges — the watch-side twin
 // of the clause arena. Propagation walks one contiguous region per
@@ -51,7 +53,10 @@ func (sl *watchSlab) relocate(r *watchRange) {
 		newCap = 4
 	}
 	off := uint32(len(sl.data))
-	sl.data = append(sl.data, make([]watch, newCap)...)
+	// Not append(sl.data, make(...)...): race builds do not elide that
+	// make, so every relocation would allocate there. Entries past a
+	// range's n are never read, so the grown tail needs no zeroing.
+	sl.data = slices.Grow(sl.data, int(newCap))[:off+newCap]
 	copy(sl.data[off:off+r.n], sl.data[r.off:r.off+r.n])
 	sl.wasted += r.cap
 	r.off = off

@@ -389,14 +389,25 @@ func TestServerScenarioRoundtrip(t *testing.T) {
 }
 
 // TestServerErrorPaths: malformed input and unknown sessions map to the
-// right status codes and never wedge the scheduler.
+// right status codes and never wedge the scheduler; edge cases that are
+// valid input are served.
 func TestServerErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	c, tests := scenario(t, 5, 3)
+	passing := append(circuit.TestSet(nil), tests...)
+	for i := range passing {
+		passing[i].Want = !passing[i].Want // what the faulty circuit computes
+	}
+	// An explicitly empty candidate list, which omitempty would drop from
+	// a marshalled DiagnoseRequest.
+	noCandidates := func(engine, mode string) map[string]any {
+		return map[string]any{"bench": benchText(t, c), "tests": testJSON(passing),
+			"engine": engine, "mode": mode, "candidates": []int{}}
+	}
 
 	cases := []struct {
 		name string
-		req  service.DiagnoseRequest
+		req  any
 		code int
 	}{
 		{"no circuit", service.DiagnoseRequest{Tests: testJSON(tests)}, http.StatusBadRequest},
@@ -415,6 +426,9 @@ func TestServerErrorPaths(t *testing.T) {
 			Candidates: []int{c.Inputs[0]}, Mode: "warm"}, http.StatusBadRequest},
 		{"input candidate, cold", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
 			Candidates: []int{c.InternalGates()[0], c.Inputs[0]}, Mode: "cold"}, http.StatusBadRequest},
+		{"no candidates, cold bsat", noCandidates("bsat", "cold"), http.StatusOK},
+		{"no candidates, warm bsat", noCandidates("bsat", "warm"), http.StatusOK},
+		{"no candidates, cegar", noCandidates("cegar", "cold"), http.StatusOK},
 	}
 	for _, tc := range cases {
 		code, _ := post[service.DiagnoseResponse](t, ts.URL+"/diagnose", tc.req)
