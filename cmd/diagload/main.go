@@ -1,30 +1,28 @@
-// Command diagload replays synthetic multi-client diagnosis traffic
-// against a running diagserver and reports throughput and latency
-// quantiles, plus the server-side pool hit rate.
-//
-// Modes:
+// Command diagload drives a running diagserver with synthetic diagnosis
+// traffic. -scenario picks one of a table of scenarios; all of them send
+// their requests through one client and judge answers with one
+// equivalence check (sameSolutions: the solution sets' canonical JSON
+// must be byte-identical).
 //
 //	diagload -addr http://localhost:8344 -n 100 -c 8 -circuits s298x,s400x,s526x -zipf 1.2
-//	    mixed load: zipf-popular circuits, warm pool, p50/p99 report
-//	diagload -smoke
-//	    one cold + one warm request; exits non-zero unless the warm
-//	    request reports a pool hit with identical solutions
-//	diagload -compare -circuits s1423x -tests 16 -inject 2
-//	    cold vs warm vs incremental latency on one workload (the
-//	    Table 2 amortization measurement)
-//	diagload -chaos
-//	    drive a failpoint-armed server (diagserver -failpoints ...) and
-//	    assert the fault-tolerance contract: no 5xx escapes the
-//	    recovery layers and every complete=true response is
-//	    byte-identical to a locally computed fault-free diagnosis
-//	diagload -restart prime -state st.json   (then SIGKILL + restart the server)
-//	diagload -restart verify -state st.json
-//	    crash-equivalence gate against a diagserver -journal-dir: prime
-//	    warms the pool, retracts one test from each session and records
-//	    the post-edit solutions; verify waits out the replay (503
-//	    warming), then asserts a no-op edit on each replayed session and
-//	    a re-sent request both hit it warm (no re-encoding) with
-//	    byte-identical solutions
+//	    load: closed-loop mixed traffic; throughput, p50/p99 per serving
+//	    mode and the server's pool counters
+//	diagload -scenario smoke -circuits s1423x -tests 16 -inject 2 -min-speedup 2
+//	    the serving gate on one workload: a first request that misses the
+//	    pool, then cold, warm (pool hit) and incremental requests whose
+//	    answers must all equal the first; prints best-of-reps latencies
+//	diagload -scenario chaos
+//	    the fault-tolerance gate against a failpoint-armed server
+//	    (diagserver -failpoints ...): the load scenario's traffic, no 5xx
+//	    but 503/504, every degraded answer explains itself, every complete
+//	    answer equals a local fault-free diagnosis, faults were observed
+//	diagload -scenario restart-prime -state st.json   (then SIGKILL + restart the server)
+//	diagload -scenario restart-verify -state st.json
+//	    the crash-equivalence gate against a diagserver -journal-dir:
+//	    prime warms the pool, retracts one test from each session and
+//	    records the answers; verify waits out the replay, then a no-op
+//	    edit and a re-sent request on each replayed session must land
+//	    warm, encode no test copy and reproduce the recorded answers
 package main
 
 import (
@@ -40,6 +38,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -51,15 +50,29 @@ import (
 	"repro/internal/trace"
 )
 
+// scenarios is the table -scenario selects from.
+var scenarios = []struct {
+	name string
+	run  func(config) error
+}{
+	{"load", runLoad},
+	{"smoke", runSmoke},
+	{"chaos", runChaos},
+	{"restart-prime", runRestartPrime},
+	{"restart-verify", runRestartVerify},
+}
+
 type config struct {
 	addr        string
+	scenario    string
+	state       string // baseline file the restart scenarios share
 	circuits    []string
 	inject      int
 	seed        int64
 	tests       int
 	k           int
 	shards      []int    // each request draws one uniformly
-	engines     []string // each request draws one uniformly ("" = bsat)
+	engines     []string // each request draws one uniformly
 	n           int
 	clients     int
 	zipf        float64
@@ -67,12 +80,15 @@ type config struct {
 	reps        int
 	minSpeed    float64
 	traceSample int
+	sampleCap   int // the requests' sample-stage cap (0 = server default)
 	out         io.Writer
 }
 
 func main() {
 	var (
 		addr     = flag.String("addr", "http://localhost:8344", "diagserver base URL")
+		scenario = flag.String("scenario", "load", "what to run: "+scenarioNames())
+		state    = flag.String("state", "diagload-restart.json", "baseline file shared by the restart scenarios")
 		circuits = flag.String("circuits", "s298x,s400x,s526x", "comma-separated suite circuits")
 		inject   = flag.Int("inject", 1, "errors injected per circuit")
 		seed     = flag.Int64("seed", 1, "workload seed")
@@ -80,34 +96,69 @@ func main() {
 		k        = flag.Int("k", 0, "correction size limit (0 = number of injected errors)")
 		shards   = flag.String("shards", "1", "comma-separated shard counts; each request draws one")
 		engines  = flag.String("engines", "bsat", "comma-separated engine mix; each request draws one")
-		n        = flag.Int("n", 50, "total requests")
-		clients  = flag.Int("c", 4, "concurrent clients")
+		n        = flag.Int("n", 50, "total requests (load, chaos)")
+		clients  = flag.Int("c", 4, "concurrent clients (load, chaos)")
 		zipf     = flag.Float64("zipf", 1.2, "circuit popularity skew (<=1 = uniform)")
 		coldFrac = flag.Float64("cold-frac", 0, "fraction of requests forced cold (pool bypass)")
-		reps     = flag.Int("reps", 3, "repetitions per stage in -compare")
-		minSpeed = flag.Float64("min-speedup", 0, "-compare exits non-zero when warm speedup is below this")
-		smoke    = flag.Bool("smoke", false, "cold+warm smoke: assert the warm request hits the pool")
-		compare  = flag.Bool("compare", false, "measure cold vs warm vs incremental latency")
-		chaos    = flag.Bool("chaos", false, "fault-tolerance gate against a failpoint-armed server")
-		restart  = flag.String("restart", "",
-			"crash-equivalence gate phase: 'prime' warms the pool and records a baseline, 'verify' asserts warm replay after a restart")
-		stateFile   = flag.String("state", "diagload-restart.json", "baseline file shared by the -restart phases")
-		traceSample = flag.Int("trace-sample", 0,
-			"after a load run, print the span breakdown of the N slowest requests")
+		reps     = flag.Int("reps", 3, "repetitions per stage in smoke")
+		minSpeed = flag.Float64("min-speedup", 0, "smoke fails when the warm speedup over cold is below this")
+		sample   = flag.Int("trace-sample", 0, "after a load run, print the span breakdown of the N slowest requests")
 	)
 	flag.Parse()
-
-	shardList, err := splitInts(*shards)
+	cfg := config{
+		addr: strings.TrimRight(*addr, "/"), scenario: *scenario, state: *state,
+		circuits: splitList(*circuits), inject: *inject, seed: *seed, tests: *tests, k: *k,
+		engines: splitList(*engines), n: *n, clients: *clients, zipf: *zipf, coldFrac: *coldFrac,
+		reps: *reps, minSpeed: *minSpeed, traceSample: *sample, out: os.Stdout,
+	}
+	run, err := cfg.validate(*shards)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "diagload: -shards:", err)
+		fmt.Fprintln(os.Stderr, "diagload:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "diagload:", err)
 		os.Exit(1)
 	}
-	cfg := config{
-		addr: strings.TrimRight(*addr, "/"), circuits: splitList(*circuits),
-		inject: *inject, seed: *seed, tests: *tests, k: *k,
-		shards: shardList, engines: splitList(*engines),
-		n: *n, clients: *clients, zipf: *zipf, coldFrac: *coldFrac,
-		reps: *reps, minSpeed: *minSpeed, traceSample: *traceSample, out: os.Stdout,
+}
+
+func scenarioNames() string {
+	names := make([]string, len(scenarios))
+	for i, s := range scenarios {
+		names[i] = s.name
+	}
+	return strings.Join(names, "|")
+}
+
+// validate checks every flag value, fills in the defaults and returns
+// the selected scenario. Its errors are usage errors.
+func (cfg *config) validate(shards string) (func(config) error, error) {
+	var run func(config) error
+	for _, s := range scenarios {
+		if s.name == cfg.scenario {
+			run = s.run
+		}
+	}
+	var err error
+	cfg.shards, err = splitInts(shards)
+	switch {
+	case run == nil:
+		return nil, fmt.Errorf("-scenario: unknown scenario %q (want %s)", cfg.scenario, scenarioNames())
+	case err != nil:
+		return nil, fmt.Errorf("-shards: %w", err)
+	case len(cfg.circuits) == 0:
+		return nil, fmt.Errorf("-circuits: need at least one circuit")
+	case cfg.n < 1:
+		return nil, fmt.Errorf("-n: need at least one request, got %d", cfg.n)
+	case cfg.clients < 1:
+		return nil, fmt.Errorf("-c: need at least one client, got %d", cfg.clients)
+	case cfg.reps < 1:
+		return nil, fmt.Errorf("-reps: need at least one repetition, got %d", cfg.reps)
+	case cfg.tests < 1:
+		return nil, fmt.Errorf("-tests: need at least one test, got %d", cfg.tests)
+	case cfg.scenario == "restart-prime" && cfg.tests < 2:
+		return nil, fmt.Errorf("-tests: restart-prime retracts one test, need at least 2, got %d", cfg.tests)
 	}
 	if cfg.k <= 0 {
 		cfg.k = cfg.inject
@@ -118,40 +169,7 @@ func main() {
 	if len(cfg.shards) == 0 {
 		cfg.shards = []int{1}
 	}
-	if err := cfg.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "diagload:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	switch {
-	case *smoke:
-		err = runSmoke(cfg)
-	case *compare:
-		err = runCompare(cfg)
-	case *chaos:
-		err = runChaos(cfg)
-	case *restart != "":
-		err = runRestart(cfg, *restart, *stateFile)
-	default:
-		err = runLoad(cfg)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "diagload:", err)
-		os.Exit(1)
-	}
-}
-
-// validate rejects flag values no mode can run with.
-func (cfg config) validate() error {
-	switch {
-	case len(cfg.circuits) == 0:
-		return fmt.Errorf("-circuits: need at least one circuit")
-	case cfg.n < 1:
-		return fmt.Errorf("-n: need at least one request, got %d", cfg.n)
-	case cfg.clients < 1:
-		return fmt.Errorf("-c: need at least one client, got %d", cfg.clients)
-	}
-	return nil
+	return run, nil
 }
 
 func splitList(s string) []string {
@@ -176,12 +194,15 @@ func splitInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// workload is one circuit's prepared request payload.
+// workload is one circuit's request payload. The restart scenarios
+// write it to the state file with the answer prime recorded; chaos
+// keeps the local fault-free answer in Solutions.
 type workload struct {
-	name  string
-	bench string
-	tests []service.TestJSON
-	extra []service.TestJSON // spare tests for incremental edits
+	Name      string             `json:"name"`
+	Bench     string             `json:"bench"`
+	Tests     []service.TestJSON `json:"tests"`
+	Solutions [][]int            `json:"solutions,omitempty"`
+	extra     []service.TestJSON // spare test for smoke's incremental edits
 }
 
 // prepare builds the faulty circuit and failing tests for each named
@@ -199,8 +220,8 @@ func prepare(cfg config) ([]workload, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: inject: %w", name, err)
 			}
-			// One spare test beyond the base set feeds -compare's
-			// incremental stage.
+			// One spare test beyond the base set feeds smoke's
+			// incremental edits.
 			ts, err := tgen.Random(golden, faulty, tgen.Options{Count: cfg.tests + 1, Seed: s})
 			if err == tgen.ErrUndetected {
 				continue
@@ -212,8 +233,8 @@ func prepare(cfg config) ([]workload, error) {
 			if err := circuit.WriteBench(&sb, faulty); err != nil {
 				return nil, err
 			}
-			wire := toWire(ts)
-			wl = &workload{name: name, bench: sb.String(), tests: wire[:cfg.tests], extra: wire[cfg.tests:]}
+			wire := service.EncodeTests(ts)
+			wl = &workload{Name: name, Bench: sb.String(), Tests: wire[:cfg.tests], extra: wire[cfg.tests:]}
 			break
 		}
 		if wl == nil {
@@ -224,70 +245,92 @@ func prepare(cfg config) ([]workload, error) {
 	return loads, nil
 }
 
-func toWire(ts circuit.TestSet) []service.TestJSON {
-	out := make([]service.TestJSON, len(ts))
-	for i, t := range ts {
-		var vb strings.Builder
-		for _, b := range t.Vector {
-			if b {
-				vb.WriteByte('1')
-			} else {
-				vb.WriteByte('0')
-			}
-		}
-		out[i] = service.TestJSON{Vector: vb.String(), Output: t.Output, Want: t.Want}
+// localTruth computes the fault-free diagnosis of a workload in this
+// process, on the server's view of the circuit: the baseline served
+// answers are checked against.
+func localTruth(wl workload, k int) ([][]int, error) {
+	c, err := circuit.ParseBench(wl.Name, strings.NewReader(wl.Bench))
+	if err != nil {
+		return nil, err
 	}
-	return out
+	tests, err := service.DecodeTests(c, wl.Tests)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", wl.Name, err)
+	}
+	rep, err := core.Diagnose(context.Background(), core.Request{
+		Engine: "bsat", Circuit: c, Tests: tests, K: k,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !rep.Complete {
+		return nil, fmt.Errorf("%s: local baseline incomplete", wl.Name)
+	}
+	sols := make([][]int, len(rep.Solutions))
+	for i, s := range rep.Solutions {
+		sols[i] = s.Gates
+	}
+	return sols, nil
 }
 
-func postJSON[T any](base, path string, body any) (T, error) {
-	var out T
+// sameSolutions is the equivalence check every scenario uses: two
+// answers agree when their solution sets' canonical JSON is
+// byte-identical.
+func sameSolutions(what string, got, want [][]int) error {
+	g, err := json.Marshal(got)
+	if err != nil {
+		return err
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(g, w) {
+		return fmt.Errorf("%s: solutions diverged:\n got  %s\n want %s", what, g, w)
+	}
+	return nil
+}
+
+// post sends body as JSON and decodes the diagnosis response. code is
+// the HTTP status, 0 when no response arrived; a non-200 status is an
+// error carrying the server's message.
+func (cfg config) post(path string, body any) (code int, resp service.DiagnoseResponse, err error) {
 	b, err := json.Marshal(body)
 	if err != nil {
-		return out, err
+		return 0, resp, err
 	}
-	resp, err := http.Post(base+path, "application/json", bytes.NewReader(b))
+	r, err := http.Post(cfg.addr+path, "application/json", bytes.NewReader(b))
 	if err != nil {
-		return out, err
+		return 0, resp, err
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return out, err
+	defer r.Body.Close()
+	raw, err := io.ReadAll(r.Body)
+	switch {
+	case err != nil:
+	case r.StatusCode != http.StatusOK:
+		err = fmt.Errorf("%s: HTTP %d: %s", path, r.StatusCode, strings.TrimSpace(string(raw)))
+	default:
+		if err = json.Unmarshal(raw, &resp); err != nil {
+			err = fmt.Errorf("%s: decode: %w", path, err)
+		}
 	}
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("%s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(raw)))
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return out, fmt.Errorf("%s: decode: %w", path, err)
-	}
-	return out, nil
+	return r.StatusCode, resp, err
 }
 
-func (cfg config) request(wl workload, mode, engine string, shards int) service.DiagnoseRequest {
-	return service.DiagnoseRequest{
-		Bench:  wl.bench,
-		Tests:  wl.tests,
-		K:      cfg.k,
-		Shards: shards,
-		Engine: engine,
-		Mode:   mode,
-	}
-}
-
-// base is the single-choice request the smoke/compare paths use.
-func (cfg config) base(wl workload, mode string) service.DiagnoseRequest {
-	return cfg.request(wl, mode, cfg.engines[0], cfg.shards[0])
-}
-
-// fetchMetric scrapes one plain sample from /metrics.
-func fetchMetric(base, name string) (int64, error) {
-	resp, err := http.Get(base + "/metrics")
+// get fetches path and returns the status and body.
+func (cfg config) get(path string) (int, []byte, error) {
+	r, err := http.Get(cfg.addr + path)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	defer r.Body.Close()
+	raw, err := io.ReadAll(r.Body)
+	return r.StatusCode, raw, err
+}
+
+// metric scrapes one plain sample from /metrics.
+func (cfg config) metric(name string) (int64, error) {
+	_, raw, err := cfg.get("/metrics")
 	if err != nil {
 		return 0, err
 	}
@@ -303,46 +346,44 @@ func fetchMetric(base, name string) (int64, error) {
 	return 0, fmt.Errorf("metric %s not exposed", name)
 }
 
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+func (cfg config) request(wl workload, mode, engine string, shards int) service.DiagnoseRequest {
+	return service.DiagnoseRequest{
+		Bench:     wl.Bench,
+		Tests:     wl.Tests,
+		K:         cfg.k,
+		Shards:    shards,
+		Engine:    engine,
+		Mode:      mode,
+		SampleCap: cfg.sampleCap,
 	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }
 
-// runLoad replays mixed multi-client traffic with zipf circuit
-// popularity and reports throughput + latency quantiles.
-func runLoad(cfg config) error {
-	loads, err := prepare(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out, "workloads: %d circuits, %d tests each, k=%d, engines=%v, shards=%v\n",
-		len(loads), cfg.tests, cfg.k, cfg.engines, cfg.shards)
+// base is the single-choice request of the smoke and restart scenarios.
+func (cfg config) base(wl workload, mode string) service.DiagnoseRequest {
+	return cfg.request(wl, mode, cfg.engines[0], cfg.shards[0])
+}
 
-	type sample struct {
-		d       time.Duration
-		mode    string
-		hit     bool
-		id      string
-		name    string
-		timings *trace.SpanJSON
-	}
-	samples := make([]sample, cfg.n)
-	var idx struct {
-		sync.Mutex
-		next int
-	}
-	pick := func(r *rand.Rand, z *rand.Zipf) int {
-		if z != nil {
-			return int(z.Uint64())
-		}
-		return r.Intn(len(loads))
-	}
+// outcome is one request drive sent and what came back.
+type outcome struct {
+	wl     *workload
+	shards int
+	d      time.Duration
+	code   int
+	resp   service.DiagnoseResponse
+	err    error
+}
+
+// drive sends the closed-loop traffic of load and chaos: cfg.clients
+// clients take request numbers from one counter until cfg.n requests
+// are sent. Each client draws every request from its own seeded RNG:
+// the workload (zipf-skewed when -zipf > 1), cold mode at -cold-frac,
+// the engine and the shard count. It returns the outcomes in request
+// order and the wall time.
+func drive(cfg config, loads []workload) ([]outcome, time.Duration) {
+	outs := make([]outcome, cfg.n)
+	var next atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
-	errs := make(chan error, cfg.clients)
 	for c := 0; c < cfg.clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -353,14 +394,16 @@ func runLoad(cfg config) error {
 				z = rand.NewZipf(r, cfg.zipf, 1, uint64(len(loads)-1))
 			}
 			for {
-				idx.Lock()
-				i := idx.next
-				idx.next++
-				idx.Unlock()
+				i := int(next.Add(1)) - 1
 				if i >= cfg.n {
 					return
 				}
-				wl := loads[pick(r, z)]
+				var wl *workload
+				if z != nil {
+					wl = &loads[z.Uint64()]
+				} else {
+					wl = &loads[r.Intn(len(loads))]
+				}
 				mode := ""
 				if cfg.coldFrac > 0 && r.Float64() < cfg.coldFrac {
 					mode = "cold"
@@ -368,30 +411,40 @@ func runLoad(cfg config) error {
 				engine := cfg.engines[r.Intn(len(cfg.engines))]
 				shards := cfg.shards[r.Intn(len(cfg.shards))]
 				t0 := time.Now()
-				resp, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.request(wl, mode, engine, shards))
-				if err != nil {
-					errs <- err
-					return
-				}
-				samples[i] = sample{
-					d: time.Since(t0), mode: resp.Mode, hit: resp.PoolHit,
-					id: resp.RequestID, name: wl.name, timings: resp.Timings,
-				}
+				code, resp, err := cfg.post("/diagnose", cfg.request(*wl, mode, engine, shards))
+				outs[i] = outcome{wl: wl, shards: shards, d: time.Since(t0), code: code, resp: resp, err: err}
 			}
 		}(c)
 	}
 	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+	return outs, time.Since(start)
+}
+
+func quantile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(q*float64(len(sorted)-1))]
+}
+
+// runLoad drives mixed traffic and reports throughput, latency
+// quantiles per serving mode and the server's pool counters.
+func runLoad(cfg config) error {
+	loads, err := prepare(cfg)
+	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
-
+	fmt.Fprintf(cfg.out, "workloads: %d circuits, %d tests each, k=%d, engines=%v, shards=%v\n",
+		len(loads), cfg.tests, cfg.k, cfg.engines, cfg.shards)
+	outs, elapsed := drive(cfg, loads)
 	byMode := map[string][]time.Duration{}
 	hits := 0
-	for _, s := range samples {
-		byMode[s.mode] = append(byMode[s.mode], s.d)
-		if s.hit {
+	for _, o := range outs {
+		if o.err != nil {
+			return o.err
+		}
+		byMode[o.resp.Mode] = append(byMode[o.resp.Mode], o.d)
+		if o.resp.PoolHit {
 			hits++
 		}
 	}
@@ -409,24 +462,21 @@ func runLoad(cfg config) error {
 			m, len(ds), quantile(ds, 0.50).Round(time.Microsecond), quantile(ds, 0.99).Round(time.Microsecond))
 	}
 	for _, name := range []string{"diag_pool_hits_total", "diag_pool_misses_total", "diag_pool_evictions_total"} {
-		if v, err := fetchMetric(cfg.addr, name); err == nil {
+		if v, err := cfg.metric(name); err == nil {
 			fmt.Fprintf(cfg.out, "  %s %d\n", name, v)
 		}
 	}
 	if cfg.traceSample > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i].d > samples[j].d })
-		n := cfg.traceSample
-		if n > len(samples) {
-			n = len(samples)
-		}
-		fmt.Fprintf(cfg.out, "slowest %d request(s):\n", n)
-		for _, s := range samples[:n] {
-			fmt.Fprintf(cfg.out, "  %s %s %s client-observed %v\n", s.id, s.name, s.mode, s.d.Round(time.Microsecond))
-			if s.timings == nil {
+		sort.Slice(outs, func(i, j int) bool { return outs[i].d > outs[j].d })
+		outs = outs[:min(cfg.traceSample, len(outs))]
+		fmt.Fprintf(cfg.out, "slowest %d request(s):\n", len(outs))
+		for _, o := range outs {
+			fmt.Fprintf(cfg.out, "  %s %s %s client-observed %v\n", o.resp.RequestID, o.wl.Name, o.resp.Mode, o.d.Round(time.Microsecond))
+			if o.resp.Timings == nil {
 				fmt.Fprintf(cfg.out, "    (no timings in response — old server?)\n")
 				continue
 			}
-			printSpan(cfg.out, s.timings, 2)
+			printSpan(cfg.out, o.resp.Timings, 2)
 		}
 	}
 	return nil
@@ -461,8 +511,14 @@ func printSpan(w io.Writer, s *trace.SpanJSON, indent int) {
 	}
 }
 
-// runSmoke drives one cold and one warm request and asserts the warm
-// one hit the session pool with identical solutions — the CI gate.
+// runSmoke is the serving gate on the first circuit. One auto request
+// must miss the pool; then -reps cold requests, -reps warm requests
+// (each a pool hit) and -reps incremental edits that alternately add
+// and retract the spare test. Every complete answer of the cold and
+// warm requests and of the retract edits must equal the first answer,
+// and /metrics must count at least -reps pool hits. It prints each
+// stage's best latency and fails when the warm speedup over cold is
+// below -min-speedup.
 func runSmoke(cfg config) error {
 	cfg.circuits = cfg.circuits[:1]
 	loads, err := prepare(cfg)
@@ -470,191 +526,130 @@ func runSmoke(cfg config) error {
 		return err
 	}
 	wl := loads[0]
-	cold, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.base(wl, ""))
+	fmt.Fprintf(cfg.out, "smoke: %s, %d tests, k=%d, shards=%d, %d reps\n",
+		wl.Name, cfg.tests, cfg.k, cfg.shards[0], cfg.reps)
+	_, first, err := cfg.post("/diagnose", cfg.base(wl, ""))
 	if err != nil {
 		return err
 	}
-	if cold.PoolHit {
+	if first.PoolHit {
 		return fmt.Errorf("smoke: first request unexpectedly hit the pool")
 	}
-	warm, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.base(wl, ""))
+	if !first.Complete {
+		return fmt.Errorf("smoke: first answer is incomplete; nothing to compare against")
+	}
+	edits := "/sessions/" + first.Session + "/tests"
+	stages := []string{"cold", "warm", "incremental"}
+	best := make([]time.Duration, len(stages))
+	for si, stage := range stages {
+		for rep := 0; rep < cfg.reps; rep++ {
+			path, body, compare := "/diagnose", any(cfg.base(wl, "")), true
+			switch {
+			case stage == "cold":
+				body = cfg.base(wl, "cold")
+			case stage == "incremental" && rep%2 == 0:
+				path, body, compare = edits, service.SessionTestsRequest{Add: wl.extra}, false
+			case stage == "incremental":
+				// The spare sits past the base tests.
+				path, body = edits, service.SessionTestsRequest{Remove: []int{cfg.tests}}
+			}
+			t0 := time.Now()
+			_, resp, err := cfg.post(path, body)
+			d := time.Since(t0)
+			if err != nil {
+				return err
+			}
+			if stage == "warm" && !resp.PoolHit {
+				return fmt.Errorf("smoke: warm request %d missed the pool (mode=%s)", rep+1, resp.Mode)
+			}
+			if compare && resp.Complete {
+				if err := sameSolutions(fmt.Sprintf("smoke: %s request %d", stage, rep+1), resp.Solutions, first.Solutions); err != nil {
+					return err
+				}
+			}
+			if best[si] == 0 || d < best[si] {
+				best[si] = d
+			}
+		}
+	}
+	hits, err := cfg.metric("diag_pool_hits_total")
 	if err != nil {
 		return err
 	}
-	if !warm.PoolHit {
-		return fmt.Errorf("smoke: warm request missed the pool (mode=%s)", warm.Mode)
+	if hits < int64(cfg.reps) {
+		return fmt.Errorf("smoke: /metrics reports %d pool hits, want >= %d", hits, cfg.reps)
 	}
-	a, _ := json.Marshal(cold.Solutions)
-	b, _ := json.Marshal(warm.Solutions)
-	if !bytes.Equal(a, b) {
-		return fmt.Errorf("smoke: warm solutions diverged:\n cold %s\n warm %s", a, b)
+	cold, warm, incr := best[0], best[1], best[2]
+	speedW := float64(cold) / float64(warm)
+	fmt.Fprintf(cfg.out, "  cold        %v\n  warm        %v  (%.2fx)\n  incremental %v  (%.2fx)\n",
+		cold.Round(time.Microsecond), warm.Round(time.Microsecond), speedW,
+		incr.Round(time.Microsecond), float64(cold)/float64(incr))
+	if cfg.minSpeed > 0 && speedW < cfg.minSpeed {
+		return fmt.Errorf("smoke: warm speedup %.2fx below required %.2fx", speedW, cfg.minSpeed)
 	}
-	hitsMetric, err := fetchMetric(cfg.addr, "diag_pool_hits_total")
-	if err != nil {
-		return err
-	}
-	if hitsMetric < 1 {
-		return fmt.Errorf("smoke: /metrics reports %d pool hits, want >= 1", hitsMetric)
-	}
-	fmt.Fprintf(cfg.out, "smoke ok: %s cold %.1fms -> warm %.1fms (pool hit, %d solutions identical)\n",
-		wl.name, cold.ElapsedMs, warm.ElapsedMs, len(warm.Solutions))
+	fmt.Fprintf(cfg.out, "smoke ok: %s first request missed the pool, %d warm hits, %d solutions identical on every path\n",
+		wl.Name, cfg.reps, len(first.Solutions))
 	return nil
 }
 
-// postJSONStatus is postJSON that surfaces the HTTP status instead of
-// treating non-200 as a transport error — chaos runs expect shedding
-// (429/503) and degraded answers and must count them, not die on them.
-func postJSONStatus[T any](base, path string, body any) (int, T, error) {
-	var out T
-	b, err := json.Marshal(body)
-	if err != nil {
-		return 0, out, err
-	}
-	resp, err := http.Post(base+path, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return 0, out, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, out, err
-	}
-	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(raw, &out); err != nil {
-			return resp.StatusCode, out, fmt.Errorf("%s: decode: %w", path, err)
-		}
-	}
-	return resp.StatusCode, out, nil
-}
-
-// localTruth computes the fault-free diagnosis for a workload in this
-// process (no failpoints armed here), on the server's view of the
-// circuit — the equivalence baseline for completed chaos responses.
-func localTruth(wl workload, k int) (string, error) {
-	c, err := circuit.ParseBench(wl.name, strings.NewReader(wl.bench))
-	if err != nil {
-		return "", err
-	}
-	tests := make(circuit.TestSet, len(wl.tests))
-	for i, tj := range wl.tests {
-		vec := make([]bool, len(tj.Vector))
-		for j, ch := range tj.Vector {
-			vec[j] = ch == '1'
-		}
-		tests[i] = circuit.Test{Vector: vec, Output: tj.Output, Want: tj.Want}
-	}
-	rep, err := core.Diagnose(context.Background(), core.Request{
-		Engine: "bsat", Circuit: c, Tests: tests, K: k,
-	})
-	if err != nil {
-		return "", err
-	}
-	if !rep.Complete {
-		return "", fmt.Errorf("%s: local baseline incomplete", wl.name)
-	}
-	sols := make([][]int, len(rep.Solutions))
-	for i, s := range rep.Solutions {
-		sols[i] = s.Gates
-	}
-	b, err := json.Marshal(sols)
-	return string(b), err
-}
-
-// runChaos is the fault-tolerance gate: replay mixed traffic against a
-// server started with -failpoints and assert (1) zero 5xx — every
-// injected panic was recovered, (2) every complete=true response is
-// byte-identical to the local fault-free baseline, (3) the failpoints
-// actually fired (visible in the fault counters), and (4) the server
-// still reports live afterwards.
+// runChaos is the fault-tolerance gate: drive mixed traffic at a
+// server started with failpoints armed and assert that no 5xx other
+// than 503/504 escaped the recovery layers, at least one request
+// completed, every degraded answer carries its flight recorder, every
+// complete answer equals the local fault-free diagnosis, the fault
+// counters moved, and the server is still live afterwards.
 func runChaos(cfg config) error {
 	loads, err := prepare(cfg)
 	if err != nil {
 		return err
 	}
-	want := make([]string, len(loads))
-	for i, wl := range loads {
-		if want[i], err = localTruth(wl, cfg.k); err != nil {
+	for i := range loads {
+		if loads[i].Solutions, err = localTruth(loads[i], cfg.k); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(cfg.out, "chaos: %d circuits, %d requests, %d clients, shards=%v\n",
 		len(loads), cfg.n, cfg.clients, cfg.shards)
+	// A minimal sample stage pushes sharded work onto the cube workers,
+	// where the cnf/cube failpoints live.
+	cfg.sampleCap = 1
+	outs, _ := drive(cfg, loads)
 
-	var mu sync.Mutex
 	codes := map[int]int{}
 	completed, degraded := 0, 0
-	undumped := 0 // degraded responses missing their flight-recorder dump
-	var mismatches []string
-	var transport []error
-
-	var idx struct {
-		sync.Mutex
-		next int
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(cfg.seed + int64(c)*7919))
-			for {
-				idx.Lock()
-				i := idx.next
-				idx.next++
-				idx.Unlock()
-				if i >= cfg.n {
-					return
-				}
-				li := r.Intn(len(loads))
-				wl := loads[li]
-				mode := ""
-				if cfg.coldFrac > 0 && r.Float64() < cfg.coldFrac {
-					mode = "cold"
-				}
-				shards := cfg.shards[r.Intn(len(cfg.shards))]
-				req := cfg.request(wl, mode, cfg.engines[r.Intn(len(cfg.engines))], shards)
-				// A minimal sample stage pushes sharded work onto the
-				// cube workers, where the cnf/cube failpoints live.
-				req.SampleCap = 1
-				code, resp, err := postJSONStatus[service.DiagnoseResponse](
-					cfg.addr, "/diagnose", req)
-				mu.Lock()
-				switch {
-				case err != nil:
-					transport = append(transport, err)
-				case code != http.StatusOK:
-					codes[code]++
-				case resp.Complete:
-					completed++
-					codes[code]++
-					if got, _ := json.Marshal(resp.Solutions); string(got) != want[li] {
-						mismatches = append(mismatches,
-							fmt.Sprintf("%s shards=%d: %s != %s", wl.name, shards, got, want[li]))
-					}
-				default:
-					degraded++
-					codes[code]++
-					// The degradation contract includes the black box: an
-					// incomplete answer must explain itself.
-					if len(resp.FlightRecorder) == 0 {
-						undumped++
-					}
-				}
-				mu.Unlock()
+	undumped := 0 // degraded answers missing their flight-recorder dump
+	var mismatches, transport []error
+	for _, o := range outs {
+		switch {
+		case o.code != 0 && o.code != http.StatusOK:
+			codes[o.code]++
+		case o.err != nil:
+			transport = append(transport, o.err)
+		case o.resp.Complete:
+			completed++
+			codes[o.code]++
+			if err := sameSolutions(fmt.Sprintf("%s shards=%d", o.wl.Name, o.shards), o.resp.Solutions, o.wl.Solutions); err != nil {
+				mismatches = append(mismatches, err)
 			}
-		}(c)
+		default:
+			degraded++
+			codes[o.code]++
+			// The degradation contract includes the black box: an
+			// incomplete answer must explain itself.
+			if len(o.resp.FlightRecorder) == 0 {
+				undumped++
+			}
+		}
 	}
-	wg.Wait()
-
 	fmt.Fprintf(cfg.out, "  status codes: %v, complete %d, degraded %d\n", codes, completed, degraded)
-	faults := int64(0)
+	observed := int64(0)
 	for _, name := range []string{
 		"diag_panics_recovered", "diag_cube_retries", "diag_degraded_responses",
 		"diag_request_retries_total", "diag_sched_queue_timeouts_total",
 	} {
-		if v, err := fetchMetric(cfg.addr, name); err == nil {
+		if v, err := cfg.metric(name); err == nil {
 			fmt.Fprintf(cfg.out, "  %s %d\n", name, v)
-			faults += v
+			observed += v
 		}
 	}
 	if len(transport) > 0 {
@@ -672,143 +667,91 @@ func runChaos(cfg config) error {
 		return fmt.Errorf("chaos: %d/%d degraded responses carried no flight-recorder dump", undumped, degraded)
 	}
 	if len(mismatches) > 0 {
-		return fmt.Errorf("chaos: %d completed responses diverged from the fault-free baseline, first: %s",
+		return fmt.Errorf("chaos: %d completed responses diverged from the fault-free baseline, first: %v",
 			len(mismatches), mismatches[0])
 	}
-	if faults == 0 {
+	if observed == 0 {
 		return fmt.Errorf("chaos: no fault observed in the counters — are the server's failpoints armed?")
 	}
-	if _, err := http.Get(cfg.addr + "/healthz"); err != nil {
-		return fmt.Errorf("chaos: server unreachable after run: %w", err)
+	if code, _, err := cfg.get("/livez"); err != nil || code != http.StatusOK {
+		return fmt.Errorf("chaos: server not live after the run: status %d, %v", code, err)
 	}
 	fmt.Fprintf(cfg.out, "chaos ok: %d/%d complete and byte-identical, %d degraded, 0 unrecovered panics\n",
 		completed, cfg.n, degraded)
 	return nil
 }
 
-// restartState is the baseline the -restart prime phase writes and the
-// verify phase replays: each session's circuit and live test-set after
-// the edit, as exact wire payloads, plus the solutions the pre-crash
-// server produced for them. Carrying the payloads (not just the
-// workload seed) makes verify independent of generator drift.
+// restartState is the baseline restart-prime writes and restart-verify
+// checks: each session's circuit and post-edit live test-set as exact
+// wire payloads, with the answer the pre-crash server gave for them.
+// Carrying the payloads (not just the workload seed) makes verify
+// independent of generator drift.
 type restartState struct {
-	K         int               `json:"k"`
-	Workloads []restartWorkload `json:"workloads"`
-}
-
-type restartWorkload struct {
-	Name      string             `json:"name"`
-	Bench     string             `json:"bench"`
-	Tests     []service.TestJSON `json:"tests"`
-	Solutions json.RawMessage    `json:"solutions"`
-}
-
-// waitReady polls /healthz until the server reports ready — during a
-// boot replay it answers 503 "warming", which this deliberately sits
-// through.
-func waitReady(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			code := resp.StatusCode
-			resp.Body.Close()
-			if code == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			if err != nil {
-				return fmt.Errorf("healthz: %w", err)
-			}
-			return fmt.Errorf("healthz: not ready within %v", timeout)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-func runRestart(cfg config, phase, statePath string) error {
-	switch phase {
-	case "prime":
-		return runRestartPrime(cfg, statePath)
-	case "verify":
-		return runRestartVerify(cfg, statePath)
-	default:
-		return fmt.Errorf("-restart %q: want prime or verify", phase)
-	}
+	K         int        `json:"k"`
+	Workloads []workload `json:"workloads"`
 }
 
 // runRestartPrime warms one session per circuit on a journaling server,
 // retracts the first test from each (so an edit crosses the crash) and
-// records the post-edit solution baseline. The caller then kills the
-// server (SIGKILL — no drain, no seal) and restarts it on the same
-// journal before running the verify phase.
-func runRestartPrime(cfg config, statePath string) error {
-	if cfg.tests < 2 {
-		return fmt.Errorf("-restart prime needs -tests >= 2 (one is retracted)")
-	}
+// records the post-edit answers. The caller then kills the server
+// (SIGKILL — no drain, no seal) and restarts it on the same journal
+// before running restart-verify.
+func runRestartPrime(cfg config) error {
 	loads, err := prepare(cfg)
 	if err != nil {
 		return err
 	}
 	st := restartState{K: cfg.k}
 	for _, wl := range loads {
-		resp, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.base(wl, ""))
+		_, resp, err := cfg.post("/diagnose", cfg.base(wl, ""))
 		if err != nil {
 			return err
 		}
-		edit, err := postJSON[service.DiagnoseResponse](cfg.addr, "/sessions/"+resp.Session+"/tests",
-			service.SessionTestsRequest{Remove: []int{0}})
+		_, edit, err := cfg.post("/sessions/"+resp.Session+"/tests", service.SessionTestsRequest{Remove: []int{0}})
 		if err != nil {
 			return err
 		}
 		if !resp.Complete || !edit.Complete {
-			return fmt.Errorf("prime: %s did not complete", wl.name)
+			return fmt.Errorf("prime: %s did not complete", wl.Name)
 		}
-		sols, err := json.Marshal(edit.Solutions)
-		if err != nil {
-			return err
-		}
-		st.Workloads = append(st.Workloads, restartWorkload{
-			Name: wl.name, Bench: wl.bench, Tests: wl.tests[1:], Solutions: sols,
-		})
+		wl.Tests, wl.Solutions = wl.Tests[1:], edit.Solutions
+		st.Workloads = append(st.Workloads, wl)
 	}
 	b, err := json.MarshalIndent(st, "", " ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(statePath, b, 0o644); err != nil {
+	if err := os.WriteFile(cfg.state, b, 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(cfg.out, "restart prime ok: %d sessions warmed, edited and journaled, baseline in %s\n",
-		len(st.Workloads), statePath)
+		len(st.Workloads), cfg.state)
 	return nil
 }
 
 // runRestartVerify is the post-crash half of the gate: wait out the
 // boot replay, find each replayed session by its key and send it a
 // no-op edit — it must re-run the journaled post-edit test-set with the
-// journaled k — then re-issue the live test-set as a full request. Both
-// must land warm, with zero re-encoded test copies and solutions
-// byte-identical to the pre-crash baseline and to a locally computed
-// diagnosis. A cold rebuild or a single diverging byte fails the gate.
-func runRestartVerify(cfg config, statePath string) error {
-	raw, err := os.ReadFile(statePath)
+// journaled k — then re-send the live test-set as a full request. Both
+// must land warm, encode no test copy, and answer as the pre-crash
+// server did and as a local diagnosis does.
+func runRestartVerify(cfg config) error {
+	raw, err := os.ReadFile(cfg.state)
 	if err != nil {
 		return err
 	}
 	var st restartState
 	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("%s: %w", statePath, err)
+		return fmt.Errorf("%s: %w", cfg.state, err)
 	}
 	if len(st.Workloads) == 0 {
-		return fmt.Errorf("%s: no workloads — run -restart prime first", statePath)
+		return fmt.Errorf("%s: no workloads — run -scenario restart-prime first", cfg.state)
 	}
-	if err := waitReady(cfg.addr, time.Minute); err != nil {
+	if err := waitReady(cfg, time.Minute); err != nil {
 		return err
 	}
-	hits0, _ := fetchMetric(cfg.addr, "diag_pool_hits_total") // 0 on a fresh process
-	ids, err := sessionIDs(cfg.addr)
+	hits0, _ := cfg.metric("diag_pool_hits_total") // 0 on a fresh process
+	ids, err := sessionIDs(cfg)
 	if err != nil {
 		return err
 	}
@@ -821,30 +764,21 @@ func runRestartVerify(cfg config, statePath string) error {
 		if id == "" {
 			return fmt.Errorf("verify: %s has no replayed session", wl.Name)
 		}
-		edit, err := postJSON[service.DiagnoseResponse](cfg.addr, "/sessions/"+id+"/tests", service.SessionTestsRequest{})
+		_, edit, err := cfg.post("/sessions/"+id+"/tests", service.SessionTestsRequest{})
 		if err != nil {
 			return err
 		}
 		if edit.Tests != len(wl.Tests) {
 			return fmt.Errorf("verify: %s replayed %d live tests, want the post-edit %d", wl.Name, edit.Tests, len(wl.Tests))
 		}
-		resp, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", service.DiagnoseRequest{
-			Bench: wl.Bench, Tests: wl.Tests, K: st.K,
-		})
+		_, resp, err := cfg.post("/diagnose", service.DiagnoseRequest{Bench: wl.Bench, Tests: wl.Tests, K: st.K})
 		if err != nil {
 			return err
 		}
 		if !resp.PoolHit {
 			return fmt.Errorf("verify: %s rebuilt cold — replay did not restore the session", wl.Name)
 		}
-		// The state file is written indented (it is a debugging artifact),
-		// which re-indents the embedded solutions; compact before the
-		// byte-level comparison.
-		var before bytes.Buffer
-		if err := json.Compact(&before, wl.Solutions); err != nil {
-			return fmt.Errorf("%s: baseline solutions: %w", wl.Name, err)
-		}
-		want, err := localTruth(workload{name: wl.Name, bench: wl.Bench, tests: wl.Tests}, st.K)
+		local, err := localTruth(wl, st.K)
 		if err != nil {
 			return err
 		}
@@ -856,21 +790,16 @@ func runRestartVerify(cfg config, statePath string) error {
 				return fmt.Errorf("verify: %s %s re-encoded %d test copies — replay lost the live test-set",
 					wl.Name, r.what, r.resp.NewCopies)
 			}
-			got, err := json.Marshal(r.resp.Solutions)
-			if err != nil {
+			what := fmt.Sprintf("verify: %s %s", wl.Name, r.what)
+			if err := sameSolutions(what+" vs the pre-crash baseline", r.resp.Solutions, wl.Solutions); err != nil {
 				return err
 			}
-			if !bytes.Equal(got, before.Bytes()) {
-				return fmt.Errorf("verify: %s %s solutions diverged from pre-crash baseline:\n before %s\n after  %s",
-					wl.Name, r.what, before.Bytes(), got)
-			}
-			if string(got) != want {
-				return fmt.Errorf("verify: %s %s solutions diverged from local baseline:\n local %s\n after %s",
-					wl.Name, r.what, want, got)
+			if err := sameSolutions(what+" vs the local diagnosis", r.resp.Solutions, local); err != nil {
+				return err
 			}
 		}
 	}
-	hits1, err := fetchMetric(cfg.addr, "diag_pool_hits_total")
+	hits1, err := cfg.metric("diag_pool_hits_total")
 	if err != nil {
 		return err
 	}
@@ -878,7 +807,7 @@ func runRestartVerify(cfg config, statePath string) error {
 		return fmt.Errorf("verify: warm hit rate too low: %d hits for %d replayed requests",
 			hits1-hits0, len(st.Workloads))
 	}
-	replayed, err := fetchMetric(cfg.addr, "diag_replay_sessions_total")
+	replayed, err := cfg.metric("diag_replay_sessions_total")
 	if err != nil {
 		return err
 	}
@@ -890,15 +819,37 @@ func runRestartVerify(cfg config, statePath string) error {
 	return nil
 }
 
+// waitReady polls /healthz until the server reports ready — during a
+// boot replay it answers 503 "warming", which this deliberately sits
+// through.
+func waitReady(cfg config, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		code, _, err := cfg.get("/healthz")
+		if err == nil && code == http.StatusOK {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			if err != nil {
+				return fmt.Errorf("healthz: %w", err)
+			}
+			return fmt.Errorf("healthz: not ready within %v", timeout)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
 // sessionIDs lists the server's warm sessions as key -> session id.
-func sessionIDs(base string) (map[string]string, error) {
-	resp, err := http.Get(base + "/sessions")
+func sessionIDs(cfg config) (map[string]string, error) {
+	code, raw, err := cfg.get("/sessions")
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	if code != http.StatusOK {
+		return nil, fmt.Errorf("/sessions: HTTP %d", code)
+	}
 	var infos []service.EntryInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+	if err := json.Unmarshal(raw, &infos); err != nil {
 		return nil, fmt.Errorf("/sessions: decode: %w", err)
 	}
 	ids := make(map[string]string, len(infos))
@@ -906,89 +857,4 @@ func sessionIDs(base string) (map[string]string, error) {
 		ids[info.Key] = info.ID
 	}
 	return ids, nil
-}
-
-// runCompare measures the amortization the warm-session design exists
-// for: cold (pool bypass) vs warm (session reuse) vs incremental (test
-// edit on the live session) latency on one workload.
-func runCompare(cfg config) error {
-	cfg.circuits = cfg.circuits[:1]
-	loads, err := prepare(cfg)
-	if err != nil {
-		return err
-	}
-	wl := loads[0]
-	fmt.Fprintf(cfg.out, "compare: %s, %d tests, k=%d, shards=%d, %d reps\n",
-		wl.name, cfg.tests, cfg.k, cfg.shards[0], cfg.reps)
-
-	measure := func(fn func() error) (time.Duration, error) {
-		best := time.Duration(0)
-		for r := 0; r < cfg.reps; r++ {
-			t0 := time.Now()
-			if err := fn(); err != nil {
-				return 0, err
-			}
-			d := time.Since(t0)
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	cold, err := measure(func() error {
-		_, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.base(wl, "cold"))
-		return err
-	})
-	if err != nil {
-		return err
-	}
-
-	// Warm-start once (pool miss builds the session), then measure hits.
-	first, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.base(wl, ""))
-	if err != nil {
-		return err
-	}
-	warm, err := measure(func() error {
-		resp, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.base(wl, ""))
-		if err != nil {
-			return err
-		}
-		if !resp.PoolHit {
-			return fmt.Errorf("warm request missed the pool")
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Incremental: alternately add and retract the spare test on the
-	// live session — the "edited test-set" re-diagnosis.
-	sid := first.Session
-	addSpare := true
-	incr, err := measure(func() error {
-		var req service.SessionTestsRequest
-		if addSpare {
-			req.Add = wl.extra
-		} else {
-			req.Remove = []int{cfg.tests} // the spare sits past the base tests
-		}
-		addSpare = !addSpare
-		_, err := postJSON[service.DiagnoseResponse](cfg.addr, "/sessions/"+sid+"/tests", req)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-
-	speedW := float64(cold) / float64(warm)
-	speedI := float64(cold) / float64(incr)
-	fmt.Fprintf(cfg.out, "  cold        %v\n  warm        %v  (%.2fx)\n  incremental %v  (%.2fx)\n",
-		cold.Round(time.Microsecond), warm.Round(time.Microsecond), speedW,
-		incr.Round(time.Microsecond), speedI)
-	if cfg.minSpeed > 0 && speedW < cfg.minSpeed {
-		return fmt.Errorf("warm speedup %.2fx below required %.2fx", speedW, cfg.minSpeed)
-	}
-	return nil
 }

@@ -126,7 +126,7 @@ func TestRunCubesRetriesTransientFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	ran := 0
-	_, stats, drained := sess.RunCubes(1, cnf.RoundOptions{MaxK: 2}, sample, true,
+	_, stats, drained := sess.RunCubes(1, cnf.RoundOptions{MaxK: 2}, sample,
 		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			ran++
 			return nil, true
@@ -156,7 +156,7 @@ func TestRunCubesAbandonsAfterRetryBudget(t *testing.T) {
 	if err := failpoint.Enable("cnf/cube=error(1)x4", 7); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, drained := sess.RunCubes(1, cnf.RoundOptions{MaxK: 2}, sample, true,
+	_, stats, drained := sess.RunCubes(1, cnf.RoundOptions{MaxK: 2}, sample,
 		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			return nil, true
 		})
@@ -183,7 +183,7 @@ func TestRunCubesPanicKillsWorkerAndSurvivorsDrain(t *testing.T) {
 	if err := failpoint.Enable("cnf/cube=panic(1)x1", 7); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, drained := sess.RunCubes(2, cnf.RoundOptions{MaxK: 2}, sample, true,
+	_, stats, drained := sess.RunCubes(2, cnf.RoundOptions{MaxK: 2}, sample,
 		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			return nil, true
 		})
@@ -212,7 +212,7 @@ func TestRunCubesAllWorkersDead(t *testing.T) {
 	if err := failpoint.Enable("cnf/cube=panic(1)", 7); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, drained := sess.RunCubes(2, cnf.RoundOptions{MaxK: 2}, sample, true,
+	_, stats, drained := sess.RunCubes(2, cnf.RoundOptions{MaxK: 2}, sample,
 		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			return nil, true
 		})
@@ -246,7 +246,7 @@ func TestRunCubesStealsFromStraggler(t *testing.T) {
 		sample = append(sample, s)
 	}
 	var straggled atomic.Bool
-	_, stats, drained := sess.RunCubes(2, cnf.RoundOptions{MaxK: 2}, sample, true,
+	_, stats, drained := sess.RunCubes(2, cnf.RoundOptions{MaxK: 2}, sample,
 		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			if straggled.CompareAndSwap(false, true) {
 				// Only the very first served cube straggles.

@@ -199,12 +199,12 @@ func ScheduleCubes(cubes []Cube, n int) [][]Cube {
 }
 
 // fork clones the session into an independent twin: the solver is
-// Cloned (keepLearnts forwards to sat.Solver.Clone) and the ladder tree
-// and per-copy tables are copied, so AddTest, ladder growth and
-// enumeration on the fork never touch the parent.
-func (sess *DiagSession) fork(keepLearnts bool) *DiagSession {
+// cloned with its learnt clauses and the ladder tree and per-copy
+// tables are copied, so AddTest, ladder growth and enumeration on the
+// fork never touch the parent.
+func (sess *DiagSession) fork() *DiagSession {
 	forked := &DiagSession{
-		Solver:     sess.Solver.Clone(keepLearnts),
+		Solver:     sess.Solver.Clone(true),
 		Circuit:    sess.Circuit,
 		Tests:      append(circuit.TestSet(nil), sess.Tests...),
 		Candidates: sess.Candidates,
@@ -223,13 +223,13 @@ func (sess *DiagSession) fork(keepLearnts bool) *DiagSession {
 	return forked
 }
 
-// ForkWorkers clones the session once per worker load (keepLearnts
-// forwards to sat.Solver.Clone) and couples each clone with its cubes.
+// ForkWorkers clones the session once per worker load and couples each
+// clone with its cubes.
 // The parent session stays untouched and fully usable.
-func (sess *DiagSession) ForkWorkers(workers [][]Cube, keepLearnts bool) []*Shard {
+func (sess *DiagSession) ForkWorkers(workers [][]Cube) []*Shard {
 	shards := make([]*Shard, len(workers))
 	for i, cubes := range workers {
-		shards[i] = &Shard{Session: sess.fork(keepLearnts), Index: i, Of: len(workers), Cubes: cubes}
+		shards[i] = &Shard{Session: sess.fork(), Index: i, Of: len(workers), Cubes: cubes}
 	}
 	return shards
 }
@@ -401,7 +401,7 @@ func (sess *DiagSession) EnumerateSlices(shards int, opts RoundOptions, slice Sl
 		}
 	}
 	guard := round.Guard()
-	groups, stats, drained := sess.runCubes(shards, workerOpts, sample, true,
+	groups, stats, drained := sess.runCubes(shards, workerOpts, sample,
 		func(worker int, sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool) {
 			// Caller restrictions stay in force; the cube and the sample
 			// guard are appended to them.
@@ -618,11 +618,11 @@ func runCube(worker int, sh *Shard, cube Cube, budget RoundOptions,
 // dead workers, and deadline leftovers all clear drained, so the caller
 // must report complete = drained && every stat Complete. opts.Timeout
 // bounds the whole worker phase with one shared deadline.
-func (sess *DiagSession) runCubes(shards int, opts RoundOptions, sample [][]int, keepLearnts bool,
+func (sess *DiagSession) runCubes(shards int, opts RoundOptions, sample [][]int,
 	run func(worker int, sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool)) (groups [][][]int, stats []ShardStats, drained bool) {
 
 	loads := ScheduleCubes(sess.PlanCubes(sample, shards*CubeOversubscription), shards)
-	forks := sess.ForkWorkers(loads, keepLearnts)
+	forks := sess.ForkWorkers(loads)
 	queue := newCubeQueue(loads)
 	groups = make([][][]int, len(forks))
 	stats = make([]ShardStats, len(forks))

@@ -115,7 +115,7 @@ func TestForkLadderGrowth(t *testing.T) {
 	before := roundKeys(t, sess, cnf.RoundOptions{MaxK: 1})
 	want := roundKeys(t, cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 3}), cnf.RoundOptions{MaxK: 3})
 
-	clone := sess.ForkWorkers([][]cnf.Cube{nil}, true)[0].Session
+	clone := sess.ForkWorkers([][]cnf.Cube{nil})[0].Session
 	if got := roundKeys(t, clone, cnf.RoundOptions{MaxK: 3}); !sameKeys(got, want) {
 		t.Fatalf("grown clone %v != built at MaxK 3 %v", got, want)
 	}
@@ -159,7 +159,7 @@ func TestShardCubesAreDisjoint(t *testing.T) {
 		seen := make(map[string]int)
 		total := 0
 		cubes := sess.PlanCubes(plan, 3)
-		for i, sh := range sess.ForkWorkers(cnf.ScheduleCubes(cubes, 3), true) {
+		for i, sh := range sess.ForkWorkers(cnf.ScheduleCubes(cubes, 3)) {
 			for _, cube := range sh.Cubes {
 				_, complete := sh.Session.EnumerateRound(cnf.RoundOptions{MaxK: 2, ExtraAssumps: cube.Assumps}, func(_ int, gates []int) bool {
 					g := append([]int(nil), gates...)
@@ -317,7 +317,7 @@ func TestShardedCancellationReleasesWorkers(t *testing.T) {
 func TestShardReleaseDropsClone(t *testing.T) {
 	c, tests := shardScenario(t, 11, 4)
 	sess := cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 2})
-	shards := sess.ForkWorkers(cnf.ScheduleCubes(sess.PlanCubes(nil, 2), 2), true)
+	shards := sess.ForkWorkers(cnf.ScheduleCubes(sess.PlanCubes(nil, 2), 2))
 	for _, sh := range shards {
 		if sh.Session == nil {
 			t.Fatal("fresh shard has no session")

@@ -46,10 +46,6 @@ type CovOptions struct {
 	// (XDiagnose) instead of path tracing — the alternative
 	// simulation-based engine of Section 2.2.
 	UseXList bool
-	// Workers bounds the worker pool of the BSIM candidate sweep
-	// (0 = runtime.NumCPU, 1 = serial). The result is identical for any
-	// setting.
-	Workers int
 }
 
 // CovResult is the outcome of SCDiagnose.
@@ -77,7 +73,7 @@ func COV(c *circuit.Circuit, tests circuit.TestSet, opts CovOptions) (*CovResult
 	if opts.UseXList {
 		bsim = XDiagnose(c, tests)
 	} else {
-		bsim = BSIMWorkers(c, tests, opts.PT, opts.Workers)
+		bsim = BSIM(c, tests, opts.PT)
 	}
 	for i, ci := range bsim.Sets {
 		if len(ci) == 0 {

@@ -12,7 +12,7 @@ import (
 // before use), and always terminate with a consistent
 // truncation/corruption verdict.
 func FuzzJournalDecode(f *testing.F) {
-	clean, _ := appendFrame(nil, &Record{Type: TypeSessionBuilt, Key: "a", Bench: "# b", MaxK: 3})
+	clean, _ := appendFrame(nil, &Record{Type: TypeSessionBuilt, Key: "a", Bench: "# b"})
 	clean, _ = appendFrame(clean, &Record{Type: TypeTestsAdded, Key: "a", Reset: true,
 		Tests: []TestRec{{Vector: "01", Output: 1, Want: true}}})
 	sealed, _ := appendFrame(append([]byte(nil), clean...), &Record{Type: TypeSeal})

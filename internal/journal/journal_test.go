@@ -20,7 +20,7 @@ func testTests(n, from int) []TestRec {
 func built(key string) Record {
 	return Record{
 		Type: TypeSessionBuilt, Key: key, Fingerprint: "fp-" + key,
-		Bench: "# bench " + key, MaxK: 4,
+		Bench: "# bench " + key,
 	}
 }
 
@@ -73,7 +73,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if a.Tests[0].Output != 0 || a.Tests[1].Output != 2 || a.Tests[2].Output != 100 {
 		t.Fatalf("a test fold wrong: %+v", a.Tests)
 	}
-	if a.K != 2 || a.MaxK != 4 || a.Bench != "# bench a" || a.Fingerprint != "fp-a" {
+	if a.K != 2 || a.Bench != "# bench a" || a.Fingerprint != "fp-a" {
 		t.Fatalf("a metadata wrong: %+v", a)
 	}
 	if st.Skipped != 0 || st.TornTailBytes != 0 || st.Sealed {
@@ -89,16 +89,15 @@ func TestRebuildResetsSession(t *testing.T) {
 	}
 	w.Append(built("a"))
 	w.Append(Record{Type: TypeTestsAdded, Key: "a", Reset: true, Tests: testTests(3, 0)})
-	// A grown ladder journals as a fresh build with a wider MaxK...
-	reb := built("a")
-	reb.MaxK = 8
-	w.Append(reb)
+	// Older servers re-journaled a session whose ladder grew as a fresh
+	// build...
+	w.Append(built("a"))
 	// ...followed by the re-activation of the request's test-set.
 	w.Append(Record{Type: TypeTestsAdded, Key: "a", Reset: true, Tests: testTests(2, 50)})
 	w.Close()
 
 	st := readState(t, dir)
-	if len(st.Sessions) != 1 || st.Sessions[0].MaxK != 8 || len(st.Sessions[0].Tests) != 2 {
+	if len(st.Sessions) != 1 || len(st.Sessions[0].Tests) != 2 || st.Sessions[0].Tests[0].Output != 50 {
 		t.Fatalf("rebuild fold wrong: %+v", st.Sessions)
 	}
 }
@@ -106,22 +105,21 @@ func TestRebuildResetsSession(t *testing.T) {
 // TestSessionStateRecordsRoundTrip: Records is the inverse of the fold.
 // Appending the records of any sequence of states of one session, or
 // compacting to the last state's records, folds back to exactly that
-// last state — including an empty test set and a grown ladder (a
-// second session-built with a larger MaxK).
+// last state — including an empty test set and a larger K.
 func TestSessionStateRecordsRoundTrip(t *testing.T) {
-	base := SessionState{Key: "k", Fingerprint: "fp-k", Bench: "# bench k", MaxK: 4}
+	base := SessionState{Key: "k", Fingerprint: "fp-k", Bench: "# bench k"}
 	withTests := base
 	withTests.Tests, withTests.K = testTests(3, 0), 2
 	empty := base
 	empty.K = 3
 	grown := withTests
-	grown.MaxK, grown.Tests, grown.K = 6, testTests(2, 40), 5
+	grown.Tests, grown.K = testTests(2, 40), 5
 	cases := map[string][]SessionState{
 		"tests":         {withTests},
 		"empty":         {empty},
 		"empty, no run": {base},
 		"edit":          {withTests, empty, withTests},
-		"grown ladder":  {withTests, grown},
+		"larger k":      {withTests, grown},
 	}
 	for name, history := range cases {
 		dir := t.TempDir()

@@ -8,10 +8,10 @@ import (
 )
 
 // Record types of the session lifecycle journal, in the vocabulary of
-// the warm-session pool: a session is built (cold build, or its
-// ladder grew), its live test-set is replaced after every run, and it
-// is evicted. Seal marks a clean shutdown — a log ending in a seal needs no
-// torn-tail repair on the next boot. The writer emits tests-added only
+// the warm-session pool: a session is built, its live test-set is
+// replaced after every run, and it is evicted. Seal marks a clean
+// shutdown — a log ending in a seal needs no torn-tail repair on the
+// next boot. The writer emits tests-added only
 // as a full reset; delta tests-added and tests-retracted records are
 // still folded so logs written by older servers replay.
 const (
@@ -40,13 +40,12 @@ type Record struct {
 
 	// session-built payload: everything needed to rebuild the warm
 	// session from nothing — the circuit as self-contained .bench text
-	// (independent of any generator suite drift), its fingerprint for
-	// verification, and the ladder width. Logs written while the
-	// encoding had knobs also carry "encoding"/"forceZero" fields; the
-	// decoder ignores them.
+	// (independent of any generator suite drift) and its fingerprint
+	// for verification. Older logs also carry the ladder width
+	// ("maxK") and, from while the encoding had knobs,
+	// "encoding"/"forceZero" fields; the decoder ignores them.
 	Fingerprint string `json:"fp,omitempty"`
 	Bench       string `json:"bench,omitempty"`
-	MaxK        int    `json:"maxK,omitempty"`
 
 	// tests-added payload. Reset replaces the live test-set (every
 	// record the writer emits); otherwise the tests append to it (the

@@ -4,13 +4,11 @@ import "sort"
 
 // SessionState is the folded warm state of one live session: everything
 // a restarted server needs to rebuild it and serve byte-identical
-// answers — the circuit, the ladder width, and the live test-set in
-// activation order.
+// answers — the circuit and the live test-set in activation order.
 type SessionState struct {
 	Key         string
 	Fingerprint string
 	Bench       string
-	MaxK        int
 
 	// Tests is the live test-set (the current activation base the
 	// incremental endpoint edits), K the last run's ladder bound.
@@ -34,7 +32,6 @@ func (s SessionState) Records() []Record {
 			Key:         s.Key,
 			Fingerprint: s.Fingerprint,
 			Bench:       s.Bench,
-			MaxK:        s.MaxK,
 		},
 		{Type: TypeTestsAdded, Key: s.Key, Reset: true, Tests: s.Tests, K: s.K},
 	}
@@ -72,14 +69,13 @@ func (f *folder) apply(rec Record) {
 		if rec.Key == "" {
 			return
 		}
-		// A session whose ladder grew re-journals as a fresh build
-		// with its new MaxK, so replay builds the width it had; the
-		// next tests-added reset restores the live set.
+		// A repeated build (older logs re-journaled a session whose
+		// ladder grew) starts the session afresh; the next tests-added
+		// reset restores the live set.
 		f.sessions[rec.Key] = &SessionState{
 			Key:         rec.Key,
 			Fingerprint: rec.Fingerprint,
 			Bench:       rec.Bench,
-			MaxK:        rec.MaxK,
 			LastSeq:     f.seq,
 		}
 	case TypeTestsAdded:

@@ -7,7 +7,7 @@ import (
 
 // FuzzDiagnoseRequest drives the request-decoding path a hostile client
 // controls end to end: JSON unmarshalling, netlist parsing via
-// resolveCircuit, and test validation via decodeTests. Any input must
+// resolveCircuit, and test validation via DecodeTests. Any input must
 // produce either a decoded request or an error — never a panic, which
 // the robustness tentpole turned into the hard server-survival
 // guarantee.
@@ -41,6 +41,6 @@ func FuzzDiagnoseRequest(f *testing.F) {
 			return
 		}
 		// Errors are the expected outcome for garbage; panics are bugs.
-		_, _ = decodeTests(c, req.Tests)
+		_, _ = DecodeTests(c, req.Tests)
 	})
 }

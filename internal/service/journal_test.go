@@ -150,15 +150,125 @@ func TestJournalCrashReplayServesByteIdentical(t *testing.T) {
 	}
 }
 
-// legacyFrame frames a raw record payload the way the journal does
-// ("JWAL" | length | CRC-32C | payload), so a test can write records in a
-// format the current Record type no longer produces.
-func legacyFrame(payload []byte) []byte {
+// legacyFrame frames rec with fields set over its JSON the way the
+// journal does ("JWAL" | length | CRC-32C | payload), so a test can
+// write records in a format the current Record type no longer produces.
+func legacyFrame(t *testing.T, rec journal.Record, fields map[string]any) []byte {
+	t.Helper()
+	var m map[string]any
+	raw, _ := json.Marshal(rec)
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range fields {
+		m[k] = v
+	}
+	payload, _ := json.Marshal(m)
 	hdr := make([]byte, 12, 12+len(payload))
 	copy(hdr, "JWAL")
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 	return append(hdr, payload...)
+}
+
+// rewriteLog replaces the journal in dir by one segment holding what
+// render makes of its records (seals dropped).
+func rewriteLog(t *testing.T, dir string, render func([]journal.Record) []byte) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "diag-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no journal segments (%v)", err)
+	}
+	var recs []journal.Record
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.DecodeAll(data, func(rec journal.Record) {
+			if rec.Type != journal.TypeSeal {
+				recs = append(recs, rec)
+			}
+		})
+		os.Remove(seg)
+	}
+	if err := os.WriteFile(segs[0], render(recs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayLegacyLadderWidth: logs written while the journal carried
+// the ladder width have a "maxK" on every session-built record and
+// re-journal a session-built whenever the ladder grew. Such a log
+// replays to the answers the pre-crash server gave, with no copy
+// re-encoded; the session is built at its journaled K.
+func TestReplayLegacyLadderWidth(t *testing.T) {
+	dir := t.TempDir()
+	jw, _ := openJournal(t, dir)
+	_, tsA := newJournaledServer(t, jw, false, service.PoolOptions{})
+	c, tests := scenario(t, 310, 5)
+	b := benchText(t, c)
+	diagnose(t, tsA.URL, service.DiagnoseRequest{Bench: b, Tests: testJSON(tests), K: 1})
+	grown := diagnose(t, tsA.URL, service.DiagnoseRequest{Bench: b, Tests: testJSON(tests), K: 3})
+	if !grown.PoolHit || grown.NewCopies != 0 {
+		t.Fatalf("K=3 on the K=1 session: hit %v, %d new copies", grown.PoolHit, grown.NewCopies)
+	}
+	code, edited := post[service.DiagnoseResponse](t, tsA.URL+"/sessions/"+grown.Session+"/tests",
+		service.SessionTestsRequest{Remove: []int{0}})
+	if code != http.StatusOK {
+		t.Fatalf("incremental edit -> %d", code)
+	}
+	tsA.Close()
+	jw.Close()
+
+	// The older shape: the build carries maxK 1, and the K=3 run
+	// re-journals a build with maxK 3 before its reset.
+	rewriteLog(t, dir, func(recs []journal.Record) []byte {
+		if len(recs) == 0 || recs[0].Type != journal.TypeSessionBuilt {
+			t.Fatalf("log does not start with the build: %+v", recs)
+		}
+		var legacy []byte
+		for _, rec := range recs {
+			if rec.Type == journal.TypeTestsAdded && rec.K == 3 && len(rec.Tests) == len(tests) {
+				legacy = append(legacy, legacyFrame(t, recs[0], map[string]any{"maxK": 3})...)
+			}
+			var fields map[string]any
+			if rec.Type == journal.TypeSessionBuilt {
+				fields = map[string]any{"maxK": 1}
+			}
+			legacy = append(legacy, legacyFrame(t, rec, fields)...)
+		}
+		return legacy
+	})
+
+	jw2, st := openJournal(t, dir)
+	defer jw2.Close()
+	if len(st.Sessions) != 1 || st.Sessions[0].K != 3 || len(st.Sessions[0].Tests) != len(tests)-1 {
+		t.Fatalf("legacy roster: %+v, want one session at K=3 with %d tests", st.Sessions, len(tests)-1)
+	}
+	srvB, tsB := newJournaledServer(t, jw2, true, service.PoolOptions{})
+	if rep := srvB.Replay(st, 2); rep.Sessions != 1 || rep.Skipped != 0 {
+		t.Fatalf("replay: %+v, want 1 session", rep)
+	}
+	snap := srvB.Pool().Snapshot()
+	if len(snap) != 1 || snap[0].MaxK != 3 {
+		t.Fatalf("replayed pool %+v, want one session built at K=3", snap)
+	}
+	code, after := post[service.DiagnoseResponse](t, tsB.URL+"/sessions/"+snap[0].ID+"/tests",
+		service.SessionTestsRequest{})
+	if code != http.StatusOK || after.NewCopies != 0 {
+		t.Fatalf("no-op edit on the replayed session -> %d, %d new copies", code, after.NewCopies)
+	}
+	if got, want := mustJSON(t, after.Solutions), mustJSON(t, edited.Solutions); got != want {
+		t.Fatalf("replayed edit solutions differ:\n got %s\nwant %s", got, want)
+	}
+	full := diagnose(t, tsB.URL, service.DiagnoseRequest{Bench: b, Tests: testJSON(tests), K: 3})
+	if !full.PoolHit {
+		t.Fatal("replayed session did not serve a warm hit")
+	}
+	if got, want := mustJSON(t, full.Solutions), mustJSON(t, grown.Solutions); got != want {
+		t.Fatalf("replayed solutions differ:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestReplayLegacyConeKeys: journals written while the encoding had
@@ -185,28 +295,6 @@ func TestReplayLegacyConeKeys(t *testing.T) {
 	// Rewrite the log in the legacy formats: two stale sessions holding
 	// the history before the edit's record, then the live session
 	// holding all of it.
-	segs, err := filepath.Glob(filepath.Join(dir, "diag-*.wal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no journal segments (%v)", err)
-	}
-	var recs []journal.Record
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		journal.DecodeAll(data, func(rec journal.Record) {
-			if rec.Type != journal.TypeSeal {
-				recs = append(recs, rec)
-			}
-		})
-		os.Remove(seg)
-	}
-	// The edit is the last request, so its record is the log's last.
-	edit := len(recs) - 1
-	if edit < 0 || recs[edit].Type != journal.TypeTestsAdded || len(recs[edit].Tests) != len(tests)-1 {
-		t.Fatalf("log does not end in the edit's record: %+v", recs)
-	}
 	legacyKnobs := []struct {
 		suffix string
 		fields map[string]any
@@ -215,31 +303,30 @@ func TestReplayLegacyConeKeys(t *testing.T) {
 		{"/enc=pairwise,fz=true", map[string]any{"encoding": "pairwise", "forceZero": true}},
 		{"/enc=totalizer,fz=true,cone=true", map[string]any{"encoding": "totalizer", "forceZero": true, "coneOnly": true}},
 	}
-	var legacy []byte
-	for s, knobs := range legacyKnobs {
-		live := s == len(legacyKnobs)-1
-		for i, rec := range recs {
-			if !live && i == edit {
-				break
-			}
-			var m map[string]any
-			raw, _ := json.Marshal(rec)
-			if err := json.Unmarshal(raw, &m); err != nil {
-				t.Fatal(err)
-			}
-			m["key"] = rec.Key + knobs.suffix
-			if rec.Type == journal.TypeSessionBuilt {
-				for k, v := range knobs.fields {
-					m[k] = v
-				}
-			}
-			payload, _ := json.Marshal(m)
-			legacy = append(legacy, legacyFrame(payload)...)
+	rewriteLog(t, dir, func(recs []journal.Record) []byte {
+		// The edit is the last request, so its record is the log's last.
+		edit := len(recs) - 1
+		if edit < 0 || recs[edit].Type != journal.TypeTestsAdded || len(recs[edit].Tests) != len(tests)-1 {
+			t.Fatalf("log does not end in the edit's record: %+v", recs)
 		}
-	}
-	if err := os.WriteFile(segs[0], legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		var legacy []byte
+		for s, knobs := range legacyKnobs {
+			live := s == len(legacyKnobs)-1
+			for i, rec := range recs {
+				if !live && i == edit {
+					break
+				}
+				fields := map[string]any{"key": rec.Key + knobs.suffix}
+				if rec.Type == journal.TypeSessionBuilt {
+					for k, v := range knobs.fields {
+						fields[k] = v
+					}
+				}
+				legacy = append(legacy, legacyFrame(t, rec, fields)...)
+			}
+		}
+		return legacy
+	})
 
 	jw2, st := openJournal(t, dir)
 	defer jw2.Close()

@@ -21,7 +21,7 @@ type modelSession struct {
 	stale string          // id of this server's evicted session ("" if none)
 	tests circuit.TestSet // live test-set
 	k     int             // the last run's K
-	maxK  int             // the largest K since the session was built
+	maxK  int             // the ladder's bound: the largest K since build or replay
 }
 
 // TestJournalReplayModel runs a seeded random sequence of stateful
@@ -32,9 +32,10 @@ type modelSession struct {
 // served answer must equal a fresh core.Diagnose on the model's live
 // set; re-sending the live set at a larger K must grow the ladder
 // without encoding a copy. After every crash the folded journal must
-// equal the model (roster recency, tests, K, and as MaxK the largest K
-// since build), and a no-op edit on each replayed session
-// must reproduce the model's answer without encoding a copy. A small
+// equal the model (roster recency, tests and K), replay must build each
+// session at its journaled K (the /sessions maxK), and a no-op edit on
+// each replayed session must reproduce the model's answer without
+// encoding a copy; later grow steps then grow the replayed ladders. A small
 // segment size makes rotations and compactions happen mid-sequence.
 func TestJournalReplayModel(t *testing.T) {
 	const (
@@ -117,8 +118,8 @@ func TestJournalReplayModel(t *testing.T) {
 			if got, want := mustJSON(t, folded), mustJSON(t, testJSON(m.tests)); got != want {
 				t.Fatalf("%s: folded tests of %s\n got %s\nwant %s", step, m.key, got, want)
 			}
-			if ss.K != m.k || ss.MaxK != m.maxK {
-				t.Fatalf("%s: folded %s K=%d MaxK=%d, model K=%d MaxK=%d", step, m.key, ss.K, ss.MaxK, m.k, m.maxK)
+			if ss.K != m.k {
+				t.Fatalf("%s: folded %s K=%d, model K=%d", step, m.key, ss.K, m.k)
 			}
 		}
 		var srv *service.Server
@@ -127,12 +128,22 @@ func TestJournalReplayModel(t *testing.T) {
 			t.Fatalf("%s: replay %+v, want %d sessions", step, rep, len(mru))
 		}
 		replays++
-		ids := map[string]string{}
+		infos := map[string]service.EntryInfo{}
 		for _, info := range srv.Pool().Snapshot() {
-			ids[info.Key] = info.ID
+			infos[info.Key] = info
 		}
 		for _, m := range models {
-			m.id, m.stale = ids[m.key], ""
+			info, ok := infos[m.key]
+			m.id, m.stale = info.ID, ""
+			if !ok {
+				continue
+			}
+			// The journal carries no ladder width: replay builds at
+			// the journaled K and the ladder grows again on demand.
+			if info.MaxK != m.k {
+				t.Fatalf("%s: replayed %s has maxK %d, want its journaled K=%d", step, m.key, info.MaxK, m.k)
+			}
+			m.maxK = m.k
 		}
 		// Touch least recently used first, so the edits keep the order.
 		for i := len(mru) - 1; i >= 0; i-- {

@@ -333,10 +333,9 @@ func (e *PoolEntry) Run(fn func(sess *cnf.DiagSession) error) error {
 	// late recipe for it is dropped rather than resurrecting the key.
 	if persist && !e.evicted {
 		recs := recipe.Records()
-		if e.journaled.Key != "" && recipe.MaxK == e.journaled.MaxK {
-			// Same ladder width: the session-built record is already on
-			// the log. Only a cold build or a grown ladder writes a
-			// fresh one, so replay rebuilds the width the session has.
+		if e.journaled.Key != "" {
+			// The session-built record is already on the log: only the
+			// first append after a cold build writes it.
 			recs = recs[1:]
 		}
 		e.journaled = recipe
@@ -364,26 +363,27 @@ func (e *PoolEntry) activate(active []int, spec RunSpec) {
 }
 
 // recipe derives the session's durable recipe from its serving state:
-// circuit, the session's current ladder width, live test-set and the
-// last run's K. Caller holds runMu.
+// circuit, live test-set and the last run's K. The ladder width is not
+// part of it: answers and encoded copies do not depend on it, and a
+// replayed session grows its ladder on demand. Caller holds runMu.
 func (e *PoolEntry) recipe() journal.SessionState {
-	tests := make([]journal.TestRec, len(e.current))
+	live := make(circuit.TestSet, len(e.current))
 	for i, ci := range e.current {
-		tests[i] = toTestRec(e.sess.Tests[ci])
+		live[i] = e.sess.Tests[ci]
+	}
+	wire := EncodeTests(live)
+	tests := make([]journal.TestRec, len(wire))
+	for i, t := range wire {
+		tests[i] = journal.TestRec(t)
 	}
 	return journal.SessionState{
 		Key:         e.key,
 		Fingerprint: e.fp,
 		Bench:       e.bench,
-		MaxK:        ladderMaxK(e.sess.Ladder.Width()),
 		Tests:       tests,
 		K:           e.lastSpec.K,
 	}
 }
-
-// ladderMaxK is the largest correction size a ladder of the given width
-// bounds without growing — the MaxK that rebuilds the same width.
-func ladderMaxK(width int) int { return max(width-1, 0) }
 
 // evictLocked drops idle least-recently-used entries until the pool is
 // within its byte and session budgets. keep (the entry just touched) is
@@ -496,20 +496,6 @@ func (p *SessionPool) Budgets() (maxBytes int64, maxSessions int) {
 	return p.opts.MaxBytes, p.opts.MaxSessions
 }
 
-// toTestRec converts one test to its journal wire form (vector as a 0/1
-// string, one character per primary input).
-func toTestRec(t circuit.Test) journal.TestRec {
-	b := make([]byte, len(t.Vector))
-	for i, v := range t.Vector {
-		if v {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return journal.TestRec{Vector: string(b), Output: t.Output, Want: t.Want}
-}
-
 // EntryInfo is a point-in-time public view of one pooled session.
 type EntryInfo struct {
 	ID       string           `json:"id"`
@@ -540,7 +526,7 @@ func (p *SessionPool) Snapshot() []EntryInfo {
 			Uses:     e.uses,
 			AgeMs:    now.Sub(e.created).Milliseconds(),
 			IdleMs:   now.Sub(e.lastUsed).Milliseconds(),
-			MaxK:     ladderMaxK(e.statsSnap.LadderWidth),
+			MaxK:     max(e.statsSnap.LadderWidth-1, 0),
 			Stats:    e.statsSnap,
 			InFlight: e.refs > 0,
 		})

@@ -155,7 +155,8 @@ func (s *Server) Replay(st *journal.State, workers int) ReplayReport {
 
 // replaySession rebuilds one journaled session: parse the bench text,
 // verify the fingerprint, cold-build the warm session through the pool
-// (journaling it afresh), and prime the live test-set so the next
+// at the journaled K (journaling it afresh; a later run at a larger k
+// grows the ladder in place), and prime the live test-set so the next
 // request — full or incremental — behaves exactly like a warm request
 // on the pre-crash session. The returned entry is pinned; the caller
 // releases after restoring LRU order.
@@ -177,15 +178,15 @@ func (s *Server) replaySession(ss *journal.SessionState) (*PoolEntry, int, error
 	if len(ss.Tests) > 0 {
 		tj := make([]TestJSON, len(ss.Tests))
 		for i, t := range ss.Tests {
-			tj[i] = TestJSON{Vector: t.Vector, Output: t.Output, Want: t.Want}
+			tj[i] = TestJSON(t)
 		}
-		if tests, err = decodeTests(c, tj); err != nil {
+		if tests, err = DecodeTests(c, tj); err != nil {
 			return nil, 0, fmt.Errorf("journaled tests: %w", err)
 		}
 	}
 	entry, outcome, err := s.pool.AcquireDetail(ss.Fingerprint, func() (Built, error) {
 		return Built{
-			Session:     NewWarmSession(c, ss.MaxK),
+			Session:     NewWarmSession(c, ss.K),
 			Circuit:     c,
 			Source:      ss.Bench,
 			Fingerprint: ss.Fingerprint,

@@ -436,8 +436,25 @@ func resolveCircuit(req *DiagnoseRequest) (*circuit.Circuit, string, error) {
 	}
 }
 
-// decodeTests validates and converts the wire tests.
-func decodeTests(c *circuit.Circuit, in []TestJSON) (circuit.TestSet, error) {
+// EncodeTests renders tests in their wire form (the inverse of
+// DecodeTests).
+func EncodeTests(ts circuit.TestSet) []TestJSON {
+	out := make([]TestJSON, len(ts))
+	for i, t := range ts {
+		vec := make([]byte, len(t.Vector))
+		for j, b := range t.Vector {
+			vec[j] = '0'
+			if b {
+				vec[j] = '1'
+			}
+		}
+		out[i] = TestJSON{Vector: string(vec), Output: t.Output, Want: t.Want}
+	}
+	return out
+}
+
+// DecodeTests validates wire tests against c and converts them.
+func DecodeTests(c *circuit.Circuit, in []TestJSON) (circuit.TestSet, error) {
 	if len(in) == 0 {
 		return nil, errors.New("request needs a non-empty test list")
 	}
@@ -507,7 +524,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	tests, err := decodeTests(c, req.Tests)
+	tests, err := DecodeTests(c, req.Tests)
 	if err == nil {
 		err = checkCandidates(c, req.Candidates)
 	}
@@ -781,12 +798,12 @@ func (s *Server) handleSessionTests(w http.ResponseWriter, r *http.Request) {
 	s.finish(w, resp, derr, err, rid, span)
 }
 
-// decodeAdd is decodeTests allowing an empty list (pure retractions).
+// decodeAdd is DecodeTests allowing an empty list (pure retractions).
 func decodeAdd(c *circuit.Circuit, in []TestJSON) (circuit.TestSet, error) {
 	if len(in) == 0 {
 		return nil, nil
 	}
-	return decodeTests(c, in)
+	return DecodeTests(c, in)
 }
 
 // finish maps the (response, diagnosis error, scheduling error) triple
@@ -1080,22 +1097,10 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "render bench: %v", err)
 		return
 	}
-	tj := make([]TestJSON, len(tests))
-	for i, t := range tests {
-		var vb strings.Builder
-		for _, b := range t.Vector {
-			if b {
-				vb.WriteByte('1')
-			} else {
-				vb.WriteByte('0')
-			}
-		}
-		tj[i] = TestJSON{Vector: vb.String(), Output: t.Output, Want: t.Want}
-	}
 	writeJSON(w, http.StatusOK, ScenarioJSON{
 		Circuit: name,
 		Bench:   sb.String(),
-		Tests:   tj,
+		Tests:   EncodeTests(tests),
 		Sites:   fs.Sites(),
 		K:       inject,
 	})
