@@ -100,11 +100,10 @@ func COV(c *circuit.Circuit, tests circuit.TestSet, opts CovOptions) (*CovResult
 		return nil, fmt.Errorf("core: COV: %w", err)
 	}
 	res.Complete = result.Complete
+	res.Timings.One = result.First
+	res.Solutions = make([]Correction, len(result.Covers))
 	for i, cov := range result.Covers {
-		if i == 0 {
-			res.Timings.One = time.Since(solveStart)
-		}
-		res.Solutions = append(res.Solutions, NewCorrection(cov))
+		res.Solutions[i] = Correction{Gates: cov} // sorted, and owned by the result
 	}
 	res.Timings.All = time.Since(solveStart)
 	return res, nil

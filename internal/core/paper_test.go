@@ -351,3 +351,24 @@ func TestCovGuidedRepairNeedsRepair(t *testing.T) {
 		t.Fatalf("repaired correction %v invalid", rep.Correction)
 	}
 }
+
+// TestCovOneBeforeAll: the "One" column is the time to the first cover,
+// not to the end of the enumeration, so on a cell with thousands of
+// covers it is well below "All" for both covering engines.
+func TestCovOneBeforeAll(t *testing.T) {
+	c, tests, _ := cegarLargeScenario(t, "s1423x", 4, 16)
+	for _, engine := range []CovEngine{CovSAT, CovBB} {
+		res, err := COV(c, tests, CovOptions{K: 3, Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, all := res.Timings.One, res.Timings.All
+		t.Logf("%v: %d covers, one %v, all %v", engine, len(res.Solutions), one, all)
+		if len(res.Solutions) < 500 {
+			t.Fatalf("%v: only %d covers; the cell must have many", engine, len(res.Solutions))
+		}
+		if one <= 0 || 2*one >= all {
+			t.Fatalf("%v: one %v is not well below all %v", engine, one, all)
+		}
+	}
+}

@@ -4,10 +4,19 @@
 // C* of size at most k — sets containing at least one element of every Ci
 // such that no element can be removed (conditions (a), (b), (c)).
 //
-// Three engines are provided: a SAT-based enumerator (the paper solved
-// its covering instances with zchaff), an explicit branch-and-bound
-// enumerator used for cross-checking, and a greedy heuristic for the
-// "one solution" timing column of Table 2.
+// Two engines are provided: a SAT-based enumerator (the paper solved
+// its covering instances with zchaff) and an explicit branch-and-bound
+// enumerator, the independent oracle it is cross-checked against.
+//
+// The SAT enumerator works on the quotient of the universe by
+// interchangeable elements: elements that hit exactly the same sets form
+// one class and share one selection variable. An irredundant cover holds
+// at most one member of a class (a second member hits the same sets, so
+// it is redundant), and irredundancy and size depend only on which
+// classes are chosen; so expanding every class cover into the product of
+// its classes' members yields exactly the irredundant element covers,
+// without the solver finding and refuting each permutation inside a
+// class. Branch-and-bound stays on the uncompressed universe.
 //
 // Note that a "hitting set" view is used throughout: elements hit sets.
 // This matches the paper's formulation of condition (a).
@@ -16,8 +25,10 @@ package cover
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/sat"
@@ -120,14 +131,89 @@ type Options struct {
 type Result struct {
 	Covers   [][]int // sorted element sets, enumeration order
 	Complete bool    // solution space exhausted within budgets
+	// First is the time from the call to the first cover found (zero
+	// when there is none): the "One" column of Table 2.
+	First time.Duration
+}
+
+// classes partitions the universe into classes of interchangeable
+// elements — those hitting exactly the same sets — and returns, per
+// class, its members and the indices of the sets they hit. Classes are
+// ordered by their smallest member and members ascend.
+func (p *Problem) classes() (members, hits [][]int) {
+	u := p.Universe()
+	idx := make(map[int]int, len(u))
+	for i, e := range u {
+		idx[e] = i
+	}
+	// The sets hit by u[i] are flat[off[i]:off[i+1]], ascending.
+	off := make([]int, len(u)+1)
+	for _, set := range p.Sets {
+		for _, e := range set {
+			off[idx[e]+1]++
+		}
+	}
+	for i := range u {
+		off[i+1] += off[i]
+	}
+	flat := make([]int, off[len(u)])
+	next := slices.Clone(off[:len(u)])
+	for si, set := range p.Sets {
+		for _, e := range set {
+			i := idx[e]
+			flat[next[i]] = si
+			next[i]++
+		}
+	}
+	sig := func(i int) []int { return flat[off[i]:off[i+1]] }
+
+	// Sorting the elements by their sets makes each class a run, members
+	// ascending; the runs are then put in order of their smallest member.
+	order := make([]int, len(u))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := slices.Compare(sig(a), sig(b)); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	var runs [][]int
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && slices.Equal(sig(order[hi]), sig(order[lo])) {
+			hi++
+		}
+		runs = append(runs, order[lo:hi])
+		lo = hi
+	}
+	slices.SortFunc(runs, func(a, b []int) int { return a[0] - b[0] })
+	members = make([][]int, len(runs))
+	hits = make([][]int, len(runs))
+	elems := make([]int, 0, len(u))
+	for c, run := range runs {
+		start := len(elems)
+		for _, i := range run {
+			elems = append(elems, u[i])
+		}
+		members[c] = elems[start:len(elems):len(elems)]
+		hits[c] = sig(run[0])
+	}
+	return members, hits
 }
 
 // EnumerateSAT enumerates all irredundant covers of size <= MaxK with the
 // incremental-SAT discipline of the paper: one selection variable per
-// universe element, one clause per candidate set, a cardinality ladder,
-// and for limits i = 1..MaxK all models projected onto the selection
-// variables, blocking each found cover (Figure 4 via Figure 3's loop).
+// class of interchangeable elements, one clause per candidate set, a
+// cardinality ladder, and for limits i = 1..MaxK all models projected
+// onto the selection variables, blocking each found class cover and its
+// supersets (Figure 4 via Figure 3's loop). Each class cover is expanded
+// into the product of its classes' members, in lexicographic order of
+// the member choices; MaxSolutions counts expanded covers, and a capped
+// result holds every cover smaller than the largest size it returns.
 func EnumerateSAT(p *Problem, opts Options) (*Result, error) {
+	start := time.Now()
 	if opts.MaxK < 1 {
 		return nil, fmt.Errorf("cover: MaxK must be >= 1")
 	}
@@ -136,48 +222,78 @@ func EnumerateSAT(p *Problem, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("cover: set %d is empty; no cover exists", i)
 		}
 	}
-	universe := p.Universe()
+	members, hits := p.classes()
 	s := sat.New()
 	s.MaxConflicts = opts.MaxConflicts
-	vars := make(map[int]sat.Var, len(universe))
-	lits := make([]sat.Lit, len(universe))
-	for i, e := range universe {
-		v := s.NewVar()
-		vars[e] = v
-		lits[i] = sat.PosLit(v)
-	}
-	for _, set := range p.Sets {
-		clause := make([]sat.Lit, len(set))
-		for i, e := range set {
-			clause[i] = sat.PosLit(vars[e])
+	lits := make([]sat.Lit, len(members))
+	clauses := make([][]sat.Lit, len(p.Sets))
+	for c, sets := range hits {
+		lits[c] = sat.PosLit(s.NewVar())
+		for _, si := range sets {
+			clauses[si] = append(clauses[si], lits[c])
 		}
+	}
+	for _, clause := range clauses {
 		s.AddClause(clause...)
 	}
 	ladder := cnf.AddLadder(s, lits, opts.MaxK)
 
 	res := &Result{Complete: true}
+	var (
+		chosen [][]int // members of each chosen class
+		pick   []int   // odometer over the chosen classes
+		slab   []int   // free backing space for the expanded covers
+	)
+	// expand appends the element covers of one class cover and reports
+	// whether enumeration may go on (false once the cap is reached).
+	expand := func(trueLits []sat.Lit) bool {
+		if len(res.Covers) == 0 {
+			res.First = time.Since(start)
+		}
+		chosen = chosen[:0]
+		n := 1
+		for _, l := range trueLits {
+			m := members[indexOfLit(lits, l)]
+			chosen = append(chosen, m)
+			n *= len(m)
+		}
+		if opts.MaxSolutions > 0 {
+			n = min(n, opts.MaxSolutions-len(res.Covers))
+		}
+		k := len(chosen)
+		if len(slab) < n*k {
+			slab = make([]int, max(n*k, 1024))
+		}
+		res.Covers = slices.Grow(res.Covers, n)
+		pick = slices.Grow(pick[:0], k)[:k]
+		clear(pick)
+		for range n {
+			cov := slab[:k:k]
+			slab = slab[k:]
+			for i, m := range chosen {
+				cov[i] = m[pick[i]]
+			}
+			slices.Sort(cov)
+			res.Covers = append(res.Covers, cov)
+			for i := k - 1; i >= 0; i-- { // advance, last class fastest
+				if pick[i]++; pick[i] < len(chosen[i]) {
+					break
+				}
+				pick[i] = 0
+			}
+		}
+		return opts.MaxSolutions == 0 || len(res.Covers) < opts.MaxSolutions
+	}
 	for k := 1; k <= opts.MaxK; k++ {
+		if opts.MaxSolutions > 0 && len(res.Covers) >= opts.MaxSolutions {
+			res.Complete = false
+			return res, nil
+		}
 		var assumps []sat.Lit
 		if l := ladder.AtMost(s, k); l != sat.LitUndef {
 			assumps = []sat.Lit{l}
 		}
-		remaining := 0
-		if opts.MaxSolutions > 0 {
-			remaining = opts.MaxSolutions - len(res.Covers)
-			if remaining <= 0 {
-				res.Complete = false
-				return res, nil
-			}
-		}
-		_, complete := s.EnumerateProjected(lits, sat.EnumOptions{Assumptions: assumps, Ctx: opts.Ctx, MaxSolutions: remaining}, func(trueLits []sat.Lit) bool {
-			cov := make([]int, len(trueLits))
-			for i, l := range trueLits {
-				cov[i] = universe[indexOfLit(lits, l)]
-			}
-			sort.Ints(cov)
-			res.Covers = append(res.Covers, cov)
-			return true
-		})
+		_, complete := s.EnumerateProjected(lits, sat.EnumOptions{Assumptions: assumps, Ctx: opts.Ctx}, expand)
 		if !complete {
 			res.Complete = false
 			return res, nil
@@ -205,6 +321,7 @@ func indexOfLit(lits []sat.Lit, l sat.Lit) int {
 // irredundancy check (every chosen element uniquely hits some set) needs
 // no per-candidate slices or maps.
 func EnumerateBB(p *Problem, opts Options) (*Result, error) {
+	start := time.Now()
 	if opts.MaxK < 1 {
 		return nil, fmt.Errorf("cover: MaxK must be >= 1")
 	}
@@ -276,6 +393,9 @@ func EnumerateBB(p *Problem, opts Options) (*Result, error) {
 				}
 				if !seen[string(key)] {
 					seen[string(key)] = true
+					if len(res.Covers) == 0 {
+						res.First = time.Since(start)
+					}
 					res.Covers = append(res.Covers, append([]int(nil), cov...))
 				}
 			}
@@ -315,68 +435,4 @@ func EnumerateBB(p *Problem, opts Options) (*Result, error) {
 		return false
 	})
 	return res, nil
-}
-
-// Greedy returns one (not necessarily minimal-cardinality) irredundant
-// cover quickly: repeatedly pick the element hitting the most uncovered
-// sets, then strip redundant picks. Used for the "One" columns.
-func Greedy(p *Problem) ([]int, error) {
-	for i, s := range p.Sets {
-		if len(s) == 0 {
-			return nil, fmt.Errorf("cover: set %d is empty; no cover exists", i)
-		}
-	}
-	covered := make([]bool, len(p.Sets))
-	var sel []int
-	for {
-		remaining := 0
-		for _, c := range covered {
-			if !c {
-				remaining++
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-		gain := make(map[int]int)
-		for i, set := range p.Sets {
-			if covered[i] {
-				continue
-			}
-			for _, e := range set {
-				gain[e]++
-			}
-		}
-		best, bestGain := -1, 0
-		for e, g := range gain {
-			if g > bestGain || (g == bestGain && (best == -1 || e < best)) {
-				best, bestGain = e, g
-			}
-		}
-		sel = append(sel, best)
-		for i, set := range p.Sets {
-			if covered[i] {
-				continue
-			}
-			for _, e := range set {
-				if e == best {
-					covered[i] = true
-					break
-				}
-			}
-		}
-	}
-	// Strip redundant elements (later picks can subsume earlier ones).
-	sort.Ints(sel)
-	for i := 0; i < len(sel); {
-		reduced := make([]int, 0, len(sel)-1)
-		reduced = append(reduced, sel[:i]...)
-		reduced = append(reduced, sel[i+1:]...)
-		if p.Covers(reduced) {
-			sel = reduced
-		} else {
-			i++
-		}
-	}
-	return sel, nil
 }

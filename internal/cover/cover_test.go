@@ -106,9 +106,6 @@ func TestEmptySetRejected(t *testing.T) {
 	if _, err := EnumerateBB(p, Options{MaxK: 2}); err == nil {
 		t.Fatal("empty set accepted by BB engine")
 	}
-	if _, err := Greedy(p); err == nil {
-		t.Fatal("empty set accepted by Greedy")
-	}
 }
 
 // TestEnginesAgreeProperty: SAT and branch-and-bound enumerate identical
@@ -178,47 +175,13 @@ func TestEnumerationExactlyIrredundant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var brute [][]int
-		for m := 1; m < 1<<uint(nElems); m++ {
-			var sel []int
-			for e := 0; e < nElems; e++ {
-				if m>>uint(e)&1 == 1 {
-					sel = append(sel, e)
-				}
-			}
-			if len(sel) <= k && p.Irredundant(sel) {
-				brute = append(brute, sel)
-			}
-		}
-		return sameCoverSets(res.Covers, brute)
+		return sameCoverSets(res.Covers, bruteCovers(p, k))
 	}
 	cfg := &quick.Config{MaxCount: 100}
 	if testing.Short() {
 		cfg.MaxCount = 25
 	}
 	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGreedyReturnsIrredundantCover(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nElems := 3 + rng.Intn(8)
-		nSets := 1 + rng.Intn(8)
-		sets := make([][]int, nSets)
-		for i := range sets {
-			size := 1 + rng.Intn(nElems)
-			sets[i] = rng.Perm(nElems)[:size]
-		}
-		p := NewProblem(sets)
-		sel, err := Greedy(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p.Irredundant(sel)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -249,5 +212,189 @@ func TestBadK(t *testing.T) {
 	}
 	if _, err := EnumerateBB(p, Options{MaxK: 0}); err == nil {
 		t.Fatal("k=0 accepted by BB")
+	}
+}
+
+// TestClassesGrouping: elements hitting exactly the same sets share a
+// class; classes are ordered by their smallest member and members ascend.
+func TestClassesGrouping(t *testing.T) {
+	for _, tc := range []struct {
+		sets          [][]int
+		members, hits string
+	}{
+		{[][]int{{0, 1, 2, 3, 4, 5}}, "[[0 1 2 3 4 5]]", "[[0]]"},
+		{[][]int{{1, 2}, {2, 3}}, "[[1] [2] [3]]", "[[0] [0 1] [1]]"},
+		{[][]int{{7, 3, 9}, {9, 1}, {3, 7}}, "[[1] [3 7] [9]]", "[[1] [0 2] [0 1]]"},
+		{[][]int{{1, 2, 5}, {3, 4, 5}}, "[[1 2] [3 4] [5]]", "[[0] [1] [0 1]]"},
+		{[][]int{{8, 6, 4}, {2, 4, 6, 8}, {2}}, "[[2] [4 6 8]]", "[[1 2] [0 1]]"},
+	} {
+		members, hits := NewProblem(tc.sets).classes()
+		if got := fmt.Sprint(members); got != tc.members {
+			t.Errorf("%v: members %s, want %s", tc.sets, got, tc.members)
+		}
+		if got := fmt.Sprint(hits); got != tc.hits {
+			t.Errorf("%v: hits %s, want %s", tc.sets, got, tc.hits)
+		}
+	}
+}
+
+// TestQuotientExpansionOrder: a class cover expands into the product of
+// its classes' members, classes by smallest member and the last class
+// varying fastest, so the enumeration order is fixed.
+func TestQuotientExpansionOrder(t *testing.T) {
+	p := NewProblem([][]int{{1, 2, 5}, {3, 4, 5}})
+	res, err := EnumerateSAT(p, Options{MaxK: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(res.Covers), "[[5] [1 3] [1 4] [2 3] [2 4]]"; got != want || !res.Complete {
+		t.Fatalf("covers %s (complete=%v), want %s", got, res.Complete, want)
+	}
+}
+
+// duplicateHeavy builds a random instance over a few distinct columns:
+// 2-5 classes of 2-6 interchangeable elements each (the first one at
+// times a singleton), with element IDs shuffled so that classes
+// interleave.
+func duplicateHeavy(rng *rand.Rand) *Problem {
+	nSets := 1 + rng.Intn(5)
+	sets := make([][]int, nSets)
+	ids := rng.Perm(100) // room for 5 classes of 6, spread out
+	next := 0
+	for c := range 2 + rng.Intn(4) {
+		var col []int // the sets this class's members hit
+		for si := range nSets {
+			if rng.Intn(2) == 0 {
+				col = append(col, si)
+			}
+		}
+		n := 2 + rng.Intn(5)
+		if c == 0 && rng.Intn(3) == 0 {
+			n = 1
+		}
+		for range n {
+			for _, si := range col {
+				sets[si] = append(sets[si], ids[next])
+			}
+			next++
+		}
+	}
+	for si := range sets {
+		if len(sets[si]) == 0 { // keep the instance solvable
+			sets[si] = append(sets[si], ids[rng.Intn(next)])
+		}
+	}
+	return NewProblem(sets)
+}
+
+// bruteCovers lists every irredundant cover of size <= k by trying every
+// subset of the universe of that size.
+func bruteCovers(p *Problem, k int) [][]int {
+	u := p.Universe()
+	var out [][]int
+	var sel []int
+	var rec func(from int)
+	rec = func(from int) {
+		if len(sel) > 0 && p.Irredundant(sel) {
+			out = append(out, append([]int(nil), sel...))
+		}
+		if len(sel) == k {
+			return
+		}
+		for i := from; i < len(u); i++ {
+			sel = append(sel, u[i])
+			rec(i + 1)
+			sel = sel[:len(sel)-1]
+		}
+	}
+	rec(0)
+	return out
+}
+
+// TestQuotientEnginesAgreeProperty: on instances full of interchangeable
+// elements, the SAT enumerator over classes, branch-and-bound over
+// elements and brute force list the same covers.
+func TestQuotientEnginesAgreeProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := duplicateHeavy(rng)
+		k := 1 + rng.Intn(3)
+		satRes, err := EnumerateSAT(p, Options{MaxK: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bbRes, err := EnumerateBB(p, Options{MaxK: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		brute := bruteCovers(p, k)
+		if !satRes.Complete || !sameCoverSets(satRes.Covers, bbRes.Covers) || !sameCoverSets(satRes.Covers, brute) {
+			t.Logf("sets %v k=%d: sat %v (complete=%v) bb %v brute %v", p.Sets, k, satRes.Covers, satRes.Complete, bbRes.Covers, brute)
+			return false
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 150}
+	if testing.Short() {
+		cfg.MaxCount = 30
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCappedPrefixProperty: a capped enumeration returns exactly the cap
+// of distinct irredundant covers, every cover smaller than the largest
+// size it returns, and reports itself incomplete — also when the cap
+// equals the number of covers.
+func TestCappedPrefixProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := duplicateHeavy(rng)
+		k := 1 + rng.Intn(3)
+		all, err := EnumerateBB(p, Options{MaxK: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all.Covers) == 0 {
+			return true
+		}
+		limit := 1 + rng.Intn(len(all.Covers))
+		res, err := EnumerateSAT(p, Options{MaxK: k, MaxSolutions: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fail := func(format string, args ...any) bool {
+			t.Logf("sets %v k=%d cap %d: %s", p.Sets, k, limit, fmt.Sprintf(format, args...))
+			return false
+		}
+		if res.Complete || len(res.Covers) != limit {
+			return fail("%d covers, complete=%v", len(res.Covers), res.Complete)
+		}
+		seen := map[string]bool{}
+		largest := 0
+		for _, cov := range res.Covers {
+			if seen[fmt.Sprint(cov)] {
+				return fail("duplicate cover %v", cov)
+			}
+			seen[fmt.Sprint(cov)] = true
+			if !p.Irredundant(cov) || len(cov) > k {
+				return fail("bad cover %v", cov)
+			}
+			largest = max(largest, len(cov))
+		}
+		for _, cov := range all.Covers {
+			if len(cov) < largest && !seen[fmt.Sprint(cov)] {
+				return fail("cover %v smaller than %d missing", cov, largest)
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 150}
+	if testing.Short() {
+		cfg.MaxCount = 30
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -167,6 +167,30 @@ func TestServerPanicExhaustionIs500(t *testing.T) {
 	}
 }
 
+// TestServerInjectedErrorExhaustionIs503: an injected transient error
+// that outlasts every retry answers 503 (retry later), not the 422 of a
+// bad request, and the next request serves normally.
+func TestServerInjectedErrorExhaustionIs503(t *testing.T) {
+	defer failpoint.Disable()
+	c, tests, want := faultScenario(t, 1)
+	_, ts := newTestServer(t, 2)
+	bench := benchText(t, c)
+	req := service.DiagnoseRequest{Bench: bench, Tests: testJSON(tests), K: 2}
+
+	if err := failpoint.Enable("service/diagnose=error(1)", 11); err != nil {
+		t.Fatal(err)
+	}
+	code, _ := post[service.DiagnoseResponse](t, ts.URL+"/diagnose", req)
+	failpoint.Disable()
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("all-attempts-failed answered %d, want 503", code)
+	}
+	resp := diagnose(t, ts.URL, req)
+	if !resp.Complete || mustJSON(t, resp.Solutions) != mustJSON(t, want) {
+		t.Fatalf("server unhealthy after injected errors: complete=%v %v != %v", resp.Complete, resp.Solutions, want)
+	}
+}
+
 // TestServerDegradedSolutionCap: a budget-capped run answers 200 with
 // complete=false, the solutions found so far, and a degraded reason —
 // the graceful-degradation contract. A no-op edit inherits the cap and

@@ -853,8 +853,13 @@ func (s *Server) finish(w http.ResponseWriter, resp *DiagnoseResponse, derr, sch
 	}
 	if derr != nil {
 		code := http.StatusUnprocessableEntity
-		if errors.Is(derr, errAttemptPanic) {
+		switch {
+		case errors.Is(derr, errAttemptPanic):
 			code = http.StatusInternalServerError
+		case failpoint.IsInjected(derr):
+			// A transient failure that outlived the retries: the request
+			// was fine, so tell the client to retry rather than to fix it.
+			code = http.StatusServiceUnavailable
 		}
 		fail(code, "%v", derr)
 		return
