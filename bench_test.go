@@ -410,20 +410,6 @@ func BenchmarkAblation_BSAT_Partitioned(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_COV_SATvsBB(b *testing.B) {
-	sc, k, m := ablationScenario(b)
-	tests := sc.Tests.Prefix(m)
-	for _, engine := range []core.CovEngine{core.CovSAT, core.CovBB} {
-		b.Run(engine.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.COV(sc.Faulty, tests, core.CovOptions{K: k, Engine: engine, MaxSolutions: 2000}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkAblation_PTPolicies(b *testing.B) {
 	sc, _, m := ablationScenario(b)
 	tests := sc.Tests.Prefix(m)

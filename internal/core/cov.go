@@ -7,40 +7,18 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/cover"
+	"repro/internal/trace"
 )
-
-// CovEngine selects the covering-problem solver.
-type CovEngine int
-
-// Engines: CovSAT mirrors the paper (the covering problem "was also
-// solved using Zchaff"); CovBB is the explicit backtracking search whose
-// O(|I|^k) complexity Table 1 cites for COV.
-const (
-	CovSAT CovEngine = iota
-	CovBB
-)
-
-// String names the engine.
-func (e CovEngine) String() string {
-	switch e {
-	case CovSAT:
-		return "sat"
-	case CovBB:
-		return "backtrack"
-	default:
-		return fmt.Sprintf("CovEngine(%d)", int(e))
-	}
-}
 
 // CovOptions configures SCDiagnose.
 type CovOptions struct {
 	K            int       // maximum correction size (required)
 	PT           PTOptions // path-tracing configuration for the BSIM stage
-	Engine       CovEngine
-	MaxSolutions int   // cap on enumerated covers (0 = unlimited)
-	MaxConflicts int64 // SAT budget (CovSAT only; 0 = unlimited)
+	MaxSolutions int       // cap on enumerated covers (0 = unlimited)
 	// Ctx, when non-nil, cancels the covering enumeration cooperatively
-	// (surfaces as an incomplete result).
+	// (surfaces as an incomplete result). A span it carries records the
+	// "bsim" and "cover" phases and the sets, classes, nodes and covers
+	// counters.
 	Ctx context.Context
 	// UseXList derives the candidate sets by X-injection screening
 	// (XDiagnose) instead of path tracing — the alternative
@@ -59,8 +37,8 @@ type CovResult struct {
 // COV implements SCDiagnose (Figure 4): run BasicSimDiagnose to obtain
 // the candidate sets Ci, then enumerate every solution C* of the set
 // covering problem — hit every Ci, no removable element (irredundant),
-// size at most K. No effect analysis is performed, so solutions are not
-// guaranteed to be valid corrections (Lemma 2).
+// size at most K (cover.Enumerate). No effect analysis is performed, so
+// solutions are not guaranteed to be valid corrections (Lemma 2).
 func COV(c *circuit.Circuit, tests circuit.TestSet, opts CovOptions) (*CovResult, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("core: COV requires K >= 1, got %d", opts.K)
@@ -83,19 +61,11 @@ func COV(c *circuit.Circuit, tests circuit.TestSet, opts CovOptions) (*CovResult
 	problem := cover.NewProblem(bsim.Sets)
 	res := &CovResult{BSIM: bsim, Problem: problem}
 	res.Timings.CNF = time.Since(start) // includes the BSIM stage, as in Table 2
+	span := trace.FromContext(opts.Ctx)
+	span.Lap("bsim")
 
 	solveStart := time.Now()
-	covOpts := cover.Options{MaxK: opts.K, MaxSolutions: opts.MaxSolutions, MaxConflicts: opts.MaxConflicts, Ctx: opts.Ctx}
-	var (
-		result *cover.Result
-		err    error
-	)
-	switch opts.Engine {
-	case CovBB:
-		result, err = cover.EnumerateBB(problem, covOpts)
-	default:
-		result, err = cover.EnumerateSAT(problem, covOpts)
-	}
+	result, err := cover.Enumerate(problem, cover.Options{MaxK: opts.K, MaxSolutions: opts.MaxSolutions, Ctx: opts.Ctx})
 	if err != nil {
 		return nil, fmt.Errorf("core: COV: %w", err)
 	}
@@ -106,5 +76,10 @@ func COV(c *circuit.Circuit, tests circuit.TestSet, opts CovOptions) (*CovResult
 		res.Solutions[i] = Correction{Gates: cov} // sorted, and owned by the result
 	}
 	res.Timings.All = time.Since(solveStart)
+	span.Lap("cover")
+	span.Counter("sets", int64(len(problem.Sets)))
+	span.Counter("classes", int64(result.Classes))
+	span.Counter("nodes", int64(result.Nodes))
+	span.Counter("covers", int64(len(result.Covers)))
 	return res, nil
 }

@@ -40,7 +40,9 @@ type Request struct {
 	Shards      int
 	ShardSample int
 
-	// Budgets; zero values mean unlimited.
+	// Budgets; zero values mean unlimited. MaxConflicts is a SAT
+	// conflict budget per solve: bsim and cov run no solver and ignore
+	// it (cov's covering search is bounded by MaxSolutions and Timeout).
 	MaxSolutions int
 	MaxConflicts int64
 	Timeout      time.Duration
@@ -224,7 +226,6 @@ func runCOV(ctx context.Context, req Request) (*Report, error) {
 		K:            req.k(),
 		PT:           req.PT,
 		MaxSolutions: req.MaxSolutions,
-		MaxConflicts: req.MaxConflicts,
 		Ctx:          ctx,
 	})
 	if err != nil {
@@ -232,6 +233,7 @@ func runCOV(ctx context.Context, req Request) (*Report, error) {
 	}
 	rep := &Report{SolutionSet: res.SolutionSet, Timings: res.Timings}
 	rep.Canonicalize()
+	trace.FromContext(ctx).Lap("canonicalize")
 	return rep, nil
 }
 

@@ -267,28 +267,6 @@ func TestCovSolutionsAreIrredundantCovers(t *testing.T) {
 	}
 }
 
-// TestCovEnginesAgree: the SAT-based and backtracking covering engines
-// enumerate identical solution sets.
-func TestCovEnginesAgree(t *testing.T) {
-	for _, build := range []func(*testing.T) (*circuit.Circuit, circuit.Test, map[string]int){fig5a, fig5b} {
-		c, test, _ := build(t)
-		tests := circuit.TestSet{test}
-		for k := 1; k <= 3; k++ {
-			satCov, err := COV(c, tests, CovOptions{K: k, Engine: CovSAT})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bbCov, err := COV(c, tests, CovOptions{K: k, Engine: CovBB})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !SameSolutions(&satCov.SolutionSet, &bbCov.SolutionSet) {
-				t.Fatalf("%s k=%d: SAT %v vs BB %v", c.Name, k, satCov.Solutions, bbCov.Solutions)
-			}
-		}
-	}
-}
-
 // TestHybridSameSolutionsOnExamples: steering the decision heuristics
 // must not change the solution space (Section 6's safety property).
 func TestHybridSameSolutionsOnExamples(t *testing.T) {
@@ -354,21 +332,19 @@ func TestCovGuidedRepairNeedsRepair(t *testing.T) {
 
 // TestCovOneBeforeAll: the "One" column is the time to the first cover,
 // not to the end of the enumeration, so on a cell with thousands of
-// covers it is well below "All" for both covering engines.
+// covers it is well below "All".
 func TestCovOneBeforeAll(t *testing.T) {
 	c, tests, _ := cegarLargeScenario(t, "s1423x", 4, 16)
-	for _, engine := range []CovEngine{CovSAT, CovBB} {
-		res, err := COV(c, tests, CovOptions{K: 3, Engine: engine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		one, all := res.Timings.One, res.Timings.All
-		t.Logf("%v: %d covers, one %v, all %v", engine, len(res.Solutions), one, all)
-		if len(res.Solutions) < 500 {
-			t.Fatalf("%v: only %d covers; the cell must have many", engine, len(res.Solutions))
-		}
-		if one <= 0 || 2*one >= all {
-			t.Fatalf("%v: one %v is not well below all %v", engine, one, all)
-		}
+	res, err := COV(c, tests, CovOptions{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, all := res.Timings.One, res.Timings.All
+	t.Logf("%d covers, one %v, all %v", len(res.Solutions), one, all)
+	if len(res.Solutions) < 500 {
+		t.Fatalf("only %d covers; the cell must have many", len(res.Solutions))
+	}
+	if one <= 0 || 2*one >= all {
+		t.Fatalf("one %v is not well below all %v", one, all)
 	}
 }

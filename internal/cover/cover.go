@@ -4,19 +4,19 @@
 // C* of size at most k — sets containing at least one element of every Ci
 // such that no element can be removed (conditions (a), (b), (c)).
 //
-// Two engines are provided: a SAT-based enumerator (the paper solved
-// its covering instances with zchaff) and an explicit branch-and-bound
-// enumerator, the independent oracle it is cross-checked against.
+// There is one engine, Enumerate: the O(|I|^k) backtracking search that
+// Table 1 prices COV at, run by increasing cover size over the quotient
+// of the universe by interchangeable elements. Elements that hit exactly
+// the same sets form one class. An irredundant cover holds at most one
+// member of a class (a second member hits the same sets, so it is
+// redundant), and irredundancy and size depend only on which classes are
+// chosen; so the search runs over classes and expands every class cover
+// into the product of its classes' members.
 //
-// The SAT enumerator works on the quotient of the universe by
-// interchangeable elements: elements that hit exactly the same sets form
-// one class and share one selection variable. An irredundant cover holds
-// at most one member of a class (a second member hits the same sets, so
-// it is redundant), and irredundancy and size depend only on which
-// classes are chosen; so expanding every class cover into the product of
-// its classes' members yields exactly the irredundant element covers,
-// without the solver finding and refuting each permutation inside a
-// class. Branch-and-bound stays on the uncompressed universe.
+// The paper solved its covering instances with zchaff. A SAT enumerator
+// over one selection variable per class was slower than this search on
+// every COV cell measured (README's COV entry has the numbers), so the
+// search is the only engine.
 //
 // Note that a "hitting set" view is used throughout: elements hit sets.
 // This matches the paper's formulation of condition (a).
@@ -27,38 +27,24 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"time"
-
-	"repro/internal/cnf"
-	"repro/internal/sat"
 )
-
-// appendInt appends the decimal form of v to dst without allocating.
-func appendInt(dst []byte, v int) []byte {
-	return strconv.AppendInt(dst, int64(v), 10)
-}
 
 // Problem is a set-covering instance over integer elements (gate IDs).
 type Problem struct {
-	Sets [][]int // the candidate sets Ci; must be non-empty for solvability
+	// Sets are the candidate sets Ci, each non-empty for solvability and
+	// strictly ascending (NewProblem makes them so).
+	Sets [][]int
 }
 
-// NewProblem copies the given sets into a problem, deduplicating
-// elements within each set.
+// NewProblem copies the given sets into a problem, sorting each set and
+// dropping duplicate elements within it.
 func NewProblem(sets [][]int) *Problem {
 	p := &Problem{Sets: make([][]int, len(sets))}
 	for i, s := range sets {
-		seen := make(map[int]bool, len(s))
-		var out []int
-		for _, e := range s {
-			if !seen[e] {
-				seen[e] = true
-				out = append(out, e)
-			}
-		}
-		sort.Ints(out)
-		p.Sets[i] = out
+		out := slices.Clone(s)
+		slices.Sort(out)
+		p.Sets[i] = slices.Compact(out)
 	}
 	return p
 }
@@ -119,9 +105,8 @@ func (p *Problem) Irredundant(sel []int) bool {
 
 // Options bounds enumeration.
 type Options struct {
-	MaxK         int   // largest cover size (required, >= 1)
-	MaxSolutions int   // cap on enumerated covers (0 = unlimited)
-	MaxConflicts int64 // SAT budget per stage (0 = unlimited)
+	MaxK         int // largest cover size (required, >= 1)
+	MaxSolutions int // cap on enumerated covers (0 = unlimited)
 	// Ctx, when non-nil, cancels the enumeration cooperatively
 	// (Result.Complete reports false).
 	Ctx context.Context
@@ -134,85 +119,110 @@ type Result struct {
 	// First is the time from the call to the first cover found (zero
 	// when there is none): the "One" column of Table 2.
 	First time.Duration
+	// Classes is the number of classes of interchangeable elements the
+	// search ran over, and Nodes the number of search nodes it visited.
+	Classes, Nodes int
 }
 
 // classes partitions the universe into classes of interchangeable
 // elements — those hitting exactly the same sets — and returns, per
 // class, its members and the indices of the sets they hit. Classes are
-// ordered by their smallest member and members ascend.
+// ordered by their smallest member and members ascend. The sets must be
+// sorted and free of duplicates, as NewProblem leaves them.
 func (p *Problem) classes() (members, hits [][]int) {
-	u := p.Universe()
-	idx := make(map[int]int, len(u))
-	for i, e := range u {
-		idx[e] = i
-	}
-	// The sets hit by u[i] are flat[off[i]:off[i+1]], ascending.
-	off := make([]int, len(u)+1)
+	total := 0
 	for _, set := range p.Sets {
-		for _, e := range set {
-			off[idx[e]+1]++
+		total += len(set)
+	}
+	// Merge the sorted sets: u lists the elements ascending, the sets hit
+	// by u[i] are flat[off[i]:off[i+1]] (ascending), and at[j] is the
+	// index in u of the j-th element of the concatenated sets.
+	flat, u, at := make([]int, 0, total), make([]int, 0, total), make([]int, total)
+	off, head := []int{0}, make([]int, len(p.Sets))
+	for {
+		e, found := 0, false
+		for si, set := range p.Sets {
+			if h := head[si]; h < len(set) && (!found || set[h] < e) {
+				e, found = set[h], true
+			}
 		}
-	}
-	for i := range u {
-		off[i+1] += off[i]
-	}
-	flat := make([]int, off[len(u)])
-	next := slices.Clone(off[:len(u)])
-	for si, set := range p.Sets {
-		for _, e := range set {
-			i := idx[e]
-			flat[next[i]] = si
-			next[i]++
+		if !found {
+			break
 		}
+		base := 0
+		for si, set := range p.Sets {
+			if h := head[si]; h < len(set) && set[h] == e {
+				flat = append(flat, si)
+				at[base+h] = len(u)
+				head[si]++
+			}
+			base += len(set)
+		}
+		u = append(u, e)
+		off = append(off, len(flat))
 	}
-	sig := func(i int) []int { return flat[off[i]:off[i+1]] }
 
-	// Sorting the elements by their sets makes each class a run, members
-	// ascending; the runs are then put in order of their smallest member.
-	order := make([]int, len(u))
-	for i := range order {
-		order[i] = i
+	// Refine one partition of u by each set in turn: the members of a
+	// part that lie in the set move to a new part, so two elements end in
+	// one part exactly when they hit the same sets. At most 1+total parts
+	// are numbered.
+	part := make([]int, len(u))
+	splitBy, next := make([]int, total+1), make([]int, total+1)
+	parts, base := 1, 0
+	for si, set := range p.Sets {
+		for _, i := range at[base : base+len(set)] {
+			if c := part[i]; splitBy[c] != si+1 {
+				splitBy[c], next[c] = si+1, parts
+				parts++
+			}
+			part[i] = next[part[i]]
+		}
+		base += len(set)
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := slices.Compare(sig(a), sig(b)); c != 0 {
-			return c
+
+	// Number the classes by smallest member, then lay the members out
+	// class by class in one slab.
+	class := splitBy[:parts] // part -> class+1
+	clear(class)
+	size := append(next[:0], 0) // size[c+1] counts class c, then prefix-sums it
+	for i, c := range part {
+		if class[c] == 0 {
+			hits = append(hits, flat[off[i]:off[i+1]:off[i+1]])
+			size = append(size, 0)
+			class[c] = len(hits)
 		}
-		return a - b
-	})
-	var runs [][]int
-	for lo := 0; lo < len(order); {
-		hi := lo + 1
-		for hi < len(order) && slices.Equal(sig(order[hi]), sig(order[lo])) {
-			hi++
-		}
-		runs = append(runs, order[lo:hi])
-		lo = hi
+		part[i] = class[c] - 1
+		size[class[c]]++
 	}
-	slices.SortFunc(runs, func(a, b []int) int { return a[0] - b[0] })
-	members = make([][]int, len(runs))
-	hits = make([][]int, len(runs))
-	elems := make([]int, 0, len(u))
-	for c, run := range runs {
-		start := len(elems)
-		for _, i := range run {
-			elems = append(elems, u[i])
-		}
-		members[c] = elems[start:len(elems):len(elems)]
-		hits[c] = sig(run[0])
+	members = make([][]int, len(hits))
+	elems := make([]int, len(u))
+	for c := range members {
+		size[c+1] += size[c]
+		members[c] = elems[size[c]:size[c]]
+	}
+	for i, c := range part {
+		members[c] = append(members[c], u[i])
 	}
 	return members, hits
 }
 
-// EnumerateSAT enumerates all irredundant covers of size <= MaxK with the
-// incremental-SAT discipline of the paper: one selection variable per
-// class of interchangeable elements, one clause per candidate set, a
-// cardinality ladder, and for limits i = 1..MaxK all models projected
-// onto the selection variables, blocking each found class cover and its
-// supersets (Figure 4 via Figure 3's loop). Each class cover is expanded
-// into the product of its classes' members, in lexicographic order of
-// the member choices; MaxSolutions counts expanded covers, and a capped
-// result holds every cover smaller than the largest size it returns.
-func EnumerateSAT(p *Problem, opts Options) (*Result, error) {
+// Enumerate lists every irredundant cover of size <= MaxK, smaller covers
+// first. It deepens by size: for k = 1..MaxK it searches for the class
+// covers of exactly k classes, branching on the live classes of the
+// uncovered set that has the fewest. In the branch for the i-th class of
+// that set the classes before it are excluded, so each class cover is
+// reached on exactly one path and none needs deduplicating. Irredundancy
+// (every chosen class is the only hitter of some set) is decided from
+// per-set hit counts: a branch dies as soon as a chosen class loses its
+// last private set, since hits only grow below it.
+//
+// Each class cover is expanded as soon as it is found into the product
+// of its classes' members, in lexicographic order of the member choices
+// (classes by smallest member, the last class varying fastest).
+// MaxSolutions counts expanded covers, so a capped result holds every
+// cover smaller than the largest size it returns; reaching the cap, even
+// exactly, reports Complete=false. Ctx is polled every 256 nodes.
+func Enumerate(p *Problem, opts Options) (*Result, error) {
 	start := time.Now()
 	if opts.MaxK < 1 {
 		return nil, fmt.Errorf("cover: MaxK must be >= 1")
@@ -220,219 +230,223 @@ func EnumerateSAT(p *Problem, opts Options) (*Result, error) {
 	for i, s := range p.Sets {
 		if len(s) == 0 {
 			return nil, fmt.Errorf("cover: set %d is empty; no cover exists", i)
+		}
+		for j := 1; j < len(s); j++ {
+			if s[j-1] >= s[j] {
+				return nil, fmt.Errorf("cover: set %d is not strictly ascending (build problems with NewProblem)", i)
+			}
 		}
 	}
 	members, hits := p.classes()
-	s := sat.New()
-	s.MaxConflicts = opts.MaxConflicts
-	lits := make([]sat.Lit, len(members))
-	clauses := make([][]sat.Lit, len(p.Sets))
+	m := len(p.Sets)
+	perSet := make([]int, 3*m)
+	s := &search{
+		opts:     opts,
+		start:    start,
+		members:  members,
+		hits:     hits,
+		bySet:    make([][]int, m),
+		cnt:      perSet[:m],
+		owner:    perSet[m : 2*m],
+		live:     perSet[2*m:],
+		priv:     make([]int, len(members)),
+		excluded: make([]bool, len(members)),
+		chosen:   make([]int, 0, opts.MaxK),
+		sorted:   make([]int, 0, opts.MaxK),
+		pick:     make([]int, opts.MaxK),
+		res:      &Result{Complete: true, Classes: len(members)},
+	}
 	for c, sets := range hits {
-		lits[c] = sat.PosLit(s.NewVar())
 		for _, si := range sets {
-			clauses[si] = append(clauses[si], lits[c])
+			s.bySet[si] = append(s.bySet[si], c)
+			s.live[si]++
 		}
 	}
-	for _, clause := range clauses {
-		s.AddClause(clause...)
-	}
-	ladder := cnf.AddLadder(s, lits, opts.MaxK)
-
-	res := &Result{Complete: true}
-	var (
-		chosen [][]int // members of each chosen class
-		pick   []int   // odometer over the chosen classes
-		slab   []int   // free backing space for the expanded covers
-	)
-	// expand appends the element covers of one class cover and reports
-	// whether enumeration may go on (false once the cap is reached).
-	expand := func(trueLits []sat.Lit) bool {
-		if len(res.Covers) == 0 {
-			res.First = time.Since(start)
-		}
-		chosen = chosen[:0]
-		n := 1
-		for _, l := range trueLits {
-			m := members[indexOfLit(lits, l)]
-			chosen = append(chosen, m)
-			n *= len(m)
-		}
-		if opts.MaxSolutions > 0 {
-			n = min(n, opts.MaxSolutions-len(res.Covers))
-		}
-		k := len(chosen)
-		if len(slab) < n*k {
-			slab = make([]int, max(n*k, 1024))
-		}
-		res.Covers = slices.Grow(res.Covers, n)
-		pick = slices.Grow(pick[:0], k)[:k]
-		clear(pick)
-		for range n {
-			cov := slab[:k:k]
-			slab = slab[k:]
-			for i, m := range chosen {
-				cov[i] = m[pick[i]]
-			}
-			slices.Sort(cov)
-			res.Covers = append(res.Covers, cov)
-			for i := k - 1; i >= 0; i-- { // advance, last class fastest
-				if pick[i]++; pick[i] < len(chosen[i]) {
-					break
-				}
-				pick[i] = 0
-			}
-		}
-		return opts.MaxSolutions == 0 || len(res.Covers) < opts.MaxSolutions
-	}
-	for k := 1; k <= opts.MaxK; k++ {
-		if opts.MaxSolutions > 0 && len(res.Covers) >= opts.MaxSolutions {
-			res.Complete = false
-			return res, nil
-		}
-		var assumps []sat.Lit
-		if l := ladder.AtMost(s, k); l != sat.LitUndef {
-			assumps = []sat.Lit{l}
-		}
-		_, complete := s.EnumerateProjected(lits, sat.EnumOptions{Assumptions: assumps, Ctx: opts.Ctx}, expand)
-		if !complete {
-			res.Complete = false
-			return res, nil
+	for s.k = 1; s.k <= opts.MaxK; s.k++ {
+		s.cut = false
+		if !s.node() || !s.cut {
+			break // stopped, or no branch reached the size bound: done
 		}
 	}
-	return res, nil
+	s.res.Nodes = s.nodes
+	return s.res, nil
 }
 
-func indexOfLit(lits []sat.Lit, l sat.Lit) int {
-	// lits are the positive literals of consecutively allocated variables,
-	// so the variable gap gives the index directly.
-	return int(l.Var() - lits[0].Var())
+// search is the state of one Enumerate call. Per set it keeps how many
+// chosen classes hit it (cnt), the XOR of their indices (owner, which is
+// the sole hitter when cnt is 1) and how many classes hitting it are not
+// excluded (live); per class, how many sets it alone hits (priv).
+type search struct {
+	opts    Options
+	start   time.Time
+	members [][]int // per class, its elements ascending
+	hits    [][]int // per class, the sets it hits ascending
+	bySet   [][]int // per set, the classes hitting it ascending
+
+	cnt, owner, live []int
+	priv             []int
+	dead             int // chosen classes with no private set
+	excluded         []bool
+	exStack          []int // excluded classes, in order, for restoring
+	chosen           []int
+
+	k     int  // the size searched for
+	cut   bool // some branch was cut at size k with a set uncovered
+	nodes int
+	res   *Result
+
+	sorted, pick, slab []int // expansion scratch
 }
 
-// EnumerateBB enumerates all irredundant covers of size <= MaxK with an
-// explicit backtracking search (the O(|I|^k) procedure of Table 1): pick
-// the first uncovered set, branch on each of its elements, prune by
-// size. Used to cross-check the SAT enumerator and as the classic
-// simulation-based-community implementation.
-//
-// Coverage state is maintained incrementally: an element-to-sets index
-// is built once and per-set hit counts are adjusted as the search pushes
-// and pops elements, so a search node costs O(|sets|) instead of
-// re-scanning the selection against every set, and the leaf-level
-// irredundancy check (every chosen element uniquely hits some set) needs
-// no per-candidate slices or maps.
-func EnumerateBB(p *Problem, opts Options) (*Result, error) {
-	start := time.Now()
-	if opts.MaxK < 1 {
-		return nil, fmt.Errorf("cover: MaxK must be >= 1")
+// node searches below the current choice and reports whether the
+// enumeration may go on (false once the cap is reached or Ctx is done).
+func (s *search) node() bool {
+	if s.nodes&255 == 0 && s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
+		s.res.Complete = false
+		return false
 	}
-	for i, s := range p.Sets {
-		if len(s) == 0 {
-			return nil, fmt.Errorf("cover: set %d is empty; no cover exists", i)
+	s.nodes++
+	best := -1
+	for si, n := range s.cnt {
+		if n == 0 && (best < 0 || s.live[si] < s.live[best]) {
+			best = si
 		}
 	}
-	res := &Result{Complete: true}
-	setsOf := make(map[int][]int) // element -> indices of sets containing it
-	for i, set := range p.Sets {
-		for _, e := range set {
-			setsOf[e] = append(setsOf[e], i)
-		}
-	}
-	hits := make([]int, len(p.Sets)) // per set, how many selected elements hit it
-	seen := make(map[string]bool)
-	sel := make([]int, 0, opts.MaxK)
-	cov := make([]int, 0, opts.MaxK) // reused sorted-copy buffer
-	var key []byte                   // reused dedup-key buffer
-	nodes := 0
-	var rec func() bool
-	rec = func() bool {
-		if opts.MaxSolutions > 0 && len(res.Covers) >= opts.MaxSolutions {
-			res.Complete = false
-			return false
-		}
-		// Poll the cancellation context every few hundred search nodes so
-		// it never dominates the per-node cost.
-		if nodes++; opts.Ctx != nil && nodes&255 == 0 && opts.Ctx.Err() != nil {
-			res.Complete = false
-			return false
-		}
-		// Find first uncovered set.
-		uncovered := -1
-		for i := range hits {
-			if hits[i] == 0 {
-				uncovered = i
-				break
-			}
-		}
-		if uncovered == -1 {
-			cov = append(cov[:0], sel...)
-			sort.Ints(cov)
-			// Irredundant iff dropping any element would uncover a set,
-			// i.e. every element is the unique hitter of some set. The
-			// branching rule only ever picks elements of uncovered sets,
-			// so sel never holds duplicates and the hit counts decide
-			// this exactly (conditions (a) and (b)).
-			irredundant := true
-			for _, e := range cov {
-				unique := false
-				for _, si := range setsOf[e] {
-					if hits[si] == 1 {
-						unique = true
-						break
-					}
-				}
-				if !unique {
-					irredundant = false
-					break
-				}
-			}
-			if irredundant {
-				key = key[:0]
-				for _, e := range cov {
-					key = appendInt(key, e)
-					key = append(key, ',')
-				}
-				if !seen[string(key)] {
-					seen[string(key)] = true
-					if len(res.Covers) == 0 {
-						res.First = time.Since(start)
-					}
-					res.Covers = append(res.Covers, append([]int(nil), cov...))
-				}
-			}
+	if best < 0 {
+		// Covered. With fewer than k classes the cover was emitted at
+		// its own size, and every superset of it is redundant.
+		if len(s.chosen) < s.k {
 			return true
 		}
-		if len(sel) == opts.MaxK {
-			return true // size bound: prune
-		}
-		for _, e := range p.Sets[uncovered] {
-			sel = append(sel, e)
-			for _, si := range setsOf[e] {
-				hits[si]++
-			}
-			ok := rec()
-			for _, si := range setsOf[e] {
-				hits[si]--
-			}
-			sel = sel[:len(sel)-1]
-			if !ok {
-				return false
-			}
-		}
+		return s.emit()
+	}
+	if s.live[best] == 0 {
 		return true
 	}
-	rec()
-	// Order deterministically by (size, lexicographic).
-	sort.Slice(res.Covers, func(i, j int) bool {
-		a, b := res.Covers[i], res.Covers[j]
-		if len(a) != len(b) {
-			return len(a) < len(b)
+	if len(s.chosen) == s.k {
+		s.cut = true
+		return true
+	}
+	mark := len(s.exStack)
+	ok := true
+	for _, c := range s.bySet[best] {
+		if s.excluded[c] {
+			continue
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				return a[i] < b[i]
+		if s.push(c) {
+			ok = s.node()
+		}
+		s.pop(c)
+		// Later siblings must not choose c; once some uncovered set has
+		// no live class left, none of them can cover it.
+		if !ok || !s.exclude(c) {
+			break
+		}
+	}
+	for _, c := range s.exStack[mark:] {
+		s.excluded[c] = false
+		for _, si := range s.hits[c] {
+			s.live[si]++
+		}
+	}
+	s.exStack = s.exStack[:mark]
+	return ok
+}
+
+// push chooses class c and reports whether every chosen class still
+// alone hits some set.
+func (s *search) push(c int) bool {
+	s.chosen = append(s.chosen, c)
+	for _, si := range s.hits[c] {
+		switch s.cnt[si] {
+		case 0:
+			s.priv[c]++
+		case 1:
+			o := s.owner[si]
+			if s.priv[o]--; s.priv[o] == 0 {
+				s.dead++
 			}
 		}
+		s.cnt[si]++
+		s.owner[si] ^= c
+	}
+	return s.dead == 0
+}
+
+// pop undoes push(c).
+func (s *search) pop(c int) {
+	s.chosen = s.chosen[:len(s.chosen)-1]
+	for _, si := range s.hits[c] {
+		s.owner[si] ^= c
+		s.cnt[si]--
+		switch s.cnt[si] {
+		case 0:
+			s.priv[c]--
+		case 1:
+			o := s.owner[si]
+			if s.priv[o] == 0 {
+				s.dead--
+			}
+			s.priv[o]++
+		}
+	}
+}
+
+// exclude bars class c from the rest of the current node's subtree and
+// reports whether every uncovered set it hits keeps a live class.
+func (s *search) exclude(c int) bool {
+	s.excluded[c] = true
+	s.exStack = append(s.exStack, c)
+	alive := true
+	for _, si := range s.hits[c] {
+		if s.live[si]--; s.live[si] == 0 && s.cnt[si] == 0 {
+			alive = false
+		}
+	}
+	return alive
+}
+
+// emit appends the element covers of the chosen class cover and reports
+// whether enumeration may go on (false once the cap is reached).
+func (s *search) emit() bool {
+	res := s.res
+	if len(res.Covers) == 0 {
+		res.First = time.Since(s.start)
+	}
+	cls := append(s.sorted[:0], s.chosen...)
+	slices.Sort(cls)
+	n := 1
+	for _, c := range cls {
+		n *= len(s.members[c])
+	}
+	if s.opts.MaxSolutions > 0 {
+		n = min(n, s.opts.MaxSolutions-len(res.Covers))
+	}
+	k := len(cls)
+	if len(s.slab) < n*k {
+		s.slab = make([]int, max(n*k, 1024))
+	}
+	res.Covers = slices.Grow(res.Covers, n)
+	pick := s.pick[:k]
+	clear(pick)
+	for range n {
+		cov := s.slab[:k:k]
+		s.slab = s.slab[k:]
+		for i, c := range cls {
+			cov[i] = s.members[c][pick[i]]
+		}
+		slices.Sort(cov)
+		res.Covers = append(res.Covers, cov)
+		for i := k - 1; i >= 0; i-- { // advance, last class fastest
+			if pick[i]++; pick[i] < len(s.members[cls[i]]) {
+				break
+			}
+			pick[i] = 0
+		}
+	}
+	if s.opts.MaxSolutions > 0 && len(res.Covers) >= s.opts.MaxSolutions {
+		res.Complete = false
 		return false
-	})
-	return res, nil
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -28,7 +29,7 @@ func TestPaperExample1(t *testing.T) {
 		{C, D, E, F, G},
 		{B, C, E, H},
 	})
-	res, err := EnumerateSAT(p, Options{MaxK: 2})
+	res, err := Enumerate(p, Options{MaxK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestPaperExample1(t *testing.T) {
 		}
 	}
 	// With k=3, {A,D,H} must appear (the paper's second example solution).
-	res3, err := EnumerateSAT(p, Options{MaxK: 3})
+	res3, err := Enumerate(p, Options{MaxK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +101,18 @@ func TestUniverseDedupes(t *testing.T) {
 
 func TestEmptySetRejected(t *testing.T) {
 	p := NewProblem([][]int{{1}, {}})
-	if _, err := EnumerateSAT(p, Options{MaxK: 2}); err == nil {
-		t.Fatal("empty set accepted by SAT engine")
+	if _, err := Enumerate(p, Options{MaxK: 2}); err == nil {
+		t.Fatal("empty set accepted")
 	}
-	if _, err := EnumerateBB(p, Options{MaxK: 2}); err == nil {
-		t.Fatal("empty set accepted by BB engine")
+	// A set that NewProblem did not normalise is rejected too.
+	if _, err := Enumerate(&Problem{Sets: [][]int{{2, 1}}}, Options{MaxK: 2}); err == nil {
+		t.Fatal("unsorted set accepted")
 	}
 }
 
-// TestEnginesAgreeProperty: SAT and branch-and-bound enumerate identical
-// irredundant cover sets on random instances.
-func TestEnginesAgreeProperty(t *testing.T) {
+// TestEnumerateAgreesWithBruteForceProperty: the search and brute force
+// list the same irredundant covers on random instances.
+func TestEnumerateAgreesWithBruteForceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nElems := 3 + rng.Intn(6)
@@ -123,15 +125,11 @@ func TestEnginesAgreeProperty(t *testing.T) {
 		}
 		p := NewProblem(sets)
 		k := 1 + rng.Intn(3)
-		satRes, err := EnumerateSAT(p, Options{MaxK: k})
+		res, err := Enumerate(p, Options{MaxK: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bbRes, err := EnumerateBB(p, Options{MaxK: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sameCoverSets(satRes.Covers, bbRes.Covers)
+		return res.Complete && sameCoverSets(res.Covers, bruteCovers(p, k))
 	}
 	cfg := &quick.Config{MaxCount: 120}
 	if testing.Short() {
@@ -171,7 +169,7 @@ func TestEnumerationExactlyIrredundant(t *testing.T) {
 		}
 		p := NewProblem(sets)
 		k := 1 + rng.Intn(nElems)
-		res, err := EnumerateSAT(p, Options{MaxK: k})
+		res, err := Enumerate(p, Options{MaxK: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,29 +187,19 @@ func TestEnumerationExactlyIrredundant(t *testing.T) {
 func TestMaxSolutionsCap(t *testing.T) {
 	// Universe of 6 free elements, one set of all: 6 singleton covers.
 	p := NewProblem([][]int{{0, 1, 2, 3, 4, 5}})
-	res, err := EnumerateSAT(p, Options{MaxK: 1, MaxSolutions: 3})
+	res, err := Enumerate(p, Options{MaxK: 1, MaxSolutions: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Covers) != 3 || res.Complete {
 		t.Fatalf("cap broken: %d covers, complete=%v", len(res.Covers), res.Complete)
 	}
-	resBB, err := EnumerateBB(p, Options{MaxK: 1, MaxSolutions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resBB.Covers) != 3 || resBB.Complete {
-		t.Fatalf("BB cap broken: %d covers, complete=%v", len(resBB.Covers), resBB.Complete)
-	}
 }
 
 func TestBadK(t *testing.T) {
 	p := NewProblem([][]int{{1}})
-	if _, err := EnumerateSAT(p, Options{MaxK: 0}); err == nil {
+	if _, err := Enumerate(p, Options{MaxK: 0}); err == nil {
 		t.Fatal("k=0 accepted")
-	}
-	if _, err := EnumerateBB(p, Options{MaxK: 0}); err == nil {
-		t.Fatal("k=0 accepted by BB")
 	}
 }
 
@@ -243,7 +231,7 @@ func TestClassesGrouping(t *testing.T) {
 // varying fastest, so the enumeration order is fixed.
 func TestQuotientExpansionOrder(t *testing.T) {
 	p := NewProblem([][]int{{1, 2, 5}, {3, 4, 5}})
-	res, err := EnumerateSAT(p, Options{MaxK: 2})
+	res, err := Enumerate(p, Options{MaxK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,25 +299,21 @@ func bruteCovers(p *Problem, k int) [][]int {
 	return out
 }
 
-// TestQuotientEnginesAgreeProperty: on instances full of interchangeable
-// elements, the SAT enumerator over classes, branch-and-bound over
-// elements and brute force list the same covers.
-func TestQuotientEnginesAgreeProperty(t *testing.T) {
+// TestQuotientAgreesWithBruteForceProperty: on instances full of
+// interchangeable elements, the search over classes and brute force over
+// elements list the same covers.
+func TestQuotientAgreesWithBruteForceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := duplicateHeavy(rng)
 		k := 1 + rng.Intn(3)
-		satRes, err := EnumerateSAT(p, Options{MaxK: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bbRes, err := EnumerateBB(p, Options{MaxK: k})
+		res, err := Enumerate(p, Options{MaxK: k})
 		if err != nil {
 			t.Fatal(err)
 		}
 		brute := bruteCovers(p, k)
-		if !satRes.Complete || !sameCoverSets(satRes.Covers, bbRes.Covers) || !sameCoverSets(satRes.Covers, brute) {
-			t.Logf("sets %v k=%d: sat %v (complete=%v) bb %v brute %v", p.Sets, k, satRes.Covers, satRes.Complete, bbRes.Covers, brute)
+		if !res.Complete || !sameCoverSets(res.Covers, brute) {
+			t.Logf("sets %v k=%d: %v (complete=%v) brute %v", p.Sets, k, res.Covers, res.Complete, brute)
 			return false
 		}
 		return true
@@ -346,46 +330,32 @@ func TestQuotientEnginesAgreeProperty(t *testing.T) {
 // TestCappedPrefixProperty: a capped enumeration returns exactly the cap
 // of distinct irredundant covers, every cover smaller than the largest
 // size it returns, and reports itself incomplete — also when the cap
-// equals the number of covers.
+// equals the number of covers. Two capped calls return the same list.
 func TestCappedPrefixProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := duplicateHeavy(rng)
 		k := 1 + rng.Intn(3)
-		all, err := EnumerateBB(p, Options{MaxK: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(all.Covers) == 0 {
+		all := bruteCovers(p, k)
+		if len(all) == 0 {
 			return true
 		}
-		limit := 1 + rng.Intn(len(all.Covers))
-		res, err := EnumerateSAT(p, Options{MaxK: k, MaxSolutions: limit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fail := func(format string, args ...any) bool {
-			t.Logf("sets %v k=%d cap %d: %s", p.Sets, k, limit, fmt.Sprintf(format, args...))
-			return false
-		}
-		if res.Complete || len(res.Covers) != limit {
-			return fail("%d covers, complete=%v", len(res.Covers), res.Complete)
-		}
-		seen := map[string]bool{}
-		largest := 0
-		for _, cov := range res.Covers {
-			if seen[fmt.Sprint(cov)] {
-				return fail("duplicate cover %v", cov)
+		for _, limit := range []int{1 + rng.Intn(len(all)), len(all)} {
+			res, err := Enumerate(p, Options{MaxK: k, MaxSolutions: limit})
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen[fmt.Sprint(cov)] = true
-			if !p.Irredundant(cov) || len(cov) > k {
-				return fail("bad cover %v", cov)
+			again, err := Enumerate(p, Options{MaxK: k, MaxSolutions: limit})
+			if err != nil {
+				t.Fatal(err)
 			}
-			largest = max(largest, len(cov))
-		}
-		for _, cov := range all.Covers {
-			if len(cov) < largest && !seen[fmt.Sprint(cov)] {
-				return fail("cover %v smaller than %d missing", cov, largest)
+			if msg := checkPrefix(p, k, res, all); msg != "" || res.Complete || len(res.Covers) != limit {
+				t.Logf("sets %v k=%d cap %d: %d covers, complete=%v %s", p.Sets, k, limit, len(res.Covers), res.Complete, msg)
+				return false
+			}
+			if fmt.Sprint(again.Covers) != fmt.Sprint(res.Covers) {
+				t.Logf("sets %v k=%d cap %d: %v then %v", p.Sets, k, limit, res.Covers, again.Covers)
+				return false
 			}
 		}
 		return true
@@ -396,5 +366,124 @@ func TestCappedPrefixProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkPrefix returns what is wrong with a partial answer res, or "":
+// each cover listed once, irredundant and of size <= k, the sizes never
+// decreasing, and every cover of all smaller than the largest size
+// present.
+func checkPrefix(p *Problem, k int, res *Result, all [][]int) string {
+	seen := map[string]bool{}
+	largest := 0
+	for _, cov := range res.Covers {
+		if seen[fmt.Sprint(cov)] {
+			return fmt.Sprintf("duplicate cover %v", cov)
+		}
+		seen[fmt.Sprint(cov)] = true
+		if !p.Irredundant(cov) || len(cov) > k || len(cov) < largest {
+			return fmt.Sprintf("bad cover %v after size %d", cov, largest)
+		}
+		largest = len(cov)
+	}
+	for _, cov := range all {
+		if len(cov) < largest && !seen[fmt.Sprint(cov)] {
+			return fmt.Sprintf("cover %v smaller than %d missing", cov, largest)
+		}
+	}
+	return ""
+}
+
+// TestNoCoverTwiceProperty: excluding earlier siblings makes every cover
+// reachable on one path only, so no cover is emitted twice, on plain and
+// on duplicate-heavy instances alike.
+func TestNoCoverTwiceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := duplicateHeavy(rng)
+		if rng.Intn(2) == 0 {
+			n := 4 + rng.Intn(8)
+			sets := make([][]int, 1+rng.Intn(6))
+			for i := range sets {
+				sets[i] = rng.Perm(n)[:1+rng.Intn(n)]
+			}
+			p = NewProblem(sets)
+		}
+		k := 1 + rng.Intn(4)
+		res, err := Enumerate(p, Options{MaxK: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, cov := range res.Covers {
+			if seen[fmt.Sprint(cov)] {
+				t.Logf("sets %v k=%d: %v twice", p.Sets, k, cov)
+				return false
+			}
+			seen[fmt.Sprint(cov)] = true
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 200}
+	if testing.Short() {
+		cfg.MaxCount = 40
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// expiring is a context whose Err turns to context.Canceled on its
+// n-th call, so a test can cancel at a fixed point of the search.
+type expiring struct {
+	context.Context
+	n int
+}
+
+func (c *expiring) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancellation: a context cancelled before the call or during it
+// yields an incomplete answer that is still a sound size prefix.
+func TestCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sets := make([][]int, 12)
+	for i := range sets {
+		sets[i] = rng.Perm(24)[:6]
+	}
+	p := NewProblem(sets)
+	const k = 5
+	full, err := Enumerate(p, Options{MaxK: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := bruteCovers(p, k)
+	if !full.Complete || full.Nodes < 4*256 || !sameCoverSets(full.Covers, all) {
+		t.Fatalf("uncancelled run: %d nodes, complete=%v, %d covers of %d", full.Nodes, full.Complete, len(full.Covers), len(all))
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"before", cancelled},
+		{"during", &expiring{Context: context.Background(), n: 3}},
+	} {
+		res, err := Enumerate(p, Options{MaxK: k, Ctx: tc.ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d of %d covers, %d of %d nodes", tc.name, len(res.Covers), len(full.Covers), res.Nodes, full.Nodes)
+		if res.Complete || res.Nodes >= full.Nodes {
+			t.Fatalf("%s: complete=%v after %d nodes", tc.name, res.Complete, res.Nodes)
+		}
+		if msg := checkPrefix(p, k, res, all); msg != "" {
+			t.Fatalf("%s: %s", tc.name, msg)
+		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 // zero values mean unlimited (the paper used 512 MB / 30 min per run).
 type Budget struct {
 	MaxSolutions int           // cap on enumerated solutions per approach
-	MaxConflicts int64         // SAT conflict budget per solve
+	MaxConflicts int64         // SAT conflict budget per BSAT solve
 	Timeout      time.Duration // wall-clock bound per BSAT enumeration
 }
 
@@ -228,7 +228,6 @@ func RunRow(cfg Config, sc *Scenario, m int) (*Row, error) {
 	covRes, err := core.COV(sc.Faulty, tests, core.CovOptions{
 		K:            cfg.P,
 		MaxSolutions: cfg.Budget.MaxSolutions,
-		MaxConflicts: cfg.Budget.MaxConflicts,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("expt: COV on %s: %w", cfg.Circuit, err)

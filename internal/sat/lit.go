@@ -6,8 +6,9 @@
 //
 // The paper under reproduction ran zchaff both for the SAT-based diagnosis
 // instances and for the set-covering instances; this package plays that
-// role here. All-solutions enumeration with blocking clauses (the
-// engine of both COV and BSAT) is provided by EnumerateProjected.
+// role for the diagnosis instances (package cover searches the covering
+// ones directly). All-solutions enumeration with blocking clauses (the
+// engine of BSAT and CEGAR) is provided by EnumerateProjected.
 package sat
 
 import "fmt"

@@ -232,6 +232,8 @@ type DiagnoseRequest struct {
 	SampleCap  int   `json:"sampleCap,omitempty"`
 	Candidates []int `json:"candidates,omitempty"`
 
+	// Budgets; zero means unlimited. MaxConflicts is a SAT conflict
+	// budget per solve, so bsim and cov, which run no solver, ignore it.
 	MaxSolutions int   `json:"maxSolutions,omitempty"`
 	MaxConflicts int64 `json:"maxConflicts,omitempty"`
 	TimeoutMs    int64 `json:"timeoutMs,omitempty"`

@@ -16,7 +16,10 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/gen"
 	"repro/internal/service"
+	"repro/internal/tgen"
 )
 
 func newTestServer(t *testing.T, workers int) (*service.Server, *httptest.Server) {
@@ -578,5 +581,35 @@ func TestServerHandlerGoroutineHygiene(t *testing.T) {
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestCovIgnoresConflictBudget: maxConflicts budgets SAT search, and cov
+// runs no solver, so a cold cov request with a one-conflict budget gets
+// the same complete answer as one with no budget.
+func TestCovIgnoresConflictBudget(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	golden, err := gen.ByName("s298x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := faults.Inject(golden, faults.Options{Count: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests, err := tgen.Random(golden, c, tgen.Options{Count: 8, Seed: 1, MaxPatterns: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests), Engine: "cov", K: 3}
+	free := diagnose(t, ts.URL, req)
+	req.MaxConflicts = 1
+	budgeted := diagnose(t, ts.URL, req)
+	t.Logf("%d covers", len(free.Solutions))
+	if len(free.Solutions) < 100 || !free.Complete {
+		t.Fatalf("cell has %d covers (complete=%v); it must have many", len(free.Solutions), free.Complete)
+	}
+	if !budgeted.Complete || budgeted.Degraded != "" || fmt.Sprint(budgeted.Solutions) != fmt.Sprint(free.Solutions) {
+		t.Fatalf("budgeted: complete=%v degraded=%q, %d covers of %d", budgeted.Complete, budgeted.Degraded, len(budgeted.Solutions), len(free.Solutions))
 	}
 }

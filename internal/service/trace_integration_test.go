@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/trace"
 )
 
 // getJSON fetches url and decodes the body into T (any status).
@@ -107,6 +108,54 @@ func TestDiagnoseTimings(t *testing.T) {
 	// The detail vocabulary: the warm hit's pool child span says so.
 	if !strings.Contains(string(raw), service.OutcomeWarmHit) {
 		t.Fatalf("warm breakdown does not mention %q: %s", service.OutcomeWarmHit, raw)
+	}
+}
+
+// TestCovTimings: a traced cold cov request's engine span carries the
+// "bsim" and "cover" phases, which with the final sort tile at least 90%
+// of its wall time, and the covering counters.
+func TestCovTimings(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	c, tests := scenario(t, 30, 6)
+	resp := diagnose(t, ts.URL, service.DiagnoseRequest{
+		Bench: benchText(t, c), Tests: testJSON(tests), Engine: "cov", K: 3,
+	})
+	if resp.Mode != "cold" || !resp.Complete || resp.Timings == nil {
+		t.Fatalf("mode=%q complete=%v timings=%v", resp.Mode, resp.Complete, resp.Timings != nil)
+	}
+	var span *trace.SpanJSON
+	for _, ch := range resp.Timings.Children {
+		if ch.Name == "engine:cov" {
+			span = ch
+		}
+	}
+	if span == nil {
+		t.Fatalf("no engine:cov span under %+v", resp.Timings)
+	}
+	sum := 0.0
+	phases := map[string]float64{}
+	for _, p := range span.Phases {
+		sum += p.DurationMS
+		phases[p.Name] = p.DurationMS
+	}
+	for _, want := range []string{"bsim", "cover"} {
+		if _, ok := phases[want]; !ok {
+			t.Fatalf("engine:cov span lacks phase %q: %v", want, phases)
+		}
+	}
+	if sum < 0.9*span.DurationMS || sum > 1.1*span.DurationMS {
+		t.Fatalf("phases sum to %.3fms of %.3fms wall: %v", sum, span.DurationMS, phases)
+	}
+	for _, name := range []string{"sets", "classes", "nodes", "covers"} {
+		if span.Counters[name] <= 0 {
+			t.Fatalf("counter %q missing: %v", name, span.Counters)
+		}
+	}
+	if got := span.Counters["covers"]; got != int64(len(resp.Solutions)) {
+		t.Fatalf("covers counter %d, %d solutions", got, len(resp.Solutions))
+	}
+	if span.Counters["sets"] != int64(len(tests)) {
+		t.Fatalf("sets counter %d, %d tests", span.Counters["sets"], len(tests))
 	}
 }
 
