@@ -33,7 +33,7 @@ func main() {
 		numTests    = flag.Int("tests", 8, "number of tests m")
 		k           = flag.Int("k", 0, "correction size limit (default: number of injected errors)")
 		method      = flag.String("method", "all", "bsim, cov, bsat, hybrid, or all")
-		engine      = flag.String("engine", "mono", "SAT engine: mono (one copy per test) or cegar (lazy abstraction, identical solutions)")
+		engine      = flag.String("engine", "mono", "SAT engine: mono (one copy per test) or cegar (hitting sets of per-test cores, identical solutions)")
 		shards      = flag.Int("shards", 1, "parallel enumeration shards for the SAT engines (complete runs return identical solutions for any count)")
 		maxSol      = flag.Int("max-solutions", 5000, "solution cap per engine (0 = unlimited)")
 		timeout     = flag.Duration("timeout", 2*time.Minute, "BSAT enumeration timeout (0 = unlimited)")
@@ -166,7 +166,7 @@ func run(circuitName, goldenPath, faultyPath string, inject int, seed int64, mod
 			return err
 		}
 		if req.Engine == "cegar" {
-			fmt.Printf("\n[BSAT] cegar: %d/%d test copies encoded (%d refinements, %d candidates checked)\n",
+			fmt.Printf("\n[BSAT] cegar: %d/%d test copies encoded (%d cores, %d candidates checked)\n",
 				rep.Copies, len(tests), rep.Refinements, rep.Checked)
 		}
 		fmt.Printf("\n[BSAT] %s: cnf %v (%d vars, %d clauses), one %v, all %v: %d valid corrections (complete=%v)\n",

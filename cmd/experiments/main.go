@@ -8,9 +8,9 @@
 //
 // -scale quick shrinks the workload for smoke runs; -scale paper uses the
 // full-size s38417 analog and the paper's 30-minute style budgets.
-// -engine cegar swaps the BSAT column onto the lazy CEGAR driver (same
-// solutions, fewer encoded test copies; the "copies" column reports how
-// many).
+// -engine cegar swaps the BSAT column onto the implicit hitting set
+// driver (same solutions, fewer encoded test copies; the "copies" column
+// reports how many).
 package main
 
 import (
@@ -33,7 +33,7 @@ func main() {
 		scale   = flag.String("scale", "default", "workload scale: smoke, quick, default, paper")
 		maxSol  = flag.Int("max-solutions", 5000, "solution cap per enumeration (0 = unlimited)")
 		timeout = flag.Duration("timeout", 3*time.Minute, "per-enumeration timeout (0 = unlimited)")
-		engName = flag.String("engine", "mono", "SAT engine for the BSAT column: mono (one copy per test) or cegar (lazy abstraction)")
+		engName = flag.String("engine", "mono", "SAT engine for the BSAT column: mono (one copy per test) or cegar (hitting sets of per-test cores)")
 		shards  = flag.Int("shards", 1, "parallel enumeration shards for the SAT column (complete runs return identical solutions for any count)")
 	)
 	flag.Parse()

@@ -97,8 +97,8 @@ type (
 	BSATOptions = core.BSATOptions
 	// BSATResult holds the valid, essential-only corrections.
 	BSATResult = core.BSATResult
-	// CEGARResult extends BSATResult with abstraction statistics
-	// (encoded copies, refinements) of the lazy CEGAR driver.
+	// CEGARResult extends BSATResult with the work counts of the
+	// implicit hitting set driver (encoded copies, cores, checks).
 	CEGARResult = core.CEGARResult
 	// RepairResult is the outcome of the COV-seeded hybrid.
 	RepairResult = core.RepairResult
@@ -263,13 +263,16 @@ func DiagnoseBSAT(faulty *Circuit, tests TestSet, opts BSATOptions) (*BSATResult
 	return core.BSAT(faulty, tests, opts)
 }
 
-// DiagnoseCEGAR runs the counterexample-guided form of SAT diagnosis:
-// the instance is seeded with one test per distinct erroneous output
-// and grown lazily, with candidate corrections validated against the
-// full test-set by the incremental simulation oracle and refuting tests
-// added as new copies. The solution set is provably identical to
-// DiagnoseBSAT; the instance encodes only CEGARResult.Copies of the m
-// test copies the monolith pays for up front.
+// DiagnoseCEGAR returns DiagnoseBSAT's solution set as the minimal
+// hitting sets of size <= opts.K of per-test SAT conflicts (an implicit
+// hitting set loop). Candidates are proposed by size from the conflicts
+// found so far and checked against the full test-set by the incremental
+// simulation oracle. A refuted candidate's first refuting test is
+// encoded once, and the failed-assumption core of its copy, solved with
+// every cone candidate outside the candidate switched off, is the next
+// conflict. The instance encodes only CEGARResult.Copies of the m test
+// copies the monolith pays for up front; Refinements counts the
+// conflicts.
 func DiagnoseCEGAR(faulty *Circuit, tests TestSet, opts BSATOptions) (*CEGARResult, error) {
 	return core.CEGARDiagnose(faulty, tests, opts)
 }

@@ -30,12 +30,17 @@ type Ladder struct {
 // len(lits), if smaller). A negative maxBound is clamped to 0 (a
 // width-1 ladder that can still enforce AtMost(0)).
 func AddLadder(s *sat.Solver, lits []sat.Lit, maxBound int) *Ladder {
-	l := &Ladder{
+	l := newLadder(lits)
+	l.grow(s, max(maxBound, 0)+1)
+	return l
+}
+
+// newLadder returns the empty tree over lits: width 0, no variables.
+func newLadder(lits []sat.Lit) *Ladder {
+	return &Ladder{
 		lits:  append([]sat.Lit(nil), lits...),
 		nodes: make([][]sat.Lit, max(len(lits)-1, 0)),
 	}
-	l.grow(s, max(maxBound, 0)+1)
-	return l
 }
 
 // Width returns the number of counter outputs the ladder has now: the

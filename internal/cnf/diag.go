@@ -31,6 +31,7 @@ type DiagOptions struct {
 	// the totalizer ladder starts at width MaxK+1, so every limit
 	// 1..MaxK is an assumption on the built instance (incremental
 	// usage). A larger limit grows the ladder in place (Ladder.AtMost).
+	// MaxK <= 0 encodes no ladder until a limit is first asked for.
 	MaxK int
 
 	// Golden, when non-nil, supplies a reference implementation used to

@@ -127,7 +127,7 @@ func TestRunCubesRetriesTransientFailures(t *testing.T) {
 	}
 	ran := 0
 	_, stats, drained := sess.RunCubes(1, cnf.RoundOptions{MaxK: 2}, sample,
-		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
+		func(_ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			ran++
 			return nil, true
 		})
@@ -157,7 +157,7 @@ func TestRunCubesAbandonsAfterRetryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, stats, drained := sess.RunCubes(1, cnf.RoundOptions{MaxK: 2}, sample,
-		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
+		func(_ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			return nil, true
 		})
 	if drained {
@@ -184,7 +184,7 @@ func TestRunCubesPanicKillsWorkerAndSurvivorsDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, stats, drained := sess.RunCubes(2, cnf.RoundOptions{MaxK: 2}, sample,
-		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
+		func(_ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			return nil, true
 		})
 	if !drained {
@@ -213,7 +213,7 @@ func TestRunCubesAllWorkersDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, stats, drained := sess.RunCubes(2, cnf.RoundOptions{MaxK: 2}, sample,
-		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
+		func(_ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			return nil, true
 		})
 	if drained {
@@ -247,7 +247,7 @@ func TestRunCubesStealsFromStraggler(t *testing.T) {
 	}
 	var straggled atomic.Bool
 	_, stats, drained := sess.RunCubes(2, cnf.RoundOptions{MaxK: 2}, sample,
-		func(_ int, _ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
+		func(_ *cnf.Shard, _ cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
 			if straggled.CompareAndSwap(false, true) {
 				// Only the very first served cube straggles.
 				time.Sleep(150 * time.Millisecond)

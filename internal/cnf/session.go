@@ -110,7 +110,8 @@ func (sess *DiagSession) Stats() SessionStats {
 // NewSession creates an empty diagnosis session: select lines and the
 // cardinality ladder are encoded up front (they only depend on the
 // candidate set and MaxK, the ladder's initial width), test copies are
-// appended later with AddTest.
+// appended later with AddTest. With MaxK <= 0 the ladder starts empty
+// and its first AtMost grows it.
 func NewSession(c *circuit.Circuit, opts DiagOptions) *DiagSession {
 	start := time.Now()
 	s := sat.New()
@@ -162,11 +163,10 @@ func NewSession(c *circuit.Circuit, opts DiagOptions) *DiagSession {
 	if opts.Golden != nil {
 		sess.golden = sim.New(opts.Golden)
 	}
-	maxK := opts.MaxK
-	if maxK <= 0 {
-		maxK = 1
+	sess.Ladder = newLadder(sess.Sels)
+	if opts.MaxK > 0 {
+		sess.Ladder.grow(s, opts.MaxK+1)
 	}
-	sess.Ladder = AddLadder(s, sess.Sels, maxK)
 	sess.BuildTime += time.Since(start)
 	return sess
 }
@@ -403,7 +403,7 @@ type RoundOptions struct {
 	// here — the assumption-scoped slice restriction.
 	ExtraAssumps []sat.Lit
 	// SampleCap bounds the sequential sample stage of a sharded
-	// EnumerateSlices run (0 = the default of 64 solutions). Ignored by
+	// EnumerateSharded run (0 = the default of 64 solutions). Ignored by
 	// EnumerateRound.
 	SampleCap int
 	// Restrict confines corrections to these candidate labels via
@@ -440,8 +440,8 @@ func (sess *DiagSession) EnumerateRound(opts RoundOptions, fn func(k int, gates 
 
 // enumerateInRound is EnumerateRound running inside a caller-managed
 // round: the round is neither created nor retired here, so its guarded
-// blocking clauses survive the call. It is the BSAT slice of
-// EnumerateSlices, which relies on this for the sample stage — clones
+// blocking clauses survive the call. EnumerateSharded runs every stage
+// with it and relies on this for the sample stage — clones
 // forked afterwards inherit the blocking and enumerate exactly the
 // residual space while the guard is assumed.
 func (sess *DiagSession) enumerateInRound(r *Round, opts RoundOptions, fn func(k int, gates []int) bool) (n int, complete bool) {

@@ -217,3 +217,22 @@ func TestSessionStats(t *testing.T) {
 		t.Fatalf("after budgeted round: rounds=%d budgeted=%d", st.Rounds, st.BudgetedRounds)
 	}
 }
+
+// TestSessionWithoutLadder: a session built with MaxK 0 encodes no
+// counter until a limit is asked for; its first bounded round grows the
+// ladder and answers like a session built at that width.
+func TestSessionWithoutLadder(t *testing.T) {
+	c, tests := shardScenario(t, 5, 4)
+	sess := cnf.NewSession(c, cnf.DiagOptions{})
+	if st := sess.Stats(); st.LadderWidth != 0 || st.Vars != st.Candidates {
+		t.Fatalf("ladder width %d, %d vars for %d select lines", st.LadderWidth, st.Vars, st.Candidates)
+	}
+	sess.AddTests(tests)
+	want := roundKeys(t, cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 2}), cnf.RoundOptions{MaxK: 2})
+	if got := roundKeys(t, sess, cnf.RoundOptions{MaxK: 2}); !sameKeys(got, want) {
+		t.Fatalf("ladder-free session %v != built at MaxK 2 %v", got, want)
+	}
+	if w := sess.Ladder.Width(); w != 3 {
+		t.Fatalf("ladder width %d after a K=2 round, want 3", w)
+	}
+}

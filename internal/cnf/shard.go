@@ -1,9 +1,11 @@
 package cnf
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -270,7 +272,7 @@ type ShardStats struct {
 // DefaultSampleCap bounds the sequential sample stage of a sharded
 // enumeration: enough solutions to estimate candidate frequencies for
 // balanced cube planning, few enough that the stage stays a small
-// fraction of the run. EnumerateSlices applies it to every engine.
+// fraction of the run.
 const DefaultSampleCap = 64
 
 // CubeOversubscription is how many cubes a sharded enumeration plans
@@ -279,59 +281,34 @@ const DefaultSampleCap = 64
 // split cannot.
 const CubeOversubscription = 4
 
-// EnumerateSharded runs one BSAT enumeration round through
-// EnumerateSlices: every slice is a plain Figure 3 round
-// (enumerateInRound) under the slice's assumptions. For a completed run
-// the canonically merged solution list is exactly the monolithic
-// EnumerateRound solution set, independent of the shard count.
-func (sess *DiagSession) EnumerateSharded(shards int, opts RoundOptions) (sols [][]int, complete bool, perShard []ShardStats) {
-	return sess.EnumerateSlices(shards, opts, func(_ int, s *DiagSession, r *Round, budget RoundOptions, found func([]int)) bool {
-		_, complete := s.enumerateInRound(r, budget, func(_ int, gates []int) bool {
-			found(gates)
-			return true
-		})
-		return complete
-	})
-}
-
-// SliceFunc enumerates one slice of a driven enumeration on sess,
-// inside round (opened and retired by the driver), confined by
-// budget.ExtraAssumps and bounded by budget's MaxK, MaxSolutions,
-// MaxConflicts, Timeout and Ctx. It reports every solution (candidate
-// labels, any order) to found and returns whether the slice was
-// exhausted. worker is -1 for the stage on the live session and the
-// worker index on a forked clone; one worker's calls are sequential,
-// so per-worker state needs no locking.
-type SliceFunc func(worker int, sess *DiagSession, round *Round, budget RoundOptions, found func(gates []int)) (complete bool)
-
-// EnumerateSlices is the one enumeration driver: every engine that
-// enumerates and blocks on a DiagSession (BSAT rounds, the CEGAR
-// refinement loop, warm service sessions) runs mono and sharded
-// enumeration through it, supplying only the per-slice search. It
-// returns the canonically merged solution list: every solution's gates
-// sorted ascending, solutions ordered by size then lexicographically,
-// and strict supersets dropped across stages so the merged set
-// satisfies the essential-only discipline of Lemma 3.
+// EnumerateSharded is the one enumeration driver: BSAT and the warm
+// service sessions run mono and sharded Figure 3 rounds
+// (enumerateInRound) through it. It returns the canonically merged
+// solution list: every solution's gates sorted ascending, solutions
+// ordered by size then lexicographically, and strict supersets dropped
+// across stages so the merged set satisfies the essential-only
+// discipline of Lemma 3. For a completed run that list is exactly the
+// monolithic EnumerateRound solution set, independent of the shard
+// count.
 //
-// shards <= 1 runs one slice on the live session inside one round; the
-// round is retired before returning, and perShard holds that single
-// stage (Shard == 0).
+// shards <= 1 runs one round on the live session; the round is retired
+// before returning, and perShard holds that single stage (Shard == 0).
 //
-// shards > 1 first runs a sample stage: the live-session slice bounded
-// to RoundOptions.SampleCap solutions (default DefaultSampleCap,
-// clamped to MaxSolutions) inside a guarded round that is NOT retired
-// until the workers finish, so the forked clones inherit its guarded
-// blocking clauses (and the learnt clauses warmed up by the stage) and
-// assume its guard — they enumerate exactly the residual space. The
-// sample settles the request without forking when it exhausts the
-// space, stops on a budget or cancellation short of the cap, or
-// already fills the caller's solution cap. Otherwise the sampled
-// solutions plan balanced cubes (PlanCubes/ScheduleCubes) and runCubes
-// drives one slice per served cube on the cloned workers, each in a
-// fresh round on its clone under the caller's ExtraAssumps, the cube
-// and the sample guard. The workers share what remains of the caller's
-// Timeout window. A traced run groups the sample stage under a
-// "sample" span and each cube under a "cube.w<worker>" span.
+// shards > 1 first runs a sample stage: a live-session round bounded to
+// RoundOptions.SampleCap solutions (default DefaultSampleCap, clamped
+// to MaxSolutions) that is NOT retired until the workers finish, so the
+// forked clones inherit its guarded blocking clauses (and the learnt
+// clauses warmed up by the stage) and assume its guard — they enumerate
+// exactly the residual space. The sample settles the request without
+// forking when it exhausts the space, stops on a budget or cancellation
+// short of the cap, or already fills the caller's solution cap.
+// Otherwise the sampled solutions plan balanced cubes
+// (PlanCubes/ScheduleCubes) and runCubes drives one round per served
+// cube on the cloned workers, each a fresh round on its clone under the
+// caller's ExtraAssumps, the cube and the sample guard. The workers
+// share what remains of the caller's Timeout window. A traced run
+// groups the sample stage under a "sample" span and each cube under a
+// "cube.w<worker>" span.
 //
 // Before any stage the live session's ladder grows to opts.MaxK, so
 // clones inherit the width instead of each growing its own, and the
@@ -346,7 +323,7 @@ type SliceFunc func(worker int, sess *DiagSession, round *Round, budget RoundOpt
 // is fault tolerant (see runCubes): a completed run's merge stays
 // byte-identical to the fault-free monolithic enumeration under any
 // failure schedule.
-func (sess *DiagSession) EnumerateSlices(shards int, opts RoundOptions, slice SliceFunc) (sols [][]int, complete bool, perShard []ShardStats) {
+func (sess *DiagSession) EnumerateSharded(shards int, opts RoundOptions) (sols [][]int, complete bool, perShard []ShardStats) {
 	sess.AtMost(opts.MaxK)
 	stageOpts := opts
 	live := ShardStats{Cubes: 1}
@@ -373,11 +350,12 @@ func (sess *DiagSession) EnumerateSlices(shards int, opts RoundOptions, slice Sl
 	start := time.Now()
 	before := sess.Solver.Stats
 	var sample [][]int
-	liveComplete := slice(-1, sess, round, stageOpts, func(gates []int) {
+	_, liveComplete := sess.enumerateInRound(round, stageOpts, func(_ int, gates []int) bool {
 		if len(sample) == 0 {
 			live.First = time.Since(start)
 		}
 		sample = append(sample, sortedCopy(gates))
+		return true
 	})
 	sampleSpan.End()
 	live.Solutions = len(sample)
@@ -402,15 +380,16 @@ func (sess *DiagSession) EnumerateSlices(shards int, opts RoundOptions, slice Sl
 	}
 	guard := round.Guard()
 	groups, stats, drained := sess.runCubes(shards, workerOpts, sample,
-		func(worker int, sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool) {
+		func(sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool) {
 			// Caller restrictions stay in force; the cube and the sample
 			// guard are appended to them.
 			budget.ExtraAssumps = append(append(append([]sat.Lit(nil),
 				opts.ExtraAssumps...), cube.Assumps...), guard)
 			r := sh.Session.NewRound()
 			var local [][]int
-			c := slice(worker, sh.Session, r, budget, func(gates []int) {
+			_, c := sh.Session.enumerateInRound(r, budget, func(_ int, gates []int) bool {
 				local = append(local, sortedCopy(gates))
+				return true
 			})
 			r.Retire()
 			return local, c
@@ -575,8 +554,8 @@ func (p cubePanic) Error() string { return fmt.Sprintf("cnf: cube worker panicke
 // FailpointCube injection point. A recovered panic comes back as a
 // cubePanic failure; an injected transient failure fails the attempt
 // before run executes, so the clone stays clean for the retry.
-func runCube(worker int, sh *Shard, cube Cube, budget RoundOptions,
-	run func(int, *Shard, Cube, RoundOptions) ([][]int, bool)) (sols [][]int, compl bool, failure error) {
+func runCube(sh *Shard, cube Cube, budget RoundOptions,
+	run func(*Shard, Cube, RoundOptions) ([][]int, bool)) (sols [][]int, compl bool, failure error) {
 	defer func() {
 		if v := recover(); v != nil {
 			sols, compl, failure = nil, false, cubePanic{val: v}
@@ -585,11 +564,11 @@ func runCube(worker int, sh *Shard, cube Cube, budget RoundOptions,
 	if err := failpoint.Inject(FailpointCube); err != nil {
 		return nil, false, err
 	}
-	sols, compl = run(worker, sh, cube, budget)
+	sols, compl = run(sh, cube, budget)
 	return sols, compl, nil
 }
 
-// runCubes is the worker harness EnumerateSlices executes its cubes
+// runCubes is the worker harness EnumerateSharded executes its cubes
 // on: it plans balanced cubes from the sample, LPT-schedules them onto
 // `shards` cloned workers as per-worker pending lists of a shared work
 // queue, and drives `run` once per served (worker, cube) — calls for
@@ -619,7 +598,7 @@ func runCube(worker int, sh *Shard, cube Cube, budget RoundOptions,
 // must report complete = drained && every stat Complete. opts.Timeout
 // bounds the whole worker phase with one shared deadline.
 func (sess *DiagSession) runCubes(shards int, opts RoundOptions, sample [][]int,
-	run func(worker int, sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool)) (groups [][][]int, stats []ShardStats, drained bool) {
+	run func(sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool)) (groups [][][]int, stats []ShardStats, drained bool) {
 
 	loads := ScheduleCubes(sess.PlanCubes(sample, shards*CubeOversubscription), shards)
 	forks := sess.ForkWorkers(loads)
@@ -692,7 +671,7 @@ func (sess *DiagSession) runCubes(shards int, opts RoundOptions, sample [][]int,
 					}
 					budget.Ctx = trace.NewContext(spanCtx, cubeSpan)
 				}
-				sols, compl, failure := runCube(i, sh, att.cube, budget, run)
+				sols, compl, failure := runCube(sh, att.cube, budget, run)
 				if cubeSpan != nil {
 					cubeSpan.Counter("solutions", int64(len(sols)))
 					if failure != nil {
@@ -764,24 +743,23 @@ func MergeShardSolutions(groups [][][]int) [][]int {
 // diagnosis output is byte-identical regardless of shard or worker
 // count. The per-solution gate slices must already be sorted.
 func SortSolutions(sols [][]int) {
-	sort.Slice(sols, func(i, j int) bool { return LessSolution(sols[i], sols[j]) })
+	slices.SortFunc(sols, CompareSolution)
 }
 
-// LessSolution is the canonical solution order — size first, then
-// lexicographic over the gate IDs. It is the single definition every
-// layer sorts by (core.SolutionSet.Canonicalize delegates here), so
-// sharded merges and engine reports can never disagree on order.
-func LessSolution(a, b []int) bool {
+// CompareSolution is the canonical solution order — size first, then
+// lexicographic over the gate IDs — as a three-way comparison for
+// slices.SortFunc. It is the single definition every layer sorts by
+// (core.SolutionSet.Canonicalize delegates here), so sharded merges
+// and engine reports can never disagree on order.
+func CompareSolution(a, b []int) int {
 	if len(a) != len(b) {
-		return len(a) < len(b)
+		return cmp.Compare(len(a), len(b))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return slices.Compare(a, b)
 }
+
+// LessSolution reports whether a precedes b in the canonical order.
+func LessSolution(a, b []int) bool { return CompareSolution(a, b) < 0 }
 
 // DropSupersets removes every solution that strictly contains an
 // earlier (hence no larger) one. The input must be canonically sorted;

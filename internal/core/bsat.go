@@ -81,8 +81,8 @@ func (o BSATOptions) diagOptions() cnf.DiagOptions {
 	}
 }
 
-// roundOptions is the enumeration request BSAT and CEGARDiagnose hand
-// to the session's driver.
+// roundOptions is the enumeration request BSAT hands to the session's
+// driver.
 func (o BSATOptions) roundOptions() cnf.RoundOptions {
 	return cnf.RoundOptions{
 		MaxK:         o.K,

@@ -1,160 +1,75 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
+	"repro/internal/cover"
 	"repro/internal/sat"
+	"repro/internal/trace"
 )
 
 // CEGARResult is the outcome of CEGARDiagnose. The embedded BSATResult
-// carries the solution set (provably identical to monolithic BSAT), the
-// timings and the final — lazily grown — instance size; the extra
-// fields quantify the abstraction. Queries against the live session
-// see only the encoded copies: ExtractFunctions reconstructs Care
-// tables from Copies of the m tests, a subset of what the monolithic
-// result would yield.
+// carries the solution set (identical to monolithic BSAT), the timings
+// and the final, lazily grown, instance size; the extra fields count the
+// work of the implicit hitting set loop. Queries against the live
+// session see only the encoded copies: ExtractFunctions reconstructs
+// Care tables from Copies of the m tests, a subset of what the
+// monolithic result would yield.
 type CEGARResult struct {
 	BSATResult
-	// Copies is the number of test copies actually encoded; the
-	// monolithic instance always encodes len(tests). For sharded runs it
-	// is the largest per-shard abstraction (each shard refines its clone
-	// independently).
+	// Copies is the number of test copies encoded to extract cores; the
+	// monolithic instance always encodes len(tests).
 	Copies int
-	// Refinements counts counterexample tests added after seeding
-	// (summed across shards for sharded runs).
+	// Refinements counts the cores: the conflicts, one per refuted
+	// candidate, whose minimal hitting sets are the answers.
 	Refinements int
 	// Checked counts candidate corrections validated against the full
 	// test-set by the simulation oracle.
 	Checked int
 }
 
-// cegarWorker is the CEGAR state one enumeration worker owns across
-// its slices: the session it refines (the live one or a forked clone),
-// a dedicated simulation oracle (a Validator is not safe for concurrent
-// use), the encoded-test markers and the counters. Refinements
-// accumulate across a worker's cubes — the abstraction only tightens,
-// which stays sound for later cubes.
-type cegarWorker struct {
-	sess        *cnf.DiagSession
-	oracle      *Validator
-	encoded     []bool // tests present as copies
-	refinements int
-	checked     int
-	encodeTime  time.Duration // refinement encoding time on this session
-	// firstAt is the pure enumeration time to the first solution of the
-	// worker's latest slice (the live stage runs exactly one).
-	firstAt time.Duration
-}
-
-// enumerate is the CEGAR slice of EnumerateSlices: inside the round,
-// under budget.ExtraAssumps, it enumerates candidate corrections of
-// size 1..MaxK on the abstraction, refutes spurious ones with the
-// simulation oracle (growing the abstraction by the refuting test) and
-// reports confirmed ones to found, blocked through the round. It
-// returns whether the slice was exhausted within the budget.
+// CEGARDiagnose answers BSAT's question as the minimal hitting sets of
+// SAT-derived conflicts, the multiple-observation implicit hitting set
+// scheme of Ignatiev, Morgado & Marques-Silva.
 //
-// Each (limit, abstraction) pair is one EnumerateProjected call, so a
-// confirmed solution is blocked on the held model trail like any BSAT
-// solution. A refuted candidate stops the call unblocked — a superset
-// of a spurious set can still be genuine — and the loop re-enters after
-// encoding the refuting test, which needs the solver back at level 0.
-func (w *cegarWorker) enumerate(tests circuit.TestSet, round *cnf.Round, budget cnf.RoundOptions, found func([]int)) bool {
-	sess := w.sess
-	solver := sess.Solver
-	solver.SetBudget(budget.MaxConflicts, budget.Timeout)
-
-	// Timing discipline matches BSAT: encoding time (seed plus
-	// refinements) stays out of the enumeration columns, so the Table 2
-	// columns remain comparable across engines.
-	buildBase := sess.BuildTime
-	start := time.Now()
-	defer func() { w.encodeTime += sess.BuildTime - buildBase }()
-	base := append([]sat.Lit{round.Guard()}, budget.ExtraAssumps...)
-	blockExtra := []sat.Lit{round.Guard().Neg()}
-	confirmed := 0
-enumerate:
-	for k := 1; k <= budget.MaxK; k++ {
-		assumps := append(append([]sat.Lit(nil), base...), sess.AtMost(k)...)
-		for {
-			remaining := 0
-			if budget.MaxSolutions > 0 {
-				if remaining = budget.MaxSolutions - confirmed; remaining <= 0 {
-					return false
-				}
-			}
-			refuter := -1
-			_, complete := solver.EnumerateProjected(sess.Sels, sat.EnumOptions{
-				Assumptions:  assumps,
-				Ctx:          budget.Ctx,
-				MaxSolutions: remaining,
-				BlockExtra:   blockExtra,
-			}, func([]sat.Lit) bool {
-				gates := sess.ModelGates()
-				w.checked++
-				if refuter = w.oracle.FirstRefuting(gates, w.encoded); refuter >= 0 {
-					return false
-				}
-				// Confirmed against every test: a genuine solution, blocked
-				// with its supersets for the rest of the round (Lemma 3).
-				if confirmed == 0 {
-					w.firstAt = time.Since(start) - (sess.BuildTime - buildBase)
-				}
-				confirmed++
-				found(gates)
-				return true
-			})
-			switch {
-			case refuter >= 0:
-				// Spurious under the full test-set: grow the abstraction
-				// with the counterexample and re-enumerate this limit.
-				w.encoded[refuter] = true
-				sess.AddTest(tests[refuter])
-				w.refinements++
-			case complete:
-				continue enumerate // next limit
-			case budget.MaxSolutions > 0 && confirmed >= budget.MaxSolutions:
-				// The cap's last solution is blocked; the top of the loop
-				// reports the capped run as incomplete.
-			default:
-				return false // budget or cancellation
-			}
-		}
-	}
-	return true
-}
-
-// CEGARDiagnose is the counterexample-guided form of BasicSATDiagnose:
-// instead of encoding one constrained cone copy per test up front (the
-// Θ(|cone(o)|·m) instance of Table 1), it seeds a cnf.DiagSession with
-// one test per distinct erroneous output and enumerates candidate
-// corrections on that abstraction. Each candidate is validated against
-// the full test-set by the incremental simulation oracle (Validator,
-// O(affected cone) per test rather than a SAT copy); a refuted candidate
-// contributes its refuting test as a new copy (AddTest) and enumeration
-// continues, while a confirmed candidate is recorded and blocked. The
-// loop is the paper's thesis made operational: the simulation engine and
-// the SAT engine answer the same validity question, so the cheap one can
-// serve as the oracle that lazily grows the expensive one.
+// A conflict (core) is a set of candidate gates that must contain a
+// corrected gate for some test. Each test copy has its own correction
+// values, so by Reiter's duality a gate set is a valid correction
+// exactly when it hits every conflict, and BSAT's answers (the
+// irredundant valid corrections of size <= K) are the minimal hitting
+// sets of size <= K of all conflicts. COV runs the same covering search
+// over path-traced sets instead, which Lemmas 2 and 4 show are neither
+// sound nor complete.
 //
-// The returned solution set is identical to monolithic BSAT with the
-// same options (oracle-checked in the equivalence property suite):
-// the abstraction over-approximates — every genuine correction is a
-// model of every abstraction — and a candidate is only recorded once no
-// test refutes it, so enumeration per limit k terminates exactly when
-// the genuine size-≤k solutions are exhausted.
+// The conflicts are found lazily by cover.EnumerateImplicit, which
+// proposes candidates by size and whose doc comment carries the
+// exactness argument. Each candidate D is checked by the incremental
+// simulation oracle (Validator.FirstRefuting). When test t refutes D,
+// t's copy, encoded at most once into a guarded cnf.DiagSession, is
+// solved under t's guard and ¬sel for every candidate of t's output
+// cone outside D. That is UNSAT, and the failed-assumption core
+// (Solver.ConflictSet), mapped back to gates, is one new conflict, which
+// D misses.
 //
-// Options mirror BSATOptions, including Shards: the refinement loop is
-// the slice function of cnf.DiagSession.EnumerateSlices, so with
-// Shards > 1 a sample stage runs on the seeded session and the
-// abstraction is then forked into disjoint candidate cubes, each worker
-// refining its cloned solver with a dedicated oracle and an
-// independently grown copy set; the canonical merge restores exactly
-// the monolithic solution set. Groups and Golden are rejected: their
-// validity semantics (shared select lines across frame instances;
-// all-output constraints) are not what the simulation oracle checks.
+// Options mirror BSATOptions. MaxConflicts bounds each core solve;
+// Timeout and Ctx are polled between candidates and inside the solves;
+// MaxSolutions stops at the cap. Each of these returns the answers
+// confirmed so far with Complete=false. Shards is accepted and ignored:
+// the SAT work left is one core per refuted candidate, each proposed
+// from the cores before it, so the loop is sequential by design, and
+// the answers are the same for every shard count. Groups and Golden are
+// rejected: their validity semantics (shared select lines across frame
+// instances; all-output constraints) are not what the simulation
+// oracle checks.
+//
+// A traced run laps "session", "check", "core" and "master" on the
+// span carried by Ctx and counts "cores", "checked" and "nodes" (the
+// covering search nodes).
 func CEGARDiagnose(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*CEGARResult, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("core: CEGARDiagnose requires K >= 1, got %d", opts.K)
@@ -171,93 +86,133 @@ func CEGARDiagnose(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) 
 	if opts.K > maxValidateGates {
 		return nil, fmt.Errorf("core: CEGARDiagnose requires K <= %d (simulation oracle bound), got %d", maxValidateGates, opts.K)
 	}
-
-	sess := cnf.NewSession(c, opts.diagOptions())
-
-	// Seed the abstraction with one test per distinct erroneous output:
-	// the cheapest subset that still constrains every failing observable.
-	encoded := make([]bool, len(tests))
-	seenOut := make(map[int]bool)
-	for i, t := range tests {
-		if !seenOut[t.Output] {
-			seenOut[t.Output] = true
-			encoded[i] = true
-			sess.AddTest(t)
-		}
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	seeds := sess.NumTests()
+	if opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+		defer cancel()
+	}
+	span := trace.FromContext(ctx)
+
+	// The session needs no ladder (the master bounds the size) and
+	// guards every copy, so a core solve binds only its own test.
+	dopts := opts.diagOptions()
+	dopts.MaxK, dopts.GuardTests = 0, true
+	cores := &coreSource{sess: cnf.NewSession(c, dopts), tests: tests, copyOf: make([]int, len(tests))}
+	for i := range cores.copyOf {
+		cores.copyOf[i] = -1
+	}
+	sess := cores.sess
 	if opts.Steer != nil {
 		opts.Steer(sess)
 	}
+	sess.Solver.SetBudget(opts.MaxConflicts, 0)
+	oracle := NewValidator(c, tests)
+	span.Lap("session")
 
-	// The live worker's oracle (per-test resident baselines, one effect
-	// analysis per candidate×test in O(affected cone)) is built before
-	// the clock starts; forked workers build theirs lazily, from their
-	// own goroutine, and inherit the live stage's refined copy set.
-	live := &cegarWorker{sess: sess, oracle: NewValidator(c, tests), encoded: encoded}
-	workers := make([]*cegarWorker, opts.Shards)
-	start := time.Now()
-	sols, complete, perShard := sess.EnumerateSlices(opts.Shards, opts.roundOptions(),
-		func(worker int, s *cnf.DiagSession, round *cnf.Round, budget cnf.RoundOptions, found func([]int)) bool {
-			w := live
-			if worker >= 0 {
-				if w = workers[worker]; w == nil {
-					w = &cegarWorker{sess: s, oracle: NewValidator(c, tests), encoded: append([]bool(nil), encoded...)}
-					workers[worker] = w
-				}
-			}
-			return w.enumerate(tests, round, budget, found)
-		})
-
+	// Timing discipline matches BSAT: copy encoding stays out of the
+	// enumeration columns, so the Table 2 columns remain comparable.
 	res := &CEGARResult{BSATResult: BSATResult{sess: sess}}
-	for _, g := range sols {
-		res.Solutions = append(res.Solutions, NewCorrection(g))
+	var failure error
+	start, buildBase := time.Now(), sess.BuildTime
+	found, err := cover.EnumerateImplicit(cover.Options{MaxK: opts.K, MaxSolutions: opts.MaxSolutions, Ctx: ctx},
+		func(d []int) ([]int, bool, bool) {
+			span.Lap("master")
+			res.Checked++
+			t := oracle.FirstRefuting(d)
+			span.Lap("check")
+			if t < 0 {
+				if res.Timings.One == 0 {
+					res.Timings.One = time.Since(start) - (sess.BuildTime - buildBase)
+				}
+				return nil, true, true
+			}
+			core, st := cores.conflict(ctx, t, d)
+			span.Lap("core")
+			if st == sat.StatusSat {
+				failure = fmt.Errorf("core: test %d refutes %v in simulation but not in its SAT copy", t, d)
+			}
+			if st == sat.StatusUnsat {
+				res.Refinements++
+			}
+			return core, false, st == sat.StatusUnsat
+		})
+	if err == nil {
+		err = failure
 	}
-	res.Complete = complete
-	res.Checked, res.Refinements, res.Copies = live.checked, live.refinements, sess.NumTests()
-	var maxEncode time.Duration
-	for _, w := range workers {
-		if w == nil {
-			continue
-		}
-		res.Checked += w.checked
-		res.Refinements += w.refinements
-		res.Copies = max(res.Copies, w.sess.NumTests())
-		maxEncode = max(maxEncode, w.encodeTime)
-		// The largest worker encoding approximates the instance size (the
-		// live-size adjustment below is meaningless across clones carrying
-		// cube-slice constraints).
-		if v, cl := w.sess.Size(); v > res.Vars {
-			res.Vars, res.Clauses = v, cl
-		}
+	if err != nil {
+		return nil, err
 	}
-	for _, st := range perShard {
-		res.Stats = res.Stats.Add(st.Stats)
+	for _, d := range found.Covers {
+		res.Solutions = append(res.Solutions, NewCorrection(d))
 	}
-	// All is wall time minus the refinement encoding on the critical
-	// path (the live stage's plus the slowest worker's), so the Table 2
-	// "All" column compares like with like across engines and shard
-	// counts; CNF adds the critical-path refinement encoding.
-	res.Timings.One = live.firstAt
-	res.Timings.All = max(time.Since(start)-live.encodeTime-maxEncode, 0)
-	res.Timings.CNF = sess.BuildTime + maxEncode
-	if opts.Shards > 1 {
-		res.PerShard = perShard
-	}
-	if len(perShard) == 1 {
-		// Nothing forked: report the encoding's size, not the round's
-		// artifacts — one guard variable and one guarded blocking clause
-		// per confirmed solution, which mono BSAT's Vars/Clauses (read
-		// before its round) never count. The clause figure is a close
-		// approximation: level-0 simplification during search may already
-		// have dropped a few satisfied clauses from the count.
-		res.Vars, res.Clauses = sess.Size()
-		res.Vars--
-		res.Clauses = max(res.Clauses-len(res.Solutions), 0)
-		if res.Copies != seeds+res.Refinements {
-			panic("core: CEGAR copy accounting out of sync")
-		}
-	}
+	res.Complete = found.Complete
+	res.Copies = sess.NumTests()
+	res.Timings.All = max(time.Since(start)-(sess.BuildTime-buildBase), 0)
+	res.Timings.CNF = sess.BuildTime
+	res.Vars, res.Clauses = sess.Size()
+	res.Stats = sess.Solver.Stats
 	res.Canonicalize()
+	span.Lap("master")
+	span.Counter("cores", int64(res.Refinements))
+	span.Counter("checked", int64(res.Checked))
+	span.Counter("nodes", int64(found.Nodes))
 	return res, nil
+}
+
+// coreSource extracts per-test conflicts from a guarded session that
+// encodes each test at most once, when it first refutes a candidate.
+type coreSource struct {
+	sess    *cnf.DiagSession
+	tests   circuit.TestSet
+	copyOf  []int   // per test, its copy index, or -1 before it is encoded
+	cone    [][]int // per copy, the select positions of its cone's candidates
+	assumps []sat.Lit
+}
+
+// conflict solves test t's copy under its guard and ¬sel for every
+// candidate of its cone outside d. On StatusUnsat it returns the
+// candidates whose ¬sel is in the failed-assumption core: test t cannot
+// be rectified while all of them stay uncorrected. Other statuses mean
+// a budget stop (StatusUnknown) or that d rectifies t after all.
+func (cs *coreSource) conflict(ctx context.Context, t int, d []int) ([]int, sat.Status) {
+	sess := cs.sess
+	ci := cs.copyOf[t]
+	if ci < 0 {
+		ci = sess.AddTest(cs.tests[t])
+		cs.copyOf[t] = ci
+		var cone []int
+		for j, g := range sess.Candidates {
+			if sess.GateVars[ci][g] != cnf.NoVar {
+				cone = append(cone, j)
+			}
+		}
+		cs.cone = append(cs.cone, cone)
+	}
+	cs.assumps = append(cs.assumps[:0], sess.TestGuards[ci])
+	for _, j := range cs.cone[ci] {
+		if !slices.Contains(d, sess.Candidates[j]) {
+			cs.assumps = append(cs.assumps, sess.Sels[j].Neg())
+		}
+	}
+	st := sess.Solver.SolveContext(ctx, cs.assumps...)
+	if st != sat.StatusUnsat {
+		return nil, st
+	}
+	// The core holds the negations of the failed assumptions: sel for a
+	// candidate (select variables are consecutive), ¬guard for the copy.
+	core := []int{}
+	if len(sess.Sels) == 0 {
+		return core, st // no candidate can rectify t
+	}
+	base := sess.Sels[0].Var()
+	for _, l := range sess.Solver.ConflictSet() {
+		if j := int(l.Var() - base); j >= 0 && j < len(sess.Sels) && sess.Sels[j] == l {
+			core = append(core, sess.Candidates[j])
+		}
+	}
+	return core, st
 }

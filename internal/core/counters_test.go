@@ -38,6 +38,9 @@ type diagCounters struct {
 	Vars         int    `json:"vars"`
 	Clauses      int    `json:"clauses"`
 	Copies       int    `json:"copies,omitempty"`
+	// Refinements (cores) and Checked (oracle calls) of cegar jobs.
+	Refinements int `json:"refinements,omitempty"`
+	Checked     int `json:"checked,omitempty"`
 }
 
 // counterJob is one gated diagnosis: a cell (circuit, injected errors,
@@ -93,6 +96,7 @@ func runCounterJob(t *testing.T, j counterJob) diagCounters {
 		// which cube; only its answer and instance size are gated.
 		c.Decisions, c.Propagations, c.Conflicts = rep.Stats.Decisions, rep.Stats.Propagations, rep.Stats.Conflicts
 		c.Copies = rep.Copies
+		c.Refinements, c.Checked = rep.Refinements, rep.Checked
 	}
 	return c
 }

@@ -32,9 +32,10 @@ type Request struct {
 	// default 1. Ignored by bsim.
 	K int
 
-	// Shards > 1 runs the SAT enumeration (bsat/cegar/hybrid) on that
-	// many disjoint candidate shards concurrently; the solution set and
-	// its canonical order are shard-count invariant. ShardSample bounds
+	// Shards > 1 runs the SAT enumeration (bsat/hybrid) on that many
+	// disjoint candidate shards concurrently; the solution set and its
+	// canonical order are shard-count invariant. cegar enumerates no
+	// models and ignores it. ShardSample bounds
 	// the sequential sample stage that warms the solver and plans the
 	// balanced cubes (0 = default).
 	Shards      int
@@ -74,8 +75,8 @@ type Report struct {
 
 	// Timings are the Table 2 columns (instance construction, first
 	// solution, exhaustion). Vars/Clauses/Copies size the SAT instance;
-	// Stats counts solver work; Refinements counts CEGAR refinement
-	// steps and Checked the candidates its simulation oracle validated.
+	// Stats counts solver work; Refinements counts cegar's cores and
+	// Checked the candidates its simulation oracle validated.
 	// PerShard carries the per-shard breakdown of sharded runs.
 	Timings     Timings
 	Vars        int

@@ -159,10 +159,12 @@ func TestShardedBSATDirect(t *testing.T) {
 	}
 }
 
-// TestTracedShardedDiagnose: a traced sharded run of either SAT engine
-// groups its stages under the engine span — exactly one "sample" child
-// for the live stage and a "cube.w<worker>" child per served cube — and
-// the stage counters account for every merged solution.
+// TestTracedShardedDiagnose: a traced sharded bsat run groups its
+// stages under the engine span — exactly one "sample" child for the
+// live stage and a "cube.w<worker>" child per served cube — and the
+// stage counters account for every merged solution. A traced cegar run
+// forks nothing, whatever Shards says: its engine span has no children
+// and carries the laps and counters of its implicit hitting set loop.
 func TestTracedShardedDiagnose(t *testing.T) {
 	var sc *scenario
 	for seed := int64(1); seed < 40 && sc == nil; seed++ {
@@ -178,7 +180,7 @@ func TestTracedShardedDiagnose(t *testing.T) {
 	if sc == nil {
 		t.Fatal("no scenario with at least two solutions")
 	}
-	for _, engine := range []string{"bsat", "cegar"} {
+	traced := func(engine string) (*Report, *trace.SpanJSON) {
 		root := trace.New("request")
 		rep, err := Diagnose(trace.NewContext(context.Background(), root), Request{
 			Engine: engine, Circuit: sc.faulty, Tests: sc.tests, K: sc.k, Shards: 2, ShardSample: 1,
@@ -187,31 +189,83 @@ func TestTracedShardedDiagnose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
-		var engineSpan *trace.SpanJSON
 		for _, c := range root.Breakdown().Children {
 			if c.Name == "engine:"+engine {
-				engineSpan = c
+				return rep, c
 			}
 		}
-		if engineSpan == nil {
-			t.Fatalf("%s: no engine span", engine)
+		t.Fatalf("%s: no engine span", engine)
+		return nil, nil
+	}
+	bsat, engineSpan := traced("bsat")
+	samples, cubes, cubeSols := 0, 0, 0
+	for _, c := range engineSpan.Children {
+		switch {
+		case c.Name == "sample":
+			samples++
+		case strings.HasPrefix(c.Name, "cube.w"):
+			cubes++
+			cubeSols += int(c.Counters["solutions"])
 		}
-		samples, cubes, cubeSols := 0, 0, 0
-		for _, c := range engineSpan.Children {
-			switch {
-			case c.Name == "sample":
-				samples++
-			case strings.HasPrefix(c.Name, "cube.w"):
-				cubes++
-				cubeSols += int(c.Counters["solutions"])
-			}
+	}
+	if samples != 1 || cubes == 0 {
+		t.Fatalf("bsat: %d sample and %d cube spans, want 1 and >= 1", samples, cubes)
+	}
+	if got := cubeSols + bsat.PerShard[0].Solutions; got < len(bsat.Solutions) {
+		t.Fatalf("bsat: spans account for %d solutions, merged %d", got, len(bsat.Solutions))
+	}
+	rep, span := traced("cegar")
+	if !sameOrder(bsat.Solutions, rep.Solutions) || len(rep.PerShard) != 0 || len(span.Children) != 0 {
+		t.Fatalf("cegar: %v (%d stages, %d child spans), bsat %v", rep.Solutions, len(rep.PerShard), len(span.Children), bsat.Solutions)
+	}
+	checkCEGARSpan(t, rep, span)
+}
+
+// checkCEGARSpan checks a cegar engine span against its report: the
+// session, check, core and master laps are present, and the cores,
+// checked and nodes counters match the report.
+func checkCEGARSpan(t *testing.T, rep *Report, span *trace.SpanJSON) {
+	t.Helper()
+	phases := map[string]bool{}
+	for _, p := range span.Phases {
+		phases[p.Name] = true
+	}
+	for _, want := range []string{"session", "check", "core", "master"} {
+		if !phases[want] {
+			t.Fatalf("engine:cegar span lacks lap %q: %+v", want, span.Phases)
 		}
-		if samples != 1 || cubes == 0 {
-			t.Fatalf("%s: %d sample and %d cube spans, want 1 and >= 1", engine, samples, cubes)
+	}
+	if span.Counters["cores"] != int64(rep.Refinements) || span.Counters["checked"] != int64(rep.Checked) || span.Counters["nodes"] <= 0 {
+		t.Fatalf("engine:cegar counters %v, report %d cores and %d checked", span.Counters, rep.Refinements, rep.Checked)
+	}
+}
+
+// TestCEGARTimings: the laps of a traced cegar run tile at least 90% of
+// its engine span, and never more than the span plus noise.
+func TestCEGARTimings(t *testing.T) {
+	c, tests, _ := cegarLargeScenario(t, "s1423x", 2, 8)
+	root := trace.New("request")
+	rep, err := Diagnose(trace.NewContext(context.Background(), root), Request{Engine: "cegar", Circuit: c, Tests: tests, K: 3})
+	root.End()
+	if err != nil || !rep.Complete {
+		t.Fatalf("complete=%v err=%v", rep != nil && rep.Complete, err)
+	}
+	var span *trace.SpanJSON
+	for _, ch := range root.Breakdown().Children {
+		if ch.Name == "engine:cegar" {
+			span = ch
 		}
-		if got := cubeSols + rep.PerShard[0].Solutions; got < len(rep.Solutions) {
-			t.Fatalf("%s: spans account for %d solutions, merged %d", engine, got, len(rep.Solutions))
-		}
+	}
+	if span == nil {
+		t.Fatal("no engine:cegar span")
+	}
+	checkCEGARSpan(t, rep, span)
+	sum := 0.0
+	for _, p := range span.Phases {
+		sum += p.DurationMS
+	}
+	if sum < 0.9*span.DurationMS || sum > 1.1*span.DurationMS {
+		t.Fatalf("laps sum to %.3fms of %.3fms: %+v", sum, span.DurationMS, span.Phases)
 	}
 }
 

@@ -90,7 +90,7 @@ func CovGuidedRepair(c *circuit.Circuit, tests circuit.TestSet, covRes *CovResul
 // session instead of building one. tests is the full test-set the
 // repair must be valid for; sess must encode the same circuit over
 // these tests (all of them for a BSAT/HybridBSAT session, possibly a
-// converged subset for a CEGAR session) with an unrestricted candidate
+// subset for a cegar session) with an unrestricted candidate
 // set (its ladder grows to opts.K if narrower). Every reported
 // repair is validated against the full tests by the simulation oracle,
 // so partial sessions stay sound (they may just fail to repair). The
@@ -102,9 +102,10 @@ func CovGuidedRepairSession(sess *cnf.DiagSession, tests circuit.TestSet, covRes
 	}
 	if !sameTests(sess.Tests, tests) && opts.K > maxValidateGates {
 		// A session whose copies are not exactly this test-set (e.g. a
-		// converged CEGAR abstraction) proves validity only for what it
-		// encodes, so every repair must fit the simulation oracle's bound
-		// to be checkable against the full test-set.
+		// cegar session, which encodes only the tests that yielded cores)
+		// proves validity only for what it encodes, so every repair must
+		// fit the simulation oracle's bound to be checkable against the
+		// full test-set.
 		return nil, fmt.Errorf("core: repairing over a different test-set than the session encodes requires K <= %d (oracle bound), got %d", maxValidateGates, opts.K)
 	}
 	return covGuidedRepair(sess.Circuit, tests, sess, covRes, opts)
@@ -152,8 +153,8 @@ func covGuidedRepair(c *circuit.Circuit, tests circuit.TestSet, sess *cnf.DiagSe
 	}
 	active := sess.ActivationAssumps(nil) // bind every copy of guarded sessions
 	// A session encoding exactly this test-set yields SAT models that
-	// are valid by construction; any other session (e.g. a converged
-	// CEGAR abstraction) needs the oracle to confirm each repair, and
+	// are valid by construction; any other session (e.g. a cegar
+	// session) needs the oracle to confirm each repair, and
 	// repairs it cannot check are rejected (fail closed).
 	mustValidate := !sameTests(sess.Tests, tests)
 	subsets := subsetsLargestFirst(seed.Gates)

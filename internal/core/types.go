@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -90,14 +91,12 @@ type SolutionSet struct {
 }
 
 // Canonicalize sorts the solutions into the canonical order — by size,
-// then lexicographically by gate IDs (cnf.LessSolution, the single
+// then lexicographically by gate IDs (cnf.CompareSolution, the single
 // definition of the order) — in place. Every merge point and every
 // engine result passes through this, so diagnosis output is
 // byte-identical regardless of worker or shard count.
 func (ss *SolutionSet) Canonicalize() {
-	sort.Slice(ss.Solutions, func(i, j int) bool {
-		return cnf.LessSolution(ss.Solutions[i].Gates, ss.Solutions[j].Gates)
-	})
+	slices.SortFunc(ss.Solutions, func(a, b Correction) int { return cnf.CompareSolution(a.Gates, b.Gates) })
 }
 
 // ContainsKey reports whether an identical correction is present.

@@ -77,23 +77,18 @@ func (v *Validator) Tests() circuit.TestSet { return v.tests }
 // validator's test-set — exactly ValidateSim's answer, computed
 // incrementally.
 func (v *Validator) Validate(gates []int) bool {
-	return v.FirstRefuting(gates, nil) < 0
+	return v.FirstRefuting(gates) < 0
 }
 
 // FirstRefuting returns the index of the first test the gate set cannot
 // rectify, or -1 when the set is a valid correction for every test.
-// Tests whose index is marked in skip (nil = none) are not checked —
-// the CEGAR driver passes the tests already encoded in its SAT
-// abstraction, which the candidate satisfies by construction.
-func (v *Validator) FirstRefuting(gates []int, skip []bool) int {
+// CEGARDiagnose extracts its next core from that test.
+func (v *Validator) FirstRefuting(gates []int) int {
 	n := len(gates)
 	if n > maxValidateGates {
 		panic("core: Validate over more than 20 gates")
 	}
 	for i := range v.tests {
-		if skip != nil && skip[i] {
-			continue
-		}
 		if !v.validTest(i, gates) {
 			return i
 		}

@@ -18,6 +18,12 @@
 // every COV cell measured (README's COV entry has the numbers), so the
 // search is the only engine.
 //
+// EnumerateImplicit reuses the search as the master of an implicit
+// hitting set loop: the family is not given up front but revealed one
+// set at a time by a check of each candidate, and one Enumerate pass per
+// size suffices. The SAT-based diagnosis engine `cegar` runs it with
+// per-test conflicts as the sets.
+//
 // Note that a "hitting set" view is used throughout: elements hit sets.
 // This matches the paper's formulation of condition (a).
 package cover
@@ -449,4 +455,116 @@ func (s *search) emit() bool {
 		return false
 	}
 	return true
+}
+
+// Check answers one candidate of EnumerateImplicit. It reports whether d
+// hits every set of the hidden family (valid) and, when it does not,
+// returns one set of the family that d misses. A false ok stops the
+// enumeration, which then reports Complete=false.
+type Check func(d []int) (missed []int, valid, ok bool)
+
+// EnumerateImplicit lists the minimal hitting sets of size <= MaxK of a
+// set family it is never given whole: the implicit hitting set scheme,
+// with check as the oracle that confirms a candidate or reveals one set
+// the candidate misses. Candidates are checked one at a time.
+//
+// The empty family's only minimal hitting set is ∅, so ∅ is checked
+// first and, when valid, is the answer. Then, for k = 1..MaxK, one pass
+// runs Enumerate once over the sets known when the pass starts and
+// checks its covers of size k in search order, skipping every cover that
+// misses a set revealed during the pass. No pass restarts. This is exact
+// by the following invariant.
+//
+// At the start of pass k, every minimal hitting set of size < k of the
+// known sets is confirmed. A confirmed set hits every set revealed later
+// (the family is fixed), so a minimal hitting set H of size k of the
+// enlarged family is one of the family at the start of the pass: a
+// smaller hitting set inside H of the start family would contain a
+// confirmed one, which hits the enlarged family too. So the pass
+// proposes H, and the check confirms it, since no set H misses exists.
+// After pass MaxK, every minimal hitting set of size <= MaxK of the
+// revealed sets is confirmed. A valid D of size <= MaxK hits them all,
+// so it contains a confirmed set; if no element of D can be dropped, D
+// is that set. The confirmed sets are exactly the irredundant valid
+// sets of size <= MaxK.
+//
+// Covers come out smallest first. MaxSolutions caps them, and reaching
+// the cap, even exactly, reports Complete=false. Ctx is polled before
+// every check and inside Enumerate. Nodes sums the passes' search
+// nodes. A revealed empty set means no hitting set exists and ends the
+// enumeration.
+func EnumerateImplicit(opts Options, check Check) (*Result, error) {
+	start := time.Now()
+	if opts.MaxK < 1 {
+		return nil, fmt.Errorf("cover: MaxK must be >= 1")
+	}
+	res := &Result{Complete: true}
+	var sets [][]int // revealed, sorted and free of duplicates
+	// confirm checks d and reports whether the enumeration goes on.
+	confirm := func(d []int) bool {
+		if opts.Ctx != nil && opts.Ctx.Err() != nil {
+			res.Complete = false
+			return false
+		}
+		missed, valid, ok := check(d)
+		if !ok {
+			res.Complete = false
+			return false
+		}
+		if !valid {
+			set := slices.Compact(slices.Sorted(slices.Values(missed)))
+			sets = append(sets, set)
+			return len(set) > 0
+		}
+		if len(res.Covers) == 0 {
+			res.First = time.Since(start)
+		}
+		res.Covers = append(res.Covers, d)
+		if opts.MaxSolutions > 0 && len(res.Covers) >= opts.MaxSolutions {
+			res.Complete = false
+			return false
+		}
+		return true
+	}
+	if !confirm([]int{}) || len(res.Covers) > 0 {
+		return res, nil
+	}
+	for k := 1; k <= opts.MaxK; k++ {
+		known := len(sets)
+		pass, err := Enumerate(&Problem{Sets: sets[:known:known]}, Options{MaxK: k, Ctx: opts.Ctx})
+		if err != nil {
+			return nil, err
+		}
+		res.Nodes += pass.Nodes
+		if !pass.Complete {
+			res.Complete = false
+			return res, nil
+		}
+		for _, d := range pass.Covers {
+			if len(d) < k || missesAny(d, sets[known:]) {
+				continue // confirmed in an earlier pass, or no longer a hitting set
+			}
+			if !confirm(d) {
+				return res, nil
+			}
+		}
+	}
+	return res, nil
+}
+
+// missesAny reports whether the sorted set d misses some of the sorted
+// sets.
+func missesAny(d []int, sets [][]int) bool {
+	for _, set := range sets {
+		hit := false
+		for _, e := range d {
+			if _, hit = slices.BinarySearch(set, e); hit {
+				break
+			}
+		}
+		if !hit {
+			return true
+		}
+	}
+	return false
 }

@@ -487,3 +487,125 @@ func TestCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestImplicitMatchesBruteForceProperty checks the implicit hitting set
+// master against a synthetic oracle over a hidden family H: a candidate
+// is valid iff it hits every set of H, and a refuted one reveals one
+// set of H that it misses, picked at random. EnumerateImplicit must
+// return exactly the minimal hitting sets of H of size <= k, propose
+// candidates by non-decreasing size and none twice, and keep its pass
+// invariant: when the first candidate of size s is proposed, every
+// minimal hitting set of size < s of the sets revealed so far is
+// confirmed. A capped run returns a size prefix of the answers.
+func TestImplicitMatchesBruteForceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		h := duplicateHeavy(rng)
+		if rng.Intn(2) == 0 {
+			n := 4 + rng.Intn(8)
+			sets := make([][]int, 1+rng.Intn(6))
+			for i := range sets {
+				sets[i] = rng.Perm(n)[:1+rng.Intn(n)]
+			}
+			h = NewProblem(sets)
+		}
+		k := 1 + rng.Intn(3)
+		all := bruteCovers(h, k)
+		var revealed [][]int
+		var confirmed, proposed map[string]bool
+		size, fail := 0, ""
+		reset := func() {
+			revealed, size = nil, 0
+			confirmed, proposed = map[string]bool{}, map[string]bool{}
+		}
+		reset()
+		check := func(d []int) ([]int, bool, bool) {
+			switch key := fmt.Sprint(d); {
+			case len(d) < size:
+				fail = fmt.Sprintf("%v proposed after size %d", d, size)
+			case proposed[key]:
+				fail = fmt.Sprintf("%v proposed twice", d)
+			default:
+				proposed[key] = true
+			}
+			if len(d) > size {
+				size = len(d)
+				for _, mhs := range bruteCovers(NewProblem(revealed), size-1) {
+					if !confirmed[fmt.Sprint(mhs)] {
+						fail = fmt.Sprintf("pass %d starts with %v unconfirmed (revealed %v)", size, mhs, revealed)
+					}
+				}
+			}
+			var missed [][]int
+			for _, set := range h.Sets {
+				if !NewProblem([][]int{set}).Covers(d) {
+					missed = append(missed, set)
+				}
+			}
+			if len(missed) == 0 {
+				confirmed[fmt.Sprint(d)] = true
+				return nil, true, true
+			}
+			set := missed[rng.Intn(len(missed))]
+			revealed = append(revealed, set)
+			return set, false, true
+		}
+		res, err := EnumerateImplicit(Options{MaxK: k}, check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fail == "" && (!res.Complete || !sameCoverSets(res.Covers, all)) {
+			fail = fmt.Sprintf("%v (complete=%v), brute %v", res.Covers, res.Complete, all)
+		}
+		if fail == "" && len(all) > 0 {
+			limit := 1 + rng.Intn(len(all))
+			reset()
+			capped, err := EnumerateImplicit(Options{MaxK: k, MaxSolutions: limit}, check)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := checkPrefix(h, k, capped, all); msg != "" || capped.Complete || len(capped.Covers) != limit {
+				fail = fmt.Sprintf("cap %d: %v (complete=%v) %s", limit, capped.Covers, capped.Complete, msg)
+			}
+		}
+		if fail != "" {
+			t.Logf("H %v k=%d: %s", h.Sets, k, fail)
+			return false
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 200}
+	if testing.Short() {
+		cfg.MaxCount = 40
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestImplicitEdgeCases: the empty family's only minimal hitting set is
+// ∅; an empty revealed set means no hitting set exists; a check that
+// stops and a cancelled context both end the run incomplete.
+func TestImplicitEdgeCases(t *testing.T) {
+	valid := func([]int) ([]int, bool, bool) { return nil, true, true }
+	res, err := EnumerateImplicit(Options{MaxK: 2}, valid)
+	if err != nil || !res.Complete || len(res.Covers) != 1 || len(res.Covers[0]) != 0 {
+		t.Fatalf("empty family: %v complete=%v err=%v, want [[]]", res.Covers, res.Complete, err)
+	}
+	unhittable := func([]int) ([]int, bool, bool) { return []int{}, false, true }
+	if res, err = EnumerateImplicit(Options{MaxK: 2}, unhittable); err != nil || !res.Complete || len(res.Covers) != 0 {
+		t.Fatalf("empty set: %v complete=%v err=%v, want none", res.Covers, res.Complete, err)
+	}
+	stop := func([]int) ([]int, bool, bool) { return nil, false, false }
+	if res, err = EnumerateImplicit(Options{MaxK: 2}, stop); err != nil || res.Complete {
+		t.Fatalf("stopped check: complete=%v err=%v", res.Complete, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err = EnumerateImplicit(Options{MaxK: 2, Ctx: ctx}, valid); err != nil || res.Complete || len(res.Covers) != 0 {
+		t.Fatalf("cancelled: %v complete=%v err=%v", res.Covers, res.Complete, err)
+	}
+	if _, err = EnumerateImplicit(Options{}, valid); err == nil {
+		t.Fatal("MaxK 0 accepted")
+	}
+}

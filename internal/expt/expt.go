@@ -36,8 +36,9 @@ type Budget struct {
 type Engine int
 
 // Engines: EngineMono is the paper's monolithic instance (one copy per
-// test up front); EngineCEGAR grows the instance lazily with the
-// simulation oracle refuting spurious candidates (identical solutions).
+// test up front); EngineCEGAR enumerates the minimal hitting sets of
+// per-test cores, encoding a test only when it refutes a candidate
+// (identical solutions).
 const (
 	EngineMono Engine = iota
 	EngineCEGAR
@@ -101,7 +102,7 @@ type Row struct {
 	SatVars    int
 	SatClauses int
 	// SatCopies is the number of test copies the SAT engine encoded: M
-	// for the monolithic driver, the converged abstraction size for
+	// for the monolithic driver, the tests that yielded a core for
 	// CEGAR.
 	SatCopies int
 	// SatShards is the enumeration shard count of the SAT column (1 =
@@ -331,7 +332,7 @@ func Figure6Sweep(circuits []string, maxP int, ms []int, budget Budget) (avgPts,
 
 // RenderTable2 renders the runtime comparison in the layout of Table 2,
 // extended with the number of test copies the SAT engine encoded
-// (m for the monolithic driver, the converged abstraction for CEGAR)
+// (m for the monolithic driver, the tests that yielded a core for CEGAR)
 // and the enumeration shard count (shard scaling: same solutions, the
 // SAT columns shrink as shards increase).
 func RenderTable2(w io.Writer, rows []*Row) {

@@ -8,7 +8,7 @@
 // instances and for the set-covering instances; this package plays that
 // role for the diagnosis instances (package cover searches the covering
 // ones directly). All-solutions enumeration with blocking clauses (the
-// engine of BSAT and CEGAR) is provided by EnumerateProjected.
+// engine of BSAT) is provided by EnumerateProjected.
 package sat
 
 import "fmt"
