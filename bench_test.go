@@ -225,9 +225,7 @@ func BenchmarkTable2_CEGAR_vs_Mono(b *testing.B) {
 // goroutines are GOMAXPROCS-bounded, so a single-core box serializes
 // them and ns/op approximates total work); the critical-s metric is
 // sample time plus the slowest worker — the wall time a machine with
-// >= shards cores achieves. The companion CEGAR sub-benchmarks reduce
-// total work outright (per-worker abstractions stay smaller than the
-// monolithic one), so their ns/op improves even on one core.
+// >= shards cores achieves.
 func BenchmarkTable2_BSAT_ShardScaling(b *testing.B) {
 	const m, k = 16, 3
 	w := table2Workload[0] // s1423x, p=4
@@ -236,32 +234,7 @@ func BenchmarkTable2_BSAT_ShardScaling(b *testing.B) {
 	if len(tests) < m {
 		b.Skipf("scenario exposes only %d of %d tests", len(tests), m)
 	}
-	report := func(b *testing.B, sols []core.Correction, complete bool, perShard []cnf.ShardStats, baseline map[string]string, engine string, shards int) {
-		if complete {
-			keys := make([]string, len(sols))
-			for i, s := range sols {
-				keys[i] = s.Key()
-			}
-			all := strings.Join(keys, ";")
-			if prev, ok := baseline[engine]; ok && prev != all {
-				b.Fatalf("%s shards=%d solution set diverged from baseline", engine, shards)
-			}
-			baseline[engine] = all
-		}
-		var sample, maxWorker time.Duration
-		for _, st := range perShard {
-			if st.Shard == -1 {
-				sample = st.Elapsed
-			} else if st.Elapsed > maxWorker {
-				maxWorker = st.Elapsed
-			}
-		}
-		if shards > 1 {
-			b.ReportMetric((sample + maxWorker).Seconds(), "critical-s")
-		}
-		b.ReportMetric(float64(len(sols)), "solutions")
-	}
-	baseline := map[string]string{}
+	var baseline string
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("%s/p%d/m%d/bsat/shards%d", w.circuit, w.p, m, shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -274,21 +247,29 @@ func BenchmarkTable2_BSAT_ShardScaling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				report(b, res.Solutions, res.Complete, res.PerShard, baseline, "bsat", shards)
-			}
-		})
-		b.Run(fmt.Sprintf("%s/p%d/m%d/cegar/shards%d", w.circuit, w.p, m, shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.CEGARDiagnose(sc.Faulty, tests, core.BSATOptions{
-					K:            k,
-					Shards:       shards,
-					MaxSolutions: benchBudget.MaxSolutions,
-					Timeout:      benchBudget.Timeout,
-				})
-				if err != nil {
-					b.Fatal(err)
+				if res.Complete {
+					keys := make([]string, len(res.Solutions))
+					for i, s := range res.Solutions {
+						keys[i] = s.Key()
+					}
+					all := strings.Join(keys, ";")
+					if baseline != "" && baseline != all {
+						b.Fatalf("bsat shards=%d solution set diverged from baseline", shards)
+					}
+					baseline = all
 				}
-				report(b, res.Solutions, res.Complete, res.PerShard, baseline, "cegar", shards)
+				var sample, maxWorker time.Duration
+				for _, st := range res.PerShard {
+					if st.Shard == -1 {
+						sample = st.Elapsed
+					} else if st.Elapsed > maxWorker {
+						maxWorker = st.Elapsed
+					}
+				}
+				if shards > 1 {
+					b.ReportMetric((sample + maxWorker).Seconds(), "critical-s")
+				}
+				b.ReportMetric(float64(len(res.Solutions)), "solutions")
 			}
 		})
 	}

@@ -33,7 +33,7 @@ import (
 // in one call). A DiagSession is not safe for concurrent use.
 type DiagSession struct {
 	// Solver is the CDCL solver behind the session; sharded enumeration
-	// clones it per worker (ForkWorkers).
+	// clones it per worker (fork).
 	Solver  *sat.Solver
 	Circuit *circuit.Circuit
 	// Tests lists the encoded test copies in AddTest order.

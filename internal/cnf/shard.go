@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -19,34 +20,16 @@ import (
 
 // Cube is one assumption-scoped slice of the solution space: the
 // assumptions confine enumeration to the corrections satisfying them,
-// and Weight estimates the slice's load (sampled solutions inside it)
-// for scheduling. A nil Assumps cube is unconstrained.
+// and Weight estimates the slice's load (sampled solutions inside it),
+// which orders the cubes heaviest first. A nil Assumps cube is
+// unconstrained. The cubes of one plan partition the projected
+// solution space, so the workers never repeat a solution and the
+// canonical merge of their outputs equals the monolithic enumeration.
+// Slices are scoped purely by assumptions, never by asserted clauses,
+// so one clone serves any number of cubes in turn.
 type Cube struct {
 	Assumps []sat.Lit
 	Weight  int
-}
-
-// Shard is one worker of a forked enumeration: an independent session
-// over a cloned solver plus the assumption cubes it serves
-// sequentially. The cubes of one fork partition the projected solution
-// space — every correction satisfies exactly one cube — so the workers
-// never repeat a solution, and the canonical merge of their outputs
-// equals the monolithic enumeration.
-//
-// Slices are scoped purely by assumptions, never by asserted clauses:
-// the forked solver stays an unconstrained copy of the parent
-// encoding, assumptions propagate from decision level 0 (no auxiliary
-// encoding taxing every solve), and one clone serves any number of
-// cubes in turn.
-type Shard struct {
-	// Session is the forked session: cloned solver plus copied per-copy
-	// tables, so AddTest and enumeration on the shard never touch the
-	// parent (or the sibling shards).
-	Session *DiagSession
-	// Index and Of identify the worker within its fork.
-	Index, Of int
-	// Cubes lists the assumption cubes this worker enumerates, in order.
-	Cubes []Cube
 }
 
 // PlanCubes derives disjoint assumption cubes that together cover the
@@ -169,41 +152,11 @@ func containsSorted(s []int, g int) bool {
 	return i < len(s) && s[i] == g
 }
 
-// ScheduleCubes distributes cubes onto n workers by longest-processing-
-// time-first over the sampled weights: cubes sorted by descending
-// weight (ties by planning order) each go to the least-loaded worker.
-// Deterministic; returns at most n non-empty worker loads.
-func ScheduleCubes(cubes []Cube, n int) [][]Cube {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(cubes) {
-		n = len(cubes)
-	}
-	order := make([]int, len(cubes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return cubes[order[a]].Weight > cubes[order[b]].Weight })
-	workers := make([][]Cube, n)
-	loads := make([]int, n)
-	for _, ci := range order {
-		best := 0
-		for w := 1; w < n; w++ {
-			if loads[w] < loads[best] {
-				best = w
-			}
-		}
-		workers[best] = append(workers[best], cubes[ci])
-		loads[best] += cubes[ci].Weight + 1 // +1 so zero-weight cubes spread too
-	}
-	return workers
-}
-
 // fork clones the session into an independent twin: the solver is
 // cloned with its learnt clauses and the ladder tree and per-copy
 // tables are copied, so AddTest, ladder growth and enumeration on the
-// fork never touch the parent.
+// fork never touch the parent. fork only reads the parent, so several
+// goroutines may fork one session at once while nothing else uses it.
 func (sess *DiagSession) fork() *DiagSession {
 	forked := &DiagSession{
 		Solver:     sess.Solver.Clone(true),
@@ -225,27 +178,6 @@ func (sess *DiagSession) fork() *DiagSession {
 	return forked
 }
 
-// ForkWorkers clones the session once per worker load and couples each
-// clone with its cubes.
-// The parent session stays untouched and fully usable.
-func (sess *DiagSession) ForkWorkers(workers [][]Cube) []*Shard {
-	shards := make([]*Shard, len(workers))
-	for i, cubes := range workers {
-		shards[i] = &Shard{Session: sess.fork(), Index: i, Of: len(workers), Cubes: cubes}
-	}
-	return shards
-}
-
-// Release drops the shard's references to its cloned session (and hence
-// the cloned solver's clause database) so a finished or cancelled worker
-// frees its clone for collection immediately, instead of keeping every
-// clone alive until the whole sharded run returns. Idempotent; the shard
-// must not be used for enumeration afterwards.
-func (sh *Shard) Release() {
-	sh.Session = nil
-	sh.Cubes = nil
-}
-
 // ShardStats records one stage's contribution to a sharded enumeration:
 // the sequential sample stage (Shard == -1) or one parallel worker.
 type ShardStats struct {
@@ -257,16 +189,17 @@ type ShardStats struct {
 	Elapsed   time.Duration
 	Stats     sat.Stats // this stage's solver work (clones start at zero)
 
-	// Fault-tolerance counters. A worker that panics is presumed to hold
-	// a corrupted clone and exits (Panics counts the recovered panic);
-	// the cube it was serving is requeued for a surviving worker
-	// (Retries) until its attempt budget runs out (Abandoned). Steals
-	// counts cubes this worker pulled from another worker's pending list
-	// — load balancing around stragglers and replacing dead workers.
+	// Fault-tolerance counters. A failed cube attempt is retried in
+	// place (Retries) until its attempt budget runs out (Abandoned); a
+	// recovered panic (Panics) also replaces the worker's clone, which
+	// is presumed corrupted, with a fresh fork of the parent.
 	Panics    int
 	Retries   int
-	Steals    int
 	Abandoned int
+	// Steals is always 0: workers pull from one shared list, so there is
+	// nothing to steal. It stays only because the benchmark harness
+	// reads it (cnf.shard_steals).
+	Steals int
 }
 
 // DefaultSampleCap bounds the sequential sample stage of a sharded
@@ -276,9 +209,8 @@ type ShardStats struct {
 const DefaultSampleCap = 64
 
 // CubeOversubscription is how many cubes a sharded enumeration plans
-// per worker: finer slices let the longest-processing-time-first
-// schedule even out the load imbalance that a one-cube-per-worker
-// split cannot.
+// per worker: finer slices let the heaviest-first list even out the
+// load imbalance that a one-cube-per-worker split cannot.
 const CubeOversubscription = 4
 
 // EnumerateSharded is the one enumeration driver: BSAT and the warm
@@ -302,13 +234,13 @@ const CubeOversubscription = 4
 // exactly the residual space. The sample settles the request without
 // forking when it exhausts the space, stops on a budget or cancellation
 // short of the cap, or already fills the caller's solution cap.
-// Otherwise the sampled solutions plan balanced cubes
-// (PlanCubes/ScheduleCubes) and runCubes drives one round per served
-// cube on the cloned workers, each a fresh round on its clone under the
-// caller's ExtraAssumps, the cube and the sample guard. The workers
-// share what remains of the caller's Timeout window. A traced run
-// groups the sample stage under a "sample" span and each cube under a
-// "cube.w<worker>" span.
+// Otherwise the sampled solutions plan balanced cubes (PlanCubes) and
+// runCubes serves them heaviest first from one list: each worker forks
+// its own clone of this session and runs one fresh round per cube on it
+// under the caller's ExtraAssumps, the cube and the sample guard. The
+// workers share what remains of the caller's Timeout window. A traced
+// run groups the sample stage under a "sample" span and each cube
+// attempt under a "cube.w<worker>" span.
 //
 // Before any stage the live session's ladder grows to opts.MaxK, so
 // clones inherit the width instead of each growing its own, and the
@@ -379,15 +311,15 @@ func (sess *DiagSession) EnumerateSharded(shards int, opts RoundOptions) (sols [
 		}
 	}
 	guard := round.Guard()
-	groups, stats, drained := sess.runCubes(shards, workerOpts, sample,
-		func(sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool) {
+	groups, stats := sess.runCubes(shards, workerOpts, sample,
+		func(clone *DiagSession, cube Cube, budget RoundOptions) ([][]int, bool) {
 			// Caller restrictions stay in force; the cube and the sample
 			// guard are appended to them.
 			budget.ExtraAssumps = append(append(append([]sat.Lit(nil),
 				opts.ExtraAssumps...), cube.Assumps...), guard)
-			r := sh.Session.NewRound()
+			r := clone.NewRound()
 			var local [][]int
-			_, c := sh.Session.enumerateInRound(r, budget, func(_ int, gates []int) bool {
+			_, c := clone.enumerateInRound(r, budget, func(_ int, gates []int) bool {
 				local = append(local, sortedCopy(gates))
 				return true
 			})
@@ -395,7 +327,7 @@ func (sess *DiagSession) EnumerateSharded(shards int, opts RoundOptions) (sols [
 			return local, c
 		})
 
-	complete = drained
+	complete = true
 	for _, st := range stats {
 		complete = complete && st.Complete
 	}
@@ -408,142 +340,16 @@ func (sess *DiagSession) EnumerateSharded(shards int, opts RoundOptions) (sols [
 }
 
 // DefaultCubeRetries is the per-cube retry budget of a sharded run: how
-// often one cube may be requeued after a worker panic or an injected
-// transient failure before it is abandoned, which makes the run report
-// complete=false.
+// often a worker retries one cube in place after a panic or an injected
+// transient failure before it abandons the cube, which makes the run
+// report complete=false.
 const DefaultCubeRetries = 3
 
 // FailpointCube is the failpoint evaluated before every cube attempt of
 // a sharded run. An injected error or cancellation fails the attempt
 // without executing it; an injected panic unwinds through the worker's
-// recover barrier and retires the worker.
+// recover barrier and makes the worker re-fork its clone.
 const FailpointCube = "cnf/cube"
-
-// cubeAttempt tracks one planned cube through the work queue: its
-// scheduling home (the worker whose pending list it starts on) and how
-// many attempts have failed so far.
-type cubeAttempt struct {
-	cube  Cube
-	home  int
-	tries int
-}
-
-// cubeQueue is the shared work queue of a fault-tolerant worker phase.
-// Every worker owns a pending list (its LPT schedule), pops from it
-// first, and steals from the longest other list when its own runs dry —
-// which both balances stragglers and reassigns the load of a dead
-// worker. A popped attempt counts as inflight until it is served
-// (done), returned for retry (requeue), or given up (forfeit); next
-// blocks while cubes are inflight because a failing one may come back.
-type cubeQueue struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	pending  [][]*cubeAttempt
-	inflight int
-	unserved int
-	closed   bool
-}
-
-func newCubeQueue(loads [][]Cube) *cubeQueue {
-	q := &cubeQueue{pending: make([][]*cubeAttempt, len(loads))}
-	q.cond = sync.NewCond(&q.mu)
-	for w, cubes := range loads {
-		list := make([]*cubeAttempt, len(cubes))
-		for i := range cubes {
-			list[i] = &cubeAttempt{cube: cubes[i], home: w}
-		}
-		q.pending[w] = list
-	}
-	return q
-}
-
-// next blocks until an attempt is available for the worker (own list
-// first, then stolen from the longest other list — lowest index on
-// ties, deterministically), every cube is served, or the queue is
-// closed. A nil attempt means the worker is finished.
-func (q *cubeQueue) next(worker int) (att *cubeAttempt, stolen bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if q.closed {
-			return nil, false
-		}
-		if own := q.pending[worker]; len(own) > 0 {
-			q.pending[worker] = own[1:]
-			q.inflight++
-			return own[0], false
-		}
-		victim := -1
-		for w := range q.pending {
-			if len(q.pending[w]) > 0 && (victim < 0 || len(q.pending[w]) > len(q.pending[victim])) {
-				victim = w
-			}
-		}
-		if victim >= 0 {
-			att = q.pending[victim][0]
-			q.pending[victim] = q.pending[victim][1:]
-			q.inflight++
-			return att, true
-		}
-		if q.inflight == 0 {
-			return nil, false
-		}
-		q.cond.Wait()
-	}
-}
-
-// done marks an inflight attempt as served.
-func (q *cubeQueue) done() {
-	q.mu.Lock()
-	q.inflight--
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// requeue returns a failed attempt to its home list for another try;
-// the home list stays stealable even when its owner has died.
-func (q *cubeQueue) requeue(att *cubeAttempt) {
-	q.mu.Lock()
-	q.pending[att.home] = append(q.pending[att.home], att)
-	q.inflight--
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// forfeit drops an inflight attempt without serving it (retry budget
-// exhausted, or the shared deadline passed after the pop); the phase
-// can no longer drain.
-func (q *cubeQueue) forfeit() {
-	q.mu.Lock()
-	q.unserved++
-	q.inflight--
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// close aborts the phase: blocked workers return immediately and the
-// remaining cubes stay unserved.
-func (q *cubeQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// drained reports whether every planned cube was fully served.
-func (q *cubeQueue) drained() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.unserved > 0 || q.inflight > 0 {
-		return false
-	}
-	for _, list := range q.pending {
-		if len(list) > 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // cubePanic wraps a value recovered from a panicking cube attempt.
 type cubePanic struct{ val any }
@@ -554,8 +360,8 @@ func (p cubePanic) Error() string { return fmt.Sprintf("cnf: cube worker panicke
 // FailpointCube injection point. A recovered panic comes back as a
 // cubePanic failure; an injected transient failure fails the attempt
 // before run executes, so the clone stays clean for the retry.
-func runCube(sh *Shard, cube Cube, budget RoundOptions,
-	run func(*Shard, Cube, RoundOptions) ([][]int, bool)) (sols [][]int, compl bool, failure error) {
+func runCube(clone *DiagSession, cube Cube, budget RoundOptions,
+	run func(*DiagSession, Cube, RoundOptions) ([][]int, bool)) (sols [][]int, compl bool, failure error) {
 	defer func() {
 		if v := recover(); v != nil {
 			sols, compl, failure = nil, false, cubePanic{val: v}
@@ -564,48 +370,57 @@ func runCube(sh *Shard, cube Cube, budget RoundOptions,
 	if err := failpoint.Inject(FailpointCube); err != nil {
 		return nil, false, err
 	}
-	sols, compl = run(sh, cube, budget)
+	sols, compl = run(clone, cube, budget)
 	return sols, compl, nil
 }
 
 // runCubes is the worker harness EnumerateSharded executes its cubes
-// on: it plans balanced cubes from the sample, LPT-schedules them onto
-// `shards` cloned workers as per-worker pending lists of a shared work
-// queue, and drives `run` once per served (worker, cube) — calls for
-// one worker are sequential, in its own goroutine — with stage-scoped
-// budgets: each cube receives the worker's remaining Timeout window and
-// remaining MaxSolutions allowance (the sample's finds count against
-// it), so a stage can never exceed the budgets the caller configured.
-// Worker goroutines are bounded by GOMAXPROCS so a saturated machine
-// runs them back to back instead of thrashing.
+// on. It plans balanced cubes from the sample and sorts them stably by
+// descending Weight into one list. Up to `shards` workers pull the next
+// cube off that list through an atomic counter, which schedules
+// dynamically and longest first: a straggler holds up only the cube it
+// is serving. Worker goroutines are bounded by GOMAXPROCS so a
+// saturated machine runs them back to back instead of thrashing. Each
+// worker forks its own clone once it holds its slot and drives `run`
+// on it once per served cube, sequentially, with stage-scoped budgets:
+// each cube receives what remains of the phase's one shared deadline
+// (opts.Timeout) and of the MaxSolutions allowance (the sample's finds
+// count against it), so a stage can never exceed the budgets the
+// caller configured.
+//
+// The forks run concurrently with each other and with the workers'
+// solves. That is safe because the parent session is idle for the
+// whole worker phase (EnumerateSharded neither solves on it nor retires
+// its round before runCubes returns) and fork only reads it:
+// Solver.Clone copies the parent's arrays and leaves them untouched.
 //
 // The harness is fault tolerant. Each attempt runs behind a recover
 // barrier and the FailpointCube injection point; a failed attempt's
 // partial output is discarded (a retry re-enumerates the cube from
 // scratch — the canonical merge drops supersets, not duplicates) and
-// the cube is requeued up to DefaultCubeRetries times before it is
-// abandoned. A recovered panic additionally retires the worker — its
-// clone is presumed corrupted — and idle workers steal the pending
-// cubes of dead or lagging ones. The per-worker ShardStats account
-// every fault: Panics, Retries, Steals, Abandoned.
+// the worker retries the cube in place up to DefaultCubeRetries times
+// before it abandons it and pulls the next one. A recovered panic also
+// replaces the worker's clone, presumed corrupted, with a fresh fork of
+// the parent, so no worker dies, no cube is stranded and no worker
+// waits on another. The per-worker ShardStats count every fault:
+// Panics, Retries, Abandoned.
 //
 // run returns the cube's solutions (each a sorted gate set) and whether
 // the cube's slice was exhausted. runCubes returns the per-worker
 // solution groups and stats (First is cube-granular; the sample stage
-// owns the true first-solution time), plus drained: whether every
-// planned cube was fully served. Abandoned cubes, cubes stranded by
-// dead workers, and deadline leftovers all clear drained, so the caller
-// must report complete = drained && every stat Complete. opts.Timeout
-// bounds the whole worker phase with one shared deadline.
+// owns the true first-solution time). A worker's Complete clears on an
+// incomplete or abandoned cube and when it stops early (cancellation,
+// the deadline, a spent solution allowance), so every planned cube was
+// served in full exactly when every worker reports Complete.
 func (sess *DiagSession) runCubes(shards int, opts RoundOptions, sample [][]int,
-	run func(sh *Shard, cube Cube, budget RoundOptions) ([][]int, bool)) (groups [][][]int, stats []ShardStats, drained bool) {
+	run func(clone *DiagSession, cube Cube, budget RoundOptions) ([][]int, bool)) (groups [][][]int, stats []ShardStats) {
 
-	loads := ScheduleCubes(sess.PlanCubes(sample, shards*CubeOversubscription), shards)
-	forks := sess.ForkWorkers(loads)
-	queue := newCubeQueue(loads)
-	groups = make([][][]int, len(forks))
-	stats = make([]ShardStats, len(forks))
-	// A traced run attaches one child span per served cube to the
+	cubes := sess.PlanCubes(sample, shards*CubeOversubscription)
+	slices.SortStableFunc(cubes, func(a, b Cube) int { return cmp.Compare(b.Weight, a.Weight) })
+	workers := min(shards, len(cubes))
+	groups = make([][][]int, workers)
+	stats = make([]ShardStats, workers)
+	// A traced run attaches one child span per cube attempt to the
 	// request span; Span methods are goroutine-safe, so every worker
 	// attaches to the same parent concurrently.
 	span := trace.FromContext(opts.Ctx)
@@ -620,102 +435,89 @@ func (sess *DiagSession) runCubes(shards int, opts RoundOptions, sample [][]int,
 	if opts.Timeout > 0 {
 		deadline = time.Now().Add(opts.Timeout)
 	}
+	var next atomic.Int64 // index of the next unserved cube
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	wg.Add(len(forks))
-	for i, sh := range forks {
-		go func(i int, sh *Shard) {
+	wg.Add(workers)
+	for i := range workers {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := time.Now()
 			st := ShardStats{Shard: i, Complete: true}
+			clone := sess.fork()
 			var local [][]int
-			var first time.Duration
-			for alive := true; alive; {
-				// A cancelled run must not pop further cubes: close the
-				// queue so blocked siblings exit too. The cubes already
-				// popped abort promptly through the same ctx.
+			// budget scopes one attempt to what remains of the run; ok is
+			// false once the worker must stop.
+			budget := func() (b RoundOptions, ok bool) {
+				b = opts
 				if opts.Ctx != nil && opts.Ctx.Err() != nil {
-					st.Complete = false
-					queue.close()
-					break
-				}
-				if opts.MaxSolutions > 0 && opts.MaxSolutions-len(sample)-len(local) <= 0 {
-					st.Complete = false
-					break
-				}
-				att, stolen := queue.next(i)
-				if att == nil {
-					break
-				}
-				budget := opts
-				if !deadline.IsZero() {
-					if budget.Timeout = time.Until(deadline); budget.Timeout <= 0 {
-						st.Complete = false
-						queue.forfeit()
-						break
-					}
+					return b, false
 				}
 				if opts.MaxSolutions > 0 {
-					budget.MaxSolutions = opts.MaxSolutions - len(sample) - len(local)
-				}
-				if stolen {
-					st.Steals++
-				}
-				var cubeSpan *trace.Span
-				if span != nil {
-					cubeSpan = span.Child(fmt.Sprintf("cube.w%d", i))
-					if stolen {
-						cubeSpan.SetDetail("stolen")
+					if b.MaxSolutions = opts.MaxSolutions - len(sample) - len(local); b.MaxSolutions <= 0 {
+						return b, false
 					}
-					budget.Ctx = trace.NewContext(spanCtx, cubeSpan)
 				}
-				sols, compl, failure := runCube(sh, att.cube, budget, run)
-				if cubeSpan != nil {
-					cubeSpan.Counter("solutions", int64(len(sols)))
-					if failure != nil {
-						cubeSpan.SetDetail("failed")
+				if !deadline.IsZero() {
+					if b.Timeout = time.Until(deadline); b.Timeout <= 0 {
+						return b, false
 					}
-					cubeSpan.End()
 				}
-				if failure == nil {
-					st.Cubes++ // Cubes counts served attempts, not failed ones
-					if len(local) == 0 && len(sols) > 0 {
-						first = time.Since(start)
+				return b, true
+			}
+		serve:
+			for c := int(next.Add(1)) - 1; c < len(cubes); c = int(next.Add(1)) - 1 {
+				for tries := 0; ; tries++ {
+					b, ok := budget()
+					if !ok {
+						st.Complete = false
+						break serve
 					}
-					local = append(local, sols...)
-					st.Complete = st.Complete && compl
-					queue.done()
-					continue
-				}
-				if _, isPanic := failure.(cubePanic); isPanic {
-					st.Panics++
-					alive = false // clone presumed corrupted; worker retires
-				}
-				if att.tries++; att.tries > DefaultCubeRetries {
-					st.Abandoned++
-					st.Complete = false
-					queue.forfeit()
-				} else {
+					var cubeSpan *trace.Span
+					if span != nil {
+						cubeSpan = span.Child(fmt.Sprintf("cube.w%d", i))
+						b.Ctx = trace.NewContext(spanCtx, cubeSpan)
+					}
+					sols, compl, failure := runCube(clone, cubes[c], b, run)
+					if cubeSpan != nil {
+						cubeSpan.Counter("solutions", int64(len(sols)))
+						if failure != nil {
+							cubeSpan.SetDetail("failed")
+						}
+						cubeSpan.End()
+					}
+					if failure == nil {
+						st.Cubes++ // Cubes counts served attempts, not failed ones
+						if len(local) == 0 && len(sols) > 0 {
+							st.First = time.Since(start)
+						}
+						local = append(local, sols...)
+						st.Complete = st.Complete && compl
+						break
+					}
+					if _, isPanic := failure.(cubePanic); isPanic {
+						st.Panics++
+						st.Stats = st.Stats.Add(clone.Solver.Stats)
+						clone = sess.fork()
+					}
+					if tries == DefaultCubeRetries {
+						st.Abandoned++
+						st.Complete = false
+						break
+					}
 					st.Retries++
-					queue.requeue(att)
 				}
 			}
-			groups[i] = local
 			st.Solutions = len(local)
-			st.First = first
 			st.Elapsed = time.Since(start)
-			st.Stats = sh.Session.Solver.Stats
-			stats[i] = st
-			// The clone's work counters are captured above; drop the
-			// clone itself now so cancelled runs release solver memory
-			// as each worker exits rather than at wg.Wait.
-			sh.Release()
-		}(i, sh)
+			st.Stats = st.Stats.Add(clone.Solver.Stats)
+			groups[i], stats[i] = local, st
+		}()
 	}
 	wg.Wait()
-	return groups, stats, queue.drained()
+	return groups, stats
 }
 
 func sortedCopy(gates []int) []int {
@@ -757,9 +559,6 @@ func CompareSolution(a, b []int) int {
 	}
 	return slices.Compare(a, b)
 }
-
-// LessSolution reports whether a precedes b in the canonical order.
-func LessSolution(a, b []int) bool { return CompareSolution(a, b) < 0 }
 
 // DropSupersets removes every solution that strictly contains an
 // earlier (hence no larger) one. The input must be canonically sorted;

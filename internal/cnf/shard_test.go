@@ -115,7 +115,7 @@ func TestForkLadderGrowth(t *testing.T) {
 	before := roundKeys(t, sess, cnf.RoundOptions{MaxK: 1})
 	want := roundKeys(t, cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 3}), cnf.RoundOptions{MaxK: 3})
 
-	clone := sess.ForkWorkers([][]cnf.Cube{nil})[0].Session
+	clone := sess.Fork()
 	if got := roundKeys(t, clone, cnf.RoundOptions{MaxK: 3}); !sameKeys(got, want) {
 		t.Fatalf("grown clone %v != built at MaxK 3 %v", got, want)
 	}
@@ -140,8 +140,9 @@ func TestForkLadderGrowth(t *testing.T) {
 	}
 }
 
-// TestShardCubesAreDisjoint: no solution may be reported by two shards
-// of one fork — the cubes partition the projected solution space.
+// TestShardCubesAreDisjoint: no solution may be reported by two cubes
+// of one plan, each enumerated on its own fork — the cubes partition
+// the projected solution space.
 func TestShardCubesAreDisjoint(t *testing.T) {
 	c, tests := shardScenario(t, 5, 6)
 	sess := cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 2})
@@ -159,22 +160,20 @@ func TestShardCubesAreDisjoint(t *testing.T) {
 		seen := make(map[string]int)
 		total := 0
 		cubes := sess.PlanCubes(plan, 3)
-		for i, sh := range sess.ForkWorkers(cnf.ScheduleCubes(cubes, 3)) {
-			for _, cube := range sh.Cubes {
-				_, complete := sh.Session.EnumerateRound(cnf.RoundOptions{MaxK: 2, ExtraAssumps: cube.Assumps}, func(_ int, gates []int) bool {
-					g := append([]int(nil), gates...)
-					sort.Ints(g)
-					key := fmt.Sprint(g)
-					if prev, dup := seen[key]; dup {
-						t.Fatalf("solution %s found by shards %d and %d", key, prev, i)
-					}
-					seen[key] = i
-					total++
-					return true
-				})
-				if !complete {
-					t.Fatalf("shard %d incomplete without budgets", i)
+		for i, cube := range cubes {
+			_, complete := sess.Fork().EnumerateRound(cnf.RoundOptions{MaxK: 2, ExtraAssumps: cube.Assumps}, func(_ int, gates []int) bool {
+				g := append([]int(nil), gates...)
+				sort.Ints(g)
+				key := fmt.Sprint(g)
+				if prev, dup := seen[key]; dup {
+					t.Fatalf("solution %s found by cubes %d and %d", key, prev, i)
 				}
+				seen[key] = i
+				total++
+				return true
+			})
+			if !complete {
+				t.Fatalf("cube %d incomplete without budgets", i)
 			}
 		}
 		if total < len(sample) {
@@ -256,32 +255,53 @@ func TestPlanCubesBalanced(t *testing.T) {
 	}
 }
 
-// TestScheduleCubes: longest-first assignment onto the least-loaded
-// worker, deterministic.
-func TestScheduleCubes(t *testing.T) {
-	cubes := []cnf.Cube{{Weight: 10}, {Weight: 1}, {Weight: 7}, {Weight: 3}, {Weight: 2}}
-	workers := cnf.ScheduleCubes(cubes, 2)
-	if len(workers) != 2 {
-		t.Fatalf("%d workers", len(workers))
+// TestRunCubesServesHeaviestFirst: the worker phase serves its cubes
+// from one list ordered by descending sampled weight, so a single
+// worker sees every planned cube, heaviest first.
+func TestRunCubesServesHeaviestFirst(t *testing.T) {
+	c, tests := shardScenario(t, 7, 6)
+	sess := cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 2})
+	cands := sess.Candidates
+	if len(cands) < 6 {
+		t.Skip("too few candidates")
 	}
-	sum := func(cs []cnf.Cube) int {
-		n := 0
-		for _, c := range cs {
-			n += c.Weight
+	// A skewed sample: planning splits it into cubes of unequal weight.
+	var sample [][]int
+	for i := 0; i < 12; i++ {
+		s := []int{cands[i%2], cands[2+i%(len(cands)-2)]}
+		if i%3 == 0 {
+			s = []int{cands[5]}
 		}
-		return n
+		sort.Ints(s)
+		sample = append(sample, s)
 	}
-	a, b := sum(workers[0]), sum(workers[1])
-	if a+b != 23 || a < 10 || b < 10 {
-		t.Fatalf("unbalanced schedule: %d vs %d", a, b)
+	planned := sess.PlanCubes(sample, cnf.CubeOversubscription)
+	distinct := map[int]bool{}
+	for _, cube := range planned {
+		distinct[cube.Weight] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("planned cube weights %v are all equal", planned)
+	}
+	var weights []int
+	_, stats := sess.RunCubes(1, cnf.RoundOptions{MaxK: 2}, sample,
+		func(_ *cnf.DiagSession, cube cnf.Cube, _ cnf.RoundOptions) ([][]int, bool) {
+			weights = append(weights, cube.Weight)
+			return nil, true
+		})
+	if len(weights) != len(planned) || !stats[0].Complete {
+		t.Fatalf("served %d of %d planned cubes (complete=%v)", len(weights), len(planned), stats[0].Complete)
+	}
+	if !sort.IsSorted(sort.Reverse(sort.IntSlice(weights))) {
+		t.Fatalf("cube weights served in order %v, want non-increasing", weights)
 	}
 }
 
 // TestShardedCancellationReleasesWorkers is the goleak-style hygiene
 // check for the worker paths: a cancelled sharded enumeration must not
-// strand worker goroutines (they all drain through wg.Wait) and must
-// drop every cloned solver promptly (Shard.Release nils the references
-// as each worker exits). Goroutines are counted before and after with a
+// strand worker goroutines (they all drain through wg.Wait); each
+// worker's clone is local to its goroutine, so it is collectable as
+// soon as the worker exits. Goroutines are counted before and after with a
 // settle loop, so unrelated runtime goroutines do not flake the test.
 func TestShardedCancellationReleasesWorkers(t *testing.T) {
 	c, tests := shardScenario(t, 5, 6)
@@ -309,27 +329,5 @@ func TestShardedCancellationReleasesWorkers(t *testing.T) {
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestShardReleaseDropsClone: Release must clear the cloned session so
-// a worker's solver memory is collectable independent of the fork slice.
-func TestShardReleaseDropsClone(t *testing.T) {
-	c, tests := shardScenario(t, 11, 4)
-	sess := cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 2})
-	shards := sess.ForkWorkers(cnf.ScheduleCubes(sess.PlanCubes(nil, 2), 2))
-	for _, sh := range shards {
-		if sh.Session == nil {
-			t.Fatal("fresh shard has no session")
-		}
-		sh.Release()
-		sh.Release() // idempotent
-		if sh.Session != nil || sh.Cubes != nil {
-			t.Fatal("Release left references behind")
-		}
-	}
-	// The parent session must stay fully usable.
-	if got := roundKeys(t, sess, cnf.RoundOptions{MaxK: 2}); got == nil {
-		t.Log("no solutions (fine) — session still usable")
 	}
 }

@@ -284,7 +284,6 @@ type DiagnoseResponse struct {
 	// Cube fault-tolerance counters of this run's sharded enumeration.
 	CubePanics    int `json:"cubePanics,omitempty"`
 	CubeRetries   int `json:"cubeRetries,omitempty"`
-	CubeSteals    int `json:"cubeSteals,omitempty"`
 	CubeAbandoned int `json:"cubeAbandoned,omitempty"`
 
 	// RequestID names this request in the server's logs and trace store
@@ -381,7 +380,6 @@ func (s *Server) annotateFaults(ctx context.Context, resp *DiagnoseResponse, per
 	for _, st := range perShard {
 		resp.CubePanics += st.Panics
 		resp.CubeRetries += st.Retries
-		resp.CubeSteals += st.Steals
 		resp.CubeAbandoned += st.Abandoned
 	}
 	if resp.CubeRetries > 0 {
