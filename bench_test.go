@@ -19,7 +19,6 @@ package diagnosis_test
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -209,69 +208,6 @@ func BenchmarkTable2_CEGAR_vs_Mono(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkTable2_BSAT_ShardScaling is the shard-scaling variant of the
-// Table 2 SAT column: the s1423x m=16 exhaustive enumeration (K=3, the
-// largest limit that completes within the solution budget) run
-// monolithically (shards=1) and as a sample stage plus 2 and 4 workers
-// over disjoint assumption cubes on cloned backends
-// (cnf.DiagSession.EnumerateSharded). The solution sets are identical
-// for every shard count (asserted; the canonical merge restores the
-// monolithic set).
-//
-// Two readings: ns/op is the wall time on THIS machine (worker
-// goroutines are GOMAXPROCS-bounded, so a single-core box serializes
-// them and ns/op approximates total work); the critical-s metric is
-// sample time plus the slowest worker — the wall time a machine with
-// >= shards cores achieves.
-func BenchmarkTable2_BSAT_ShardScaling(b *testing.B) {
-	const m, k = 16, 3
-	w := table2Workload[0] // s1423x, p=4
-	sc := scenarioFor(b, w.circuit, w.p, w.seed)
-	tests := sc.Tests.Prefix(m)
-	if len(tests) < m {
-		b.Skipf("scenario exposes only %d of %d tests", len(tests), m)
-	}
-	var baseline string
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("%s/p%d/m%d/bsat/shards%d", w.circuit, w.p, m, shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.BSAT(sc.Faulty, tests, core.BSATOptions{
-					K:            k,
-					Shards:       shards,
-					MaxSolutions: benchBudget.MaxSolutions,
-					Timeout:      benchBudget.Timeout,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Complete {
-					keys := make([]string, len(res.Solutions))
-					for i, s := range res.Solutions {
-						keys[i] = s.Key()
-					}
-					all := strings.Join(keys, ";")
-					if baseline != "" && baseline != all {
-						b.Fatalf("bsat shards=%d solution set diverged from baseline", shards)
-					}
-					baseline = all
-				}
-				var sample, maxWorker time.Duration
-				for _, st := range res.PerShard {
-					if st.Shard == -1 {
-						sample = st.Elapsed
-					} else if st.Elapsed > maxWorker {
-						maxWorker = st.Elapsed
-					}
-				}
-				if shards > 1 {
-					b.ReportMetric((sample + maxWorker).Seconds(), "critical-s")
-				}
-				b.ReportMetric(float64(len(res.Solutions)), "solutions")
-			}
-		})
 	}
 }
 

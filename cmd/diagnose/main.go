@@ -8,17 +8,24 @@
 // Diagnosing an explicit faulty implementation against a golden netlist:
 //
 //	diagnose -golden spec.bench -faulty impl.bench -tests 8 -method bsat -k 2
+//
+// With -trace, the SAT run also prints its span breakdown: encoding
+// against enumeration, each enumeration round's time per limit k with
+// its solver counters, or cegar's laps.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	diagnosis "repro"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -38,6 +45,7 @@ func main() {
 		maxSol      = flag.Int("max-solutions", 5000, "solution cap per engine (0 = unlimited)")
 		timeout     = flag.Duration("timeout", 2*time.Minute, "BSAT enumeration timeout (0 = unlimited)")
 		verbose     = flag.Bool("v", false, "print individual solutions")
+		traced      = flag.Bool("trace", false, "print the SAT run's span breakdown (encode/enumerate, rounds per k, cegar laps)")
 	)
 	flag.Parse()
 
@@ -48,14 +56,14 @@ func main() {
 		return
 	}
 	if err := run(*circuitName, *goldenPath, *faultyPath, *inject, *seed, *model,
-		*numTests, *k, *method, *engine, *shards, *maxSol, *timeout, *verbose); err != nil {
+		*numTests, *k, *method, *engine, *shards, *maxSol, *timeout, *verbose, *traced); err != nil {
 		fmt.Fprintln(os.Stderr, "diagnose:", err)
 		os.Exit(1)
 	}
 }
 
 func run(circuitName, goldenPath, faultyPath string, inject int, seed int64, model string,
-	numTests, k int, method, engine string, shards, maxSol int, timeout time.Duration, verbose bool) error {
+	numTests, k int, method, engine string, shards, maxSol int, timeout time.Duration, verbose, traced bool) error {
 
 	var (
 		golden, faulty *diagnosis.Circuit
@@ -161,10 +169,17 @@ func run(circuitName, goldenPath, faultyPath string, inject int, seed int64, mod
 		default:
 			req.Engine = "bsat"
 		}
-		rep, err := diagnosis.Diagnose(context.Background(), req)
+		ctx := context.Background()
+		var span *trace.Span
+		if traced {
+			span = trace.New("diagnose")
+			ctx = trace.NewContext(ctx, span)
+		}
+		rep, err := diagnosis.Diagnose(ctx, req)
 		if err != nil {
 			return err
 		}
+		span.End()
 		if req.Engine == "cegar" {
 			fmt.Printf("\n[BSAT] cegar: %d/%d test copies encoded (%d cores, %d candidates checked)\n",
 				rep.Copies, len(tests), rep.Refinements, rep.Checked)
@@ -178,9 +193,46 @@ func run(circuitName, goldenPath, faultyPath string, inject int, seed int64, mod
 			fmt.Printf("[BSAT]   shard %d: %d solutions in %v (complete=%v, %d conflicts)\n",
 				st.Shard, st.Solutions, st.Elapsed, st.Complete, st.Stats.Conflicts)
 		}
+		if span != nil {
+			printSpan(os.Stdout, span.Breakdown(), 0)
+		}
 		printSolutions(faulty, rep.Solutions, sites, verbose)
 	}
 	return nil
+}
+
+// printSpan writes a span tree one span per line, indented by depth:
+// its wall time, then its phases in the order they were recorded, then
+// its counters by name.
+func printSpan(w io.Writer, sp *trace.SpanJSON, depth int) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "[trace] %s%s %.3f ms", strings.Repeat("  ", depth), sp.Name, sp.DurationMS)
+	if sp.Detail != "" {
+		fmt.Fprintf(&b, " (%s)", sp.Detail)
+	}
+	for i, p := range sp.Phases {
+		sep := ", "
+		if i == 0 {
+			sep = ": "
+		}
+		fmt.Fprintf(&b, "%s%s %.3f ms", sep, p.Name, p.DurationMS)
+	}
+	names := make([]string, 0, len(sp.Counters))
+	for name := range sp.Counters {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for i, name := range names {
+		sep := " "
+		if i == 0 {
+			sep = " | "
+		}
+		fmt.Fprintf(&b, "%s%s=%d", sep, name, sp.Counters[name])
+	}
+	fmt.Fprintln(w, b.String())
+	for _, c := range sp.Children {
+		printSpan(w, c, depth+1)
+	}
 }
 
 func printSolutions(c *diagnosis.Circuit, sols []diagnosis.Correction, sites []int, verbose bool) {

@@ -1,6 +1,7 @@
 package cnf
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -342,6 +343,99 @@ func TestLadderGrowExhaustive(t *testing.T) {
 	}
 }
 
+// TestLadderAddExhaustive checks inputs added to a live ladder against
+// direct popcounts: for n = 1..6 inputs, a ladder built over the first
+// a of them at every bound from answers one Solve, then takes the rest
+// in one batch, or in two with a growth between them, or in one batch
+// on a clone; every ladder must enforce every bound on every assignment
+// of its own inputs, and the clone's additions must leave the
+// original's inputs, width and answers untouched.
+func TestLadderAddExhaustive(t *testing.T) {
+	check := func(name string, s *sat.Solver, l *Ladder, lits []sat.Lit) {
+		t.Helper()
+		n := len(lits)
+		for m := 0; m < 1<<uint(n); m++ {
+			assign := make([]sat.Lit, n, n+1)
+			for i, lit := range lits {
+				assign[i] = lit
+				if m>>uint(i)&1 == 0 {
+					assign[i] = lit.Neg()
+				}
+			}
+			for bound := 0; bound <= n; bound++ {
+				assumps := assign
+				if a := l.AtMost(s, bound); a != sat.LitUndef {
+					assumps = append(assign, a)
+				}
+				want := sat.StatusSat
+				if bits.OnesCount(uint(m)) > bound {
+					want = sat.StatusUnsat
+				}
+				if st := s.Solve(assumps...); st != want {
+					t.Fatalf("%s m=%b bound=%d: got %v want %v", name, m, bound, st, want)
+				}
+			}
+		}
+		if l.Width() != n {
+			t.Fatalf("%s: width %d after bounds up to %d, want %d", name, l.Width(), n, n)
+		}
+	}
+	for n := 1; n <= 6; n++ {
+		for a := 0; a <= n; a++ {
+			for from := 0; from <= n; from++ {
+				name := fmt.Sprintf("n=%d a=%d from=%d", n, a, from)
+				for batches := 1; batches <= 2; batches++ {
+					s := sat.New()
+					lits := make([]sat.Lit, n)
+					for i := range lits {
+						lits[i] = sat.PosLit(s.NewVar())
+					}
+					l := AddLadder(s, lits[:a], from)
+					var assumps []sat.Lit
+					if lit := l.AtMost(s, from); lit != sat.LitUndef {
+						assumps = append(assumps, lit)
+					}
+					if st := s.Solve(assumps...); st != sat.StatusSat {
+						t.Fatalf("%s: %v before adding", name, st)
+					}
+					mid := a + (n-a)/2
+					if batches == 2 {
+						l.Add(lits[a:mid]...)
+						l.AtMost(s, from+1) // a growth between the batches
+						if w := min(from+2, mid); l.Width() != w {
+							t.Fatalf("%s: width %d after the first batch, want %d", name, l.Width(), w)
+						}
+					} else {
+						mid = a
+					}
+					l.Add(lits[mid:]...)
+					// Pending inputs count toward the width asked for.
+					if w := min(from+batches, n); l.Width() != w {
+						t.Fatalf("%s batches=%d: width %d with pending inputs, want %d", name, batches, l.Width(), w)
+					}
+					check(fmt.Sprintf("%s batches=%d", name, batches), s, l, lits)
+				}
+
+				s := sat.New()
+				lits := make([]sat.Lit, n)
+				for i := range lits {
+					lits[i] = sat.PosLit(s.NewVar())
+				}
+				l := AddLadder(s, lits[:a], from)
+				l.AtMost(s, from)
+				width := l.Width()
+				cs, cl := s.Clone(true), l.clone()
+				cl.Add(lits[a:]...)
+				check(name+" clone", cs, cl, lits)
+				if l.Width() != width {
+					t.Fatalf("%s: the clone's growth widened the original to %d", name, l.Width())
+				}
+				check(name+" original", s, l, lits[:a])
+			}
+		}
+	}
+}
+
 func TestLadderEdgeCases(t *testing.T) {
 	s := sat.New()
 	// Empty input set.
@@ -367,8 +461,10 @@ func TestLadderEdgeCases(t *testing.T) {
 }
 
 // TestBuildDiagInstanceSize verifies the linear-in-m scaling claim of
-// Table 1 (Θ(|cone(o)|·m) with cone-restricted copies): variables grow
-// linearly in the test count.
+// Table 1 (Θ(|cone(o)|·m) with cone-restricted copies): the copy
+// variables grow linearly in the test count. Select lines are shared
+// across copies and bounded by the candidate count, so they are counted
+// apart.
 func TestBuildDiagInstanceSize(t *testing.T) {
 	c, err := gen.Generate(gen.Spec{Name: "sz", Inputs: 8, Outputs: 4, Gates: 80, Seed: 17})
 	if err != nil {
@@ -382,23 +478,30 @@ func TestBuildDiagInstanceSize(t *testing.T) {
 		}
 		return ts
 	}
-	v1, _ := BuildDiag(c, mkTests(2), DiagOptions{MaxK: 2}).Size()
-	v2, _ := BuildDiag(c, mkTests(4), DiagOptions{MaxK: 2}).Size()
-	v4, _ := BuildDiag(c, mkTests(8), DiagOptions{MaxK: 2}).Size()
-	// Doubling m should roughly double the copy variables (selector and
-	// ladder variables are shared, so growth is slightly sublinear).
+	copyVars := func(m int) int {
+		sess := BuildDiag(c, mkTests(m), DiagOptions{MaxK: 2})
+		if len(sess.Sels) > c.NumInternal() {
+			t.Fatalf("m=%d: %d select lines for %d internal gates", m, len(sess.Sels), c.NumInternal())
+		}
+		vars, _ := sess.Size()
+		return vars - len(sess.Sels)
+	}
+	v1, v2, v4 := copyVars(2), copyVars(4), copyVars(8)
+	// Doubling m should double the copy variables (outputs cycle, so the
+	// copies of m=8 are those of m=4 twice).
 	g1, g2 := v2-v1, v4-v2
 	if g2 < g1*18/10 || g2 > g1*22/10 {
-		t.Fatalf("variable growth not linear in m: %d, %d, %d (deltas %d, %d)", v1, v2, v4, g1, g2)
+		t.Fatalf("copy variables not linear in m: %d, %d, %d (deltas %d, %d)", v1, v2, v4, g1, g2)
 	}
 }
 
 // TestBuildDiagEncodesOutputCone pins the encoding's shape: each test
 // copy allocates variables for exactly the fanin cone of its erroneous
 // output — one variable per cone gate, candidates included, since a
-// relaxed candidate's output is its own correction value — and nothing
-// outside it. With Golden every output is constrained, so a copy covers
-// the union cone.
+// relaxed candidate's output is its own correction value — plus the
+// select lines of the cone's candidates that no earlier copy contained,
+// and nothing outside it. With Golden every output is constrained, so a
+// copy covers the union cone.
 func TestBuildDiagEncodesOutputCone(t *testing.T) {
 	c, err := gen.Generate(gen.Spec{Name: "cone", Inputs: 10, Outputs: 6, Gates: 120, Seed: 23})
 	if err != nil {
@@ -413,7 +516,8 @@ func TestBuildDiagEncodesOutputCone(t *testing.T) {
 	vec := make([]bool, len(c.Inputs))
 	for _, golden := range []*circuit.Circuit{nil, c} {
 		sess := NewSession(c, DiagOptions{MaxK: 1, Golden: golden})
-		strict := false
+		strict, shared := false, false
+		seen := make([]bool, len(c.Gates)) // in an earlier copy's cone
 		for i, o := range c.Outputs {
 			cone := c.FaninCone(o)
 			if golden != nil {
@@ -431,18 +535,29 @@ func TestBuildDiagEncodesOutputCone(t *testing.T) {
 				case in && gv == NoVar:
 					t.Fatalf("golden=%v copy %d: cone gate %d has no variable", golden != nil, i, g)
 				}
-				if in {
-					want++
-				} else {
+				if !in {
 					strict = true
+					continue
 				}
+				want++
+				if c.Gates[g].Kind != logic.Input {
+					if seen[g] {
+						shared = true
+					} else {
+						want++ // the select line, first seen in this copy
+					}
+				}
+				seen[g] = true
 			}
 			if got := after - before; got != want {
-				t.Fatalf("golden=%v copy %d allocated %d variables, want %d for its cone", golden != nil, i, got, want)
+				t.Fatalf("golden=%v copy %d allocated %d variables, want %d for its cone and new select lines", golden != nil, i, got, want)
 			}
 		}
 		if !strict {
 			t.Fatalf("golden=%v: every cone is the whole circuit; the test checks nothing", golden != nil)
+		}
+		if !shared {
+			t.Fatalf("golden=%v: no copy reuses a select line; the test checks nothing", golden != nil)
 		}
 	}
 }
@@ -475,6 +590,9 @@ func TestBuildDiagGoldenConstrainsAllOutputs(t *testing.T) {
 	}
 }
 
+// TestSelLitLookup: a select line exists exactly for the internal gates
+// of the encoded cone, and Candidate maps it, and only it, back to its
+// gate.
 func TestSelLitLookup(t *testing.T) {
 	c, err := gen.Generate(gen.Spec{Name: "sel", Inputs: 4, Outputs: 2, Gates: 12, Seed: 37})
 	if err != nil {
@@ -483,10 +601,26 @@ func TestSelLitLookup(t *testing.T) {
 	vec := make([]bool, len(c.Inputs))
 	tests := circuit.TestSet{{Vector: vec, Output: c.Outputs[0], Want: true}}
 	inst := BuildDiag(c, tests, DiagOptions{MaxK: 1})
+	cone := c.FaninCone(c.Outputs[0])
+	outside := false
 	for _, g := range c.InternalGates() {
-		if _, ok := inst.SelLit(g); !ok {
-			t.Fatalf("no select for internal gate %d", g)
+		l, ok := inst.SelLit(g)
+		if ok != cone[g] {
+			t.Fatalf("internal gate %d: select line %v, in the cone %v", g, ok, cone[g])
 		}
+		if !ok {
+			outside = true
+			continue
+		}
+		if got, ok := inst.Candidate(l); !ok || got != g {
+			t.Fatalf("Candidate(sel of %d) = %d, %v", g, got, ok)
+		}
+		if _, ok := inst.Candidate(l.Neg()); ok {
+			t.Fatalf("Candidate accepts the negated select line of %d", g)
+		}
+	}
+	if !outside {
+		t.Fatal("the cone holds every internal gate; the test checks nothing")
 	}
 	for _, g := range c.Inputs {
 		if _, ok := inst.SelLit(g); ok {

@@ -8,9 +8,9 @@ import (
 
 // DiagOptions configures the diagnosis SAT instance of Figure 2/3.
 type DiagOptions struct {
-	// Candidates lists the gate IDs eligible for correction (given a
-	// select line). Nil means every internal (non-input) gate, the basic
-	// BSAT configuration. The advanced two-pass approach passes the
+	// Candidates lists the gate IDs eligible for correction; each gets a
+	// select line once an encoded copy's cone contains it. Nil means
+	// every internal (non-input) gate, the basic BSAT configuration. The advanced two-pass approach passes the
 	// fanout-free-region roots here first.
 	Candidates []int
 
@@ -28,10 +28,10 @@ type DiagOptions struct {
 	GroupLabels []int
 
 	// MaxK is the largest correction size the instance is built for:
-	// the totalizer ladder starts at width MaxK+1, so every limit
-	// 1..MaxK is an assumption on the built instance (incremental
-	// usage). A larger limit grows the ladder in place (Ladder.AtMost).
-	// MaxK <= 0 encodes no ladder until a limit is first asked for.
+	// the first AtMost encodes the totalizer ladder at width MaxK+1, so
+	// every limit 0..MaxK is an assumption on the built instance
+	// (incremental usage). A larger limit grows the ladder in place
+	// (Ladder.AtMost); with MaxK <= 0 the first limit sets the width.
 	MaxK int
 
 	// Golden, when non-nil, supplies a reference implementation used to
@@ -62,9 +62,10 @@ const NoVar sat.Var = -1
 
 // BuildDiag constructs the SAT instance F of the paper's Figure 2(b):
 // one constrained copy per test of the fanin cone of that test's
-// erroneous output (see coneFor), a select line per candidate gate
-// relaxing its clauses in every copy (see EncodeGate), and a cardinality
-// ladder over the select lines. It is NewSession followed by AddTests.
+// erroneous output (see coneFor), a select line per candidate gate of
+// those cones relaxing its clauses in every copy (see EncodeGate), and
+// a cardinality ladder over the select lines, which the first AtMost
+// encodes. It is NewSession followed by AddTests.
 func BuildDiag(c *circuit.Circuit, tests circuit.TestSet, opts DiagOptions) *DiagSession {
 	sess := NewSession(c, opts)
 	sess.AddTests(tests)

@@ -1,9 +1,10 @@
 package cnf
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/circuit"
@@ -29,6 +30,9 @@ import (
 //     so retiring the round (Round.Retire) retracts them all and leaves
 //     the solver reusable for the next query.
 //
+// A candidate gets its select line, and the ladder its leaf, only when
+// a copy whose cone contains it is encoded (see NewSession).
+//
 // BuildDiag remains as the monolithic constructor (NewSession + AddTests
 // in one call). A DiagSession is not safe for concurrent use.
 type DiagSession struct {
@@ -38,12 +42,15 @@ type DiagSession struct {
 	Circuit *circuit.Circuit
 	// Tests lists the encoded test copies in AddTest order.
 	Tests circuit.TestSet
-	// Candidates labels the selection units reported in corrections: one
-	// entry per select line. For plain diagnosis these are the candidate
-	// gate IDs; for grouped (sequential) diagnosis, the group labels.
+	// Candidates labels the live selection units reported in
+	// corrections: one entry per select line, in the order the lines
+	// were allocated. For plain diagnosis these are candidate gate IDs;
+	// for grouped (sequential) diagnosis, the group labels.
 	Candidates []int
-	Sels       []sat.Lit // select literal per candidate/group
-	Ladder     *Ladder
+	// Sels holds the select literal of each live candidate. Its
+	// variables ascend, since lines are only ever appended.
+	Sels   []sat.Lit
+	Ladder *Ladder
 
 	// GateVars[i][g] is the output variable of gate g in test copy i, or
 	// NoVar when the gate is outside the encoded cone of copy i. For a
@@ -54,11 +61,19 @@ type DiagSession struct {
 	// constraints only bind while its guard is assumed true.
 	TestGuards []sat.Lit
 
-	selIndex map[int]int // gate ID -> select position
-	opts     DiagOptions
-	golden   *sim.Simulator
-	// BuildTime accumulates the encoding time across NewSession and
-	// every AddTest (the Table 1/2 "CNF" column for monolithic builds).
+	// The selection units, live or not: unitOf maps a gate to its unit
+	// (-1 for a gate that is no candidate) and unitLabel names each
+	// unit; both are fixed at NewSession and shared by forks. unitPos
+	// is a unit's position in Sels, or -1 before its line exists.
+	unitOf    []int32
+	unitLabel []int
+	unitPos   []int32
+
+	opts   DiagOptions
+	golden *sim.Simulator
+	// BuildTime accumulates the encoding time across NewSession, every
+	// AddTest and every ladder growth (the Table 1/2 "CNF" column for
+	// monolithic builds).
 	BuildTime time.Duration
 
 	// Lifetime counters behind Stats(): enumeration rounds opened and
@@ -76,10 +91,12 @@ type SessionStats struct {
 	// every encoded copy, plus round guards and blocking clauses).
 	Vars, Clauses int
 	// Copies is the number of encoded test copies; Candidates the number
-	// of select lines; LadderWidth the largest "at most k" the ladder
-	// enforces without growing, plus one (0 when it is degenerate).
+	// of live select lines (candidates in some encoded cone);
+	// LadderWidth the largest "at most k" the ladder enforces without
+	// growing, plus one (0 when it is degenerate).
 	Copies, Candidates, LadderWidth int
-	// BuildTime is the total encoding time (NewSession + every AddTest).
+	// BuildTime is the total encoding time (NewSession, every AddTest
+	// and every ladder growth).
 	BuildTime time.Duration
 	// Rounds counts enumeration rounds opened; RetiredRounds those whose
 	// blocking clauses have been retracted; BudgetedRounds the rounds
@@ -107,63 +124,68 @@ func (sess *DiagSession) Stats() SessionStats {
 	}
 }
 
-// NewSession creates an empty diagnosis session: select lines and the
-// cardinality ladder are encoded up front (they only depend on the
-// candidate set and MaxK, the ladder's initial width), test copies are
-// appended later with AddTest. With MaxK <= 0 the ladder starts empty
-// and its first AtMost grows it.
+// NewSession creates an empty diagnosis session; test copies are
+// appended later with AddTest. It fixes the selection units (the
+// candidate gates, or the groups of DiagOptions.Groups) but allocates
+// no select line: a unit's line is allocated, and added to the ladder
+// as a leaf, the first time AddTest encodes a copy whose cone contains
+// one of its gates. MaxK is the ladder's initial width, reached by the
+// first AtMost; with MaxK <= 0 that AtMost sets it.
+//
+// Leaving out the other units keeps every answer. A select line appears
+// only in the clauses of the copies that contain its gate and in the
+// ladder. If no active copy contains the gate, setting the line false
+// in any model leaves a model, so a solution that includes the gate is
+// a strict superset of one that does not. The limit loop enumerates by
+// size and blocks every superset of a solution, so such a solution is
+// never reported: its subset was found at a smaller limit. Without the
+// k=0 pass that settles the empty correction first (see
+// EnumerateRound) the one exception would be the k=1 pass when ∅ is a
+// solution, where a singleton could come before ∅.
 func NewSession(c *circuit.Circuit, opts DiagOptions) *DiagSession {
 	start := time.Now()
 	s := sat.New()
 	s.SetRecorder(opts.Recorder)
-
-	// Normalize the selection units to groups with labels.
-	groups := opts.Groups
-	labels := opts.GroupLabels
-	if groups == nil {
-		cands := opts.Candidates
-		if cands == nil {
-			cands = c.InternalGates()
-		} else {
-			cands = append([]int(nil), cands...)
-			sort.Ints(cands)
-		}
-		groups = make([][]int, len(cands))
-		for j, g := range cands {
-			groups[j] = []int{g}
-		}
-		labels = cands
-	} else if labels == nil {
-		labels = make([]int, len(groups))
-		for j, grp := range groups {
-			min := grp[0]
-			for _, g := range grp {
-				if g < min {
-					min = g
-				}
-			}
-			labels[j] = min
-		}
-	}
 	sess := &DiagSession{
-		Solver:     s,
-		Circuit:    c,
-		Candidates: labels,
-		Sels:       make([]sat.Lit, len(groups)),
-		selIndex:   make(map[int]int),
-		opts:       opts,
+		Solver:  s,
+		Circuit: c,
+		Ladder:  newLadder(),
+		unitOf:  make([]int32, len(c.Gates)),
+		opts:    opts,
 	}
-	// Select variables are allocated consecutively; gatesOf relies on it.
-	for j, grp := range groups {
-		sess.Sels[j] = sat.PosLit(s.NewVar())
-		for _, g := range grp {
-			sess.selIndex[g] = j
+	for g := range sess.unitOf {
+		sess.unitOf[g] = -1
+	}
+	if opts.Groups != nil {
+		sess.unitLabel = opts.GroupLabels
+		if sess.unitLabel == nil {
+			sess.unitLabel = make([]int, len(opts.Groups))
+			for j, grp := range opts.Groups {
+				sess.unitLabel[j] = slices.Min(grp)
+			}
 		}
+		for j, grp := range opts.Groups {
+			for _, g := range grp {
+				sess.unitOf[g] = int32(j)
+			}
+		}
+	} else {
+		if opts.Candidates != nil {
+			sess.unitLabel = slices.Sorted(slices.Values(opts.Candidates))
+		} else {
+			sess.unitLabel = c.InternalGates()
+		}
+		for j, g := range sess.unitLabel {
+			sess.unitOf[g] = int32(j)
+		}
+	}
+	sess.unitPos = make([]int32, len(sess.unitLabel))
+	for j := range sess.unitPos {
+		sess.unitPos[j] = -1
 	}
 	if opts.Golden != nil {
 		sess.golden = sim.New(opts.Golden)
 	}
-	sess.Ladder = newLadder(sess.Sels)
 	if opts.MaxK > 0 {
 		sess.Ladder.grow(s, opts.MaxK+1)
 	}
@@ -174,9 +196,10 @@ func NewSession(c *circuit.Circuit, opts DiagOptions) *DiagSession {
 // AddTest appends one constrained copy for the test and returns its copy
 // index. The copy covers the fanin cone of the test's erroneous output
 // (every output's cone with Golden; see coneFor) and shares the
-// session's select lines; only its gate variables are fresh, one per
-// cone gate, and GateVars holds NoVar outside the cone. Each candidate's
-// clauses are relaxed by its select line (see EncodeGate). Sessions
+// session's select lines; its gate variables are fresh, one per cone
+// gate, and GateVars holds NoVar outside the cone. Each candidate's
+// clauses are relaxed by its select line (see EncodeGate), which is
+// allocated here when no earlier copy contained the candidate. Sessions
 // with GuardTests attach the copy's constraints to a fresh guard literal
 // instead of asserting them, so the copy can be scoped per round.
 func (sess *DiagSession) AddTest(t circuit.Test) int {
@@ -220,8 +243,7 @@ func (sess *DiagSession) AddTest(t circuit.Test) int {
 		for _, f := range gate.Fanin {
 			fan = append(fan, sat.PosLit(gateVars[f]))
 		}
-		relax, _ := sess.SelLit(g) // sat.LitUndef for a non-candidate
-		EncodeGate(s, gate, sat.PosLit(y), fan, relax)
+		EncodeGate(s, gate, sat.PosLit(y), fan, sess.selectLine(g))
 	}
 	i := len(sess.Tests)
 	sess.Tests = append(sess.Tests, t)
@@ -244,6 +266,25 @@ func (sess *DiagSession) AddTest(t circuit.Test) int {
 	return i
 }
 
+// selectLine returns the select literal of gate g's unit, allocating
+// the line and its ladder leaf on first use, or sat.LitUndef for a gate
+// that is no candidate.
+func (sess *DiagSession) selectLine(g int) sat.Lit {
+	u := sess.unitOf[g]
+	if u < 0 {
+		return sat.LitUndef
+	}
+	if p := sess.unitPos[u]; p >= 0 {
+		return sess.Sels[p]
+	}
+	l := sat.PosLit(sess.Solver.NewVar())
+	sess.unitPos[u] = int32(len(sess.Sels))
+	sess.Sels = append(sess.Sels, l)
+	sess.Candidates = append(sess.Candidates, sess.unitLabel[u])
+	sess.Ladder.Add(l)
+	return l
+}
+
 // AddTests appends one copy per test.
 func (sess *DiagSession) AddTests(tests circuit.TestSet) {
 	for _, t := range tests {
@@ -254,27 +295,46 @@ func (sess *DiagSession) AddTests(tests circuit.TestSet) {
 // NumTests returns the number of encoded test copies.
 func (sess *DiagSession) NumTests() int { return len(sess.Tests) }
 
-// SelLit returns the select literal of the given candidate gate.
+// SelLit returns the select literal of the given candidate gate; false
+// when the gate is no candidate or no encoded cone contains it yet.
 func (sess *DiagSession) SelLit(gate int) (sat.Lit, bool) {
-	j, ok := sess.selIndex[gate]
-	if !ok {
+	if gate < 0 || gate >= len(sess.unitOf) || sess.unitOf[gate] < 0 {
 		return sat.LitUndef, false
 	}
-	return sess.Sels[j], true
+	p := sess.unitPos[sess.unitOf[gate]]
+	if p < 0 {
+		return sat.LitUndef, false
+	}
+	return sess.Sels[p], true
 }
 
-// CandidateIndex returns the candidate position of a gate ID.
-func (sess *DiagSession) CandidateIndex(gate int) (int, bool) {
-	j, ok := sess.selIndex[gate]
-	return j, ok
+// Candidate returns the label of the candidate whose select literal is
+// l; false for any other literal, the line's negation included.
+func (sess *DiagSession) Candidate(l sat.Lit) (int, bool) {
+	p, ok := slices.BinarySearchFunc(sess.Sels, l.Var(), func(sel sat.Lit, v sat.Var) int {
+		return cmp.Compare(sel.Var(), v)
+	})
+	if !ok || sess.Sels[p] != l {
+		return 0, false
+	}
+	return sess.Candidates[p], true
 }
+
+// CandidateCount returns the number of selection units the session was
+// built with, live or not: every internal gate unless DiagOptions
+// restricts the candidates or groups them.
+func (sess *DiagSession) CandidateCount() int { return len(sess.unitLabel) }
 
 // AtMost returns the assumption slice enforcing that at most k
 // corrections are selected (empty when k is at least the number of
-// select lines). A k past the ladder's width grows the ladder first, so
-// like AddTest it must be called between solves (decision level 0).
+// select lines). It first encodes the ladder leaves of the select lines
+// allocated since the last call, and grows the ladder when k is past its
+// width, so like AddTest it must be called between solves (decision
+// level 0).
 func (sess *DiagSession) AtMost(k int) []sat.Lit {
+	start := time.Now()
 	l := sess.Ladder.AtMost(sess.Solver, k)
+	sess.BuildTime += time.Since(start)
 	if l == sat.LitUndef {
 		return nil
 	}
@@ -329,8 +389,9 @@ func (sess *DiagSession) ActivationAssumps(active []int) []sat.Lit {
 	return out
 }
 
-// ModelGates returns the candidate labels whose select lines are true in
-// the solver's current model (valid after a StatusSat Solve).
+// ModelGates returns, in ascending order, the candidate labels whose
+// select lines are true in the solver's current model (valid after a
+// StatusSat Solve).
 func (sess *DiagSession) ModelGates() []int {
 	var gates []int
 	for j, l := range sess.Sels {
@@ -338,20 +399,22 @@ func (sess *DiagSession) ModelGates() []int {
 			gates = append(gates, sess.Candidates[j])
 		}
 	}
+	slices.Sort(gates)
 	return gates
 }
 
-// gatesOf maps projected select literals back to candidate labels. A
-// session without select lines has only the empty projection.
+// gatesOf maps projected select literals back to candidate labels, in
+// ascending order. A session without select lines has only the empty
+// projection.
 func (sess *DiagSession) gatesOf(trueLits []sat.Lit) []int {
 	if len(trueLits) == 0 {
 		return nil
 	}
-	base := sess.Sels[0].Var()
 	gates := make([]int, len(trueLits))
 	for i, l := range trueLits {
-		gates[i] = sess.Candidates[int(l.Var()-base)]
+		gates[i], _ = sess.Candidate(l)
 	}
+	slices.Sort(gates)
 	return gates
 }
 
@@ -393,7 +456,8 @@ func (r *Round) Retire() {
 
 // RoundOptions configures one EnumerateRound episode.
 type RoundOptions struct {
-	// MaxK runs the Figure 3 limit loop for k = 1..MaxK (minimum 1).
+	// MaxK runs the Figure 3 limit loop for k = 0..MaxK (MaxK minimum
+	// 1); the k=0 pass settles the empty correction.
 	MaxK int
 	// Ctx, when non-nil, cancels the round cooperatively: cancellation
 	// surfaces as an incomplete round, promptly even mid-search.
@@ -421,10 +485,13 @@ type RoundOptions struct {
 }
 
 // EnumerateRound runs the paper's Figure 3 enumeration as one guarded
-// round on the live session: for limits k = 1..MaxK it enumerates all
+// round on the live session: for limits k = 0..MaxK it enumerates all
 // solutions projected onto the select lines, blocking each solution
-// (and its supersets) for the rest of the round. fn receives the limit
-// and the candidate labels of each solution and may stop the round by
+// (and its supersets) for the rest of the round. The k=0 pass finds the
+// empty correction when the active tests already pass, and blocking it
+// ends the round, so no singleton is reported beside ∅ whatever order
+// the search takes. fn receives the limit and the candidate labels of
+// each solution, in ascending order, and may stop the round by
 // returning false. The round's budgets are installed fresh via
 // Solver.SetBudget, and its blocking clauses are retracted before
 // returning, so consecutive rounds are independent.
@@ -475,7 +542,7 @@ func (sess *DiagSession) enumerateInRound(r *Round, opts RoundOptions, fn func(k
 	base = append(base, sess.ActivationAssumps(opts.ActiveTests)...)
 
 	total := 0
-	for k := 1; k <= maxK; k++ {
+	for k := 0; k <= maxK; k++ {
 		remaining := 0
 		if opts.MaxSolutions > 0 {
 			remaining = opts.MaxSolutions - total

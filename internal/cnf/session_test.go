@@ -2,6 +2,8 @@ package cnf_test
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/faults"
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/sat"
 	"repro/internal/tgen"
 )
@@ -181,13 +184,15 @@ func TestSessionRoundBudgetsAreFresh(t *testing.T) {
 	}
 }
 
-// TestSessionStats: the Stats snapshot must track copies, rounds and
-// solver work as the session is used, without disturbing it.
+// TestSessionStats: the Stats snapshot must track copies, live select
+// lines, rounds and solver work as the session is used, without
+// disturbing it. A fresh session has no select line: each appears with
+// the first copy whose cone holds its gate.
 func TestSessionStats(t *testing.T) {
 	c, tests := sessionScenario(t, 3, 6)
 	sess := cnf.NewSession(c, cnf.DiagOptions{MaxK: 2})
 	st := sess.Stats()
-	if st.Copies != 0 || st.Rounds != 0 || st.Candidates == 0 {
+	if st.Copies != 0 || st.Rounds != 0 || st.Candidates != 0 || st.Vars != 0 || st.LadderWidth != 0 {
 		t.Fatalf("fresh session stats: %+v", st)
 	}
 	sess.AddTests(tests)
@@ -195,7 +200,10 @@ func TestSessionStats(t *testing.T) {
 	if st.Copies != len(tests) {
 		t.Fatalf("copies %d after %d AddTests", st.Copies, len(tests))
 	}
-	if st.Vars == 0 || st.Clauses == 0 || st.BuildTime <= 0 {
+	if want := len(coneCandidates(c, tests)); st.Candidates != want {
+		t.Fatalf("%d live select lines, want the %d internal gates of the cones", st.Candidates, want)
+	}
+	if st.LadderWidth != 3 || st.Vars == 0 || st.Clauses == 0 || st.BuildTime <= 0 {
 		t.Fatalf("instance size not reported: %+v", st)
 	}
 
@@ -215,6 +223,118 @@ func TestSessionStats(t *testing.T) {
 	st = sess.Stats()
 	if st.Rounds != 2 || st.BudgetedRounds != 1 {
 		t.Fatalf("after budgeted round: rounds=%d budgeted=%d", st.Rounds, st.BudgetedRounds)
+	}
+}
+
+// coneCandidates returns, as a set, the internal gates of the tests'
+// output cones.
+func coneCandidates(c *circuit.Circuit, tests circuit.TestSet) map[int]bool {
+	in := make(map[int]bool)
+	for _, tc := range tests {
+		for g, ok := range c.FaninCone(tc.Output) {
+			if ok && c.Gates[g].Kind != logic.Input {
+				in[g] = true
+			}
+		}
+	}
+	return in
+}
+
+// TestSelectLinesFollowCones: a unit has a select line exactly when one
+// of its gates lies in the cone of some encoded copy — for every
+// internal gate, a restricted candidate list and time-frame groups —
+// and a fork that encodes further copies allocates lines of its own
+// without giving the parent any.
+func TestSelectLinesFollowCones(t *testing.T) {
+	c, tests := shardScenario(t, 37, 6) // three erroneous outputs
+	// Highest output first: later cones bring lower gate IDs, so the
+	// lines are not allocated in label order.
+	slices.SortStableFunc(tests, func(a, b circuit.Test) int { return b.Output - a.Output })
+	internal := c.InternalGates()
+	subset := internal[len(internal)/3:]
+	unordered := false
+	var groups [][]int
+	for i := 0; i+1 < len(internal); i += 2 {
+		groups = append(groups, []int{internal[i], internal[i+1]})
+	}
+	for _, tc := range []struct {
+		name string
+		opts cnf.DiagOptions
+		// unit returns the label of gate g's unit, or false.
+		unit func(g int) (int, bool)
+	}{
+		{"all", cnf.DiagOptions{MaxK: 2}, func(g int) (int, bool) { return g, c.Gates[g].Kind != logic.Input }},
+		{"restricted", cnf.DiagOptions{MaxK: 2, Candidates: subset}, func(g int) (int, bool) {
+			i := sort.SearchInts(subset, g)
+			return g, i < len(subset) && subset[i] == g
+		}},
+		{"groups", cnf.DiagOptions{MaxK: 2, Groups: groups, GuardTests: true}, func(g int) (int, bool) {
+			for _, grp := range groups {
+				if grp[0] == g || grp[1] == g {
+					return grp[0], true
+				}
+			}
+			return 0, false
+		}},
+	} {
+		check := func(step string, sess *cnf.DiagSession, encoded circuit.TestSet) {
+			t.Helper()
+			want := make(map[int]bool)
+			for g := range coneCandidates(c, encoded) {
+				if label, ok := tc.unit(g); ok {
+					want[label] = true
+				}
+			}
+			got := make(map[int]bool)
+			for j, label := range sess.Candidates {
+				if got[label] {
+					t.Fatalf("%s %s: label %d has two select lines", tc.name, step, label)
+				}
+				got[label] = true
+				if j > 0 && sess.Sels[j].Var() <= sess.Sels[j-1].Var() {
+					t.Fatalf("%s %s: select variables do not ascend", tc.name, step)
+				}
+				if l, ok := sess.Candidate(sess.Sels[j]); !ok || l != label {
+					t.Fatalf("%s %s: Candidate(sel %d) = %d, %v", tc.name, step, label, l, ok)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s: live labels %v, want %v", tc.name, step, got, want)
+			}
+			for g := range c.Gates {
+				label, isUnit := tc.unit(g)
+				if _, ok := sess.SelLit(g); ok != (isUnit && want[label]) {
+					t.Fatalf("%s %s: gate %d has select line %v", tc.name, step, g, ok)
+				}
+			}
+		}
+		sess := cnf.NewSession(c, tc.opts)
+		check("fresh", sess, nil)
+		half := len(tests) / 2
+		for i, test := range tests[:half] {
+			sess.AddTest(test)
+			check(fmt.Sprintf("after copy %d", i), sess, tests[:i+1])
+		}
+		roundKeys(t, sess, cnf.RoundOptions{MaxK: 2})
+		fork := sess.Fork()
+		fork.AddTests(tests[half:])
+		check("fork", fork, tests)
+		if len(fork.Sels) <= len(sess.Sels) {
+			t.Fatalf("%s: the fork's copies added no select line; the fork check checks nothing", tc.name)
+		}
+		check("parent after the fork's copies", sess, tests[:half])
+		// Lines are allocated in cone order, not label order; answers
+		// still come back ascending.
+		unordered = unordered || !slices.IsSorted(fork.Candidates)
+		fork.EnumerateRound(cnf.RoundOptions{MaxK: 2}, func(_ int, gates []int) bool {
+			if !slices.IsSorted(gates) {
+				t.Fatalf("%s: answer %v not in ascending order", tc.name, gates)
+			}
+			return true
+		})
+	}
+	if !unordered {
+		t.Fatal("every session allocated its lines in label order; the order check checks nothing")
 	}
 }
 

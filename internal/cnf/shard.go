@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/failpoint"
 	"repro/internal/sat"
 	"repro/internal/sim"
@@ -50,8 +49,8 @@ func (sess *DiagSession) PlanCubes(sample [][]int, n int) []Cube {
 		return []Cube{{Weight: len(sample)}}
 	}
 	// Sample solutions carry candidate LABELS (group labels for grouped
-	// sessions), which are not selIndex keys; map them to select
-	// positions explicitly.
+	// sessions), which are not gate IDs; map them to select positions
+	// explicitly.
 	labelPos := make(map[int]int, len(sess.Candidates))
 	for j, lbl := range sess.Candidates {
 		labelPos[lbl] = j
@@ -153,21 +152,24 @@ func containsSorted(s []int, g int) bool {
 }
 
 // fork clones the session into an independent twin: the solver is
-// cloned with its learnt clauses and the ladder tree and per-copy
-// tables are copied, so AddTest, ladder growth and enumeration on the
-// fork never touch the parent. fork only reads the parent, so several
-// goroutines may fork one session at once while nothing else uses it.
+// cloned with its learnt clauses, and the ladder, the select-line
+// tables and the per-copy tables are copied, so AddTest, ladder growth
+// and enumeration on the fork never touch the parent. fork only reads
+// the parent, so several goroutines may fork one session at once while
+// nothing else uses it.
 func (sess *DiagSession) fork() *DiagSession {
 	forked := &DiagSession{
 		Solver:     sess.Solver.Clone(true),
 		Circuit:    sess.Circuit,
-		Tests:      append(circuit.TestSet(nil), sess.Tests...),
-		Candidates: sess.Candidates,
-		Sels:       sess.Sels,
+		Tests:      slices.Clip(sess.Tests),
+		Candidates: slices.Clip(sess.Candidates),
+		Sels:       slices.Clip(sess.Sels),
 		Ladder:     sess.Ladder.clone(),
-		GateVars:   append([][]sat.Var(nil), sess.GateVars...),
-		TestGuards: append([]sat.Lit(nil), sess.TestGuards...),
-		selIndex:   sess.selIndex,
+		GateVars:   slices.Clip(sess.GateVars),
+		TestGuards: slices.Clip(sess.TestGuards),
+		unitOf:     sess.unitOf,
+		unitLabel:  sess.unitLabel,
+		unitPos:    slices.Clone(sess.unitPos),
 		opts:       sess.opts,
 	}
 	if sess.opts.Golden != nil {

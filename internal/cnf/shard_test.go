@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -104,32 +105,44 @@ func TestShardedParentUnaffected(t *testing.T) {
 	}
 }
 
-// TestForkLadderGrowth: a forked session that grows its ladder must
-// leave the parent's ladder width and answers untouched, and both must
-// answer a wider limit like a session built at that width — as must a
-// sharded run whose workers grow their clones concurrently.
+// TestForkLadderGrowth: a forked session that encodes further copies
+// (new select lines, new ladder leaves) and grows its ladder must leave
+// the parent's lines, ladder width and answers untouched, and both must
+// answer a wider limit like a session built at that width over their
+// own copies — as must a sharded run whose workers grow their clones
+// concurrently.
 func TestForkLadderGrowth(t *testing.T) {
-	c, tests := shardScenario(t, 3, 6)
-	sess := cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 1})
-	width := sess.Ladder.Width()
+	c, tests := shardScenario(t, 37, 6) // three erroneous outputs
+	// Highest output first, so the second half's cones reach gates the
+	// first half's do not.
+	slices.SortStableFunc(tests, func(a, b circuit.Test) int { return b.Output - a.Output })
+	half := len(tests) / 2
+	sess := cnf.BuildDiag(c, tests[:half], cnf.DiagOptions{MaxK: 1})
 	before := roundKeys(t, sess, cnf.RoundOptions{MaxK: 1})
+	width, lines := sess.Ladder.Width(), len(sess.Sels)
 	want := roundKeys(t, cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 3}), cnf.RoundOptions{MaxK: 3})
 
 	clone := sess.Fork()
+	clone.AddTests(tests[half:])
+	if len(clone.Sels) <= lines {
+		t.Fatalf("the clone's copies added no select line to the %d it forked with", lines)
+	}
 	if got := roundKeys(t, clone, cnf.RoundOptions{MaxK: 3}); !sameKeys(got, want) {
 		t.Fatalf("grown clone %v != built at MaxK 3 %v", got, want)
 	}
 	if clone.Ladder.Width() <= width {
 		t.Fatalf("clone ladder width %d did not grow past %d", clone.Ladder.Width(), width)
 	}
-	if sess.Ladder.Width() != width {
-		t.Fatalf("parent ladder width %d changed to %d by the clone's growth", width, sess.Ladder.Width())
+	if sess.Ladder.Width() != width || len(sess.Sels) != lines {
+		t.Fatalf("parent ladder width %d -> %d, select lines %d -> %d after the clone's growth",
+			width, sess.Ladder.Width(), lines, len(sess.Sels))
 	}
 	if got := roundKeys(t, sess, cnf.RoundOptions{MaxK: 1}); !sameKeys(got, before) {
 		t.Fatalf("parent answers changed by the clone's growth: %v != %v", got, before)
 	}
-	if got := roundKeys(t, sess, cnf.RoundOptions{MaxK: 3}); !sameKeys(got, want) {
-		t.Fatalf("grown parent %v != built at MaxK 3 %v", got, want)
+	wantHalf := roundKeys(t, cnf.BuildDiag(c, tests[:half], cnf.DiagOptions{MaxK: 3}), cnf.RoundOptions{MaxK: 3})
+	if got := roundKeys(t, sess, cnf.RoundOptions{MaxK: 3}); !sameKeys(got, wantHalf) {
+		t.Fatalf("grown parent %v != built at MaxK 3 %v", got, wantHalf)
 	}
 
 	narrow := cnf.BuildDiag(c, tests, cnf.DiagOptions{MaxK: 1})

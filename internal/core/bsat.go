@@ -125,7 +125,8 @@ func (r *BSATResult) Session() *cnf.DiagSession { return r.sess }
 //
 // The instance lives in a cnf.DiagSession and the enumeration runs as
 // one retired round, so the returned result holds a reusable session
-// instead of a solver poisoned by blocking clauses.
+// instead of a solver poisoned by blocking clauses. A traced run laps
+// "encode", "enumerate" and "canonicalize" on the span carried by Ctx.
 func BSAT(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*BSATResult, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("core: BSAT requires K >= 1, got %d", opts.K)
@@ -133,18 +134,17 @@ func BSAT(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*BSATRes
 	if len(tests) == 0 {
 		return nil, fmt.Errorf("core: BSAT requires a non-empty test-set")
 	}
-	sess := cnf.NewSession(c, opts.diagOptions())
-	sess.AddTests(tests)
-	if opts.Steer != nil {
-		opts.Steer(sess)
-	}
+	span := trace.FromContext(opts.Ctx)
+	sess := encodeSession(c, tests, opts.diagOptions(), opts)
 	res := &BSATResult{sess: sess}
 	res.Timings.CNF = sess.BuildTime
 	res.Vars, res.Clauses = sess.Size()
+	span.Lap("encode")
 
 	start := time.Now()
 	sols, complete, perShard := sess.EnumerateSharded(opts.Shards, opts.roundOptions())
 	res.Timings.All = time.Since(start)
+	span.Lap("enumerate")
 	// The live stage holds the run's first solution: a sharded run
 	// forks only after its sample stage filled a cap of at least one.
 	res.Timings.One = perShard[0].First
@@ -161,7 +161,21 @@ func BSAT(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*BSATRes
 		res.Solutions = append(res.Solutions, NewCorrection(gates))
 	}
 	res.Canonicalize()
+	span.Lap("canonicalize")
 	return res, nil
+}
+
+// encodeSession builds the session the SAT drivers enumerate on: every
+// test copy, then the ladder over their select lines at width K+1, so
+// Size counts the instance that is solved, then the caller's steering.
+func encodeSession(c *circuit.Circuit, tests circuit.TestSet, dopts cnf.DiagOptions, opts BSATOptions) *cnf.DiagSession {
+	sess := cnf.NewSession(c, dopts)
+	sess.AddTests(tests)
+	sess.AtMost(opts.K)
+	if opts.Steer != nil {
+		opts.Steer(sess)
+	}
+	return sess
 }
 
 // GateFunction is a partial truth table reconstructed for a corrected
@@ -272,16 +286,17 @@ func ffrCandidates(c *circuit.Circuit) (roots []int, rootOf []int) {
 // whose region roots were redundant at the coarse level; see DESIGN.md.
 //
 // Both passes run on one shared DiagSession: the instance (with a
-// select line at every internal gate) is encoded once, and each pass
-// confines its candidate tier by select-line assumptions instead of
-// rebuilding — the projected solution spaces are identical to the
-// per-pass instances of the monolithic formulation. Accordingly both
+// select line at every internal gate of the copies' cones) is encoded
+// once, and each pass confines its candidate tier by select-line
+// assumptions instead of rebuilding — the projected solution spaces
+// are identical to the per-pass instances of the monolithic
+// formulation. Accordingly both
 // results report the shared instance's Vars/Clauses, the one-time
 // build cost lands in pass 1's Timings.CNF (pass 2's is zero — that is
 // the saving), and each Stats covers only its own pass's solver work.
 //
 // Trade-off of the shared instance: pass 1 solves over the full
-// encoding (selects at every internal gate, assumed off outside the
+// encoding (selects at every cone gate, assumed off outside the
 // root tier) instead of the old roots-only instance, so its per-Solve
 // cost no longer shrinks with the root count — the price paid for
 // eliminating the second build and sharing learnt clauses between the
@@ -298,11 +313,7 @@ func FFRTwoPass(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*B
 
 	sessOpts := opts.diagOptions()
 	sessOpts.Candidates = nil // every internal gate; passes restrict by assumptions
-	sess := cnf.NewSession(c, sessOpts)
-	sess.AddTests(tests)
-	if opts.Steer != nil {
-		opts.Steer(sess)
-	}
+	sess := encodeSession(c, tests, sessOpts, opts)
 
 	// Both passes report the shared instance's size as encoded, free of
 	// any round artifacts (guard variables, blocking clauses).
@@ -392,11 +403,7 @@ func PartitionedBSAT(c *circuit.Circuit, tests circuit.TestSet, partitionSize in
 	}
 	sessOpts := opts.diagOptions()
 	sessOpts.GuardTests = true
-	sess := cnf.NewSession(c, sessOpts)
-	sess.AddTests(tests)
-	if opts.Steer != nil {
-		opts.Steer(sess)
-	}
+	sess := encodeSession(c, tests, sessOpts, opts)
 
 	byKey := make(map[string]Correction)
 	complete := true

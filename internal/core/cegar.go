@@ -203,15 +203,11 @@ func (cs *coreSource) conflict(ctx context.Context, t int, d []int) ([]int, sat.
 		return nil, st
 	}
 	// The core holds the negations of the failed assumptions: sel for a
-	// candidate (select variables are consecutive), ¬guard for the copy.
+	// candidate, ¬guard for the copy.
 	core := []int{}
-	if len(sess.Sels) == 0 {
-		return core, st // no candidate can rectify t
-	}
-	base := sess.Sels[0].Var()
 	for _, l := range sess.Solver.ConflictSet() {
-		if j := int(l.Var() - base); j >= 0 && j < len(sess.Sels) && sess.Sels[j] == l {
-			core = append(core, sess.Candidates[j])
+		if g, ok := sess.Candidate(l); ok {
+			core = append(core, g)
 		}
 	}
 	return core, st

@@ -348,8 +348,13 @@ func TestCovGuidedRepairSessionGrowsLadder(t *testing.T) {
 }
 
 // TestCovGuidedRepairSessionReuse: repairing through a session recycled
-// from a BSAT run must agree with the standalone repair path.
+// from a BSAT run must agree with the standalone repair path. The guard
+// against restricted sessions looks at the candidates the session was
+// built with, not at its live select lines: a session over every
+// internal gate is accepted although only the gates of its copies'
+// cones have lines, and one built over a candidate subset is refused.
 func TestCovGuidedRepairSessionReuse(t *testing.T) {
+	partial := 0
 	for seed := int64(1); seed <= 10; seed++ {
 		sc := makeScenario(t, seed, 1, 4)
 		if sc == nil {
@@ -367,6 +372,9 @@ func TestCovGuidedRepairSessionReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(bsat.Session().Sels) < sc.faulty.NumInternal() {
+			partial++
+		}
 		reused, err := CovGuidedRepairSession(bsat.Session(), sc.tests, cov, BSATOptions{K: sc.k})
 		if err != nil {
 			t.Fatal(err)
@@ -377,5 +385,16 @@ func TestCovGuidedRepairSessionReuse(t *testing.T) {
 		if reused.Found && !Validate(sc.faulty, sc.tests, reused.Correction.Gates) {
 			t.Fatalf("seed %d: session repair %v invalid", seed, reused.Correction)
 		}
+		internal := sc.faulty.InternalGates()
+		restricted, err := BSAT(sc.faulty, sc.tests, BSATOptions{K: sc.k, Candidates: internal[:len(internal)-1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CovGuidedRepairSession(restricted.Session(), sc.tests, cov, BSATOptions{K: sc.k}); err == nil {
+			t.Fatalf("seed %d: a session restricted to %d of %d internal gates was reused", seed, len(internal)-1, len(internal))
+		}
+	}
+	if partial == 0 {
+		t.Fatal("every session had a select line at every internal gate; the guard went unexercised")
 	}
 }

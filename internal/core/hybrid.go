@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/sat"
+	"repro/internal/trace"
 )
 
 // HybridBSAT implements the first hybrid sketched in the paper's
@@ -22,6 +23,7 @@ import (
 // every guarantee of Lemmas 1 and 3 — is exactly that of plain BSAT.
 func HybridBSAT(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions, pt PTOptions) (*BSATResult, *BSIMResult, error) {
 	bsim := BSIM(c, tests, pt)
+	trace.FromContext(opts.Ctx).Lap("bsim")
 	steered := opts
 	steered.Steer = func(sess *cnf.DiagSession) {
 		max := 0
@@ -96,9 +98,9 @@ func CovGuidedRepair(c *circuit.Circuit, tests circuit.TestSet, covRes *CovResul
 // so partial sessions stay sound (they may just fail to repair). The
 // repair queries are assumption-only, so the session stays reusable.
 func CovGuidedRepairSession(sess *cnf.DiagSession, tests circuit.TestSet, covRes *CovResult, opts BSATOptions) (*RepairResult, error) {
-	if len(sess.Candidates) < len(sess.Circuit.InternalGates()) {
+	if n := sess.CandidateCount(); n < sess.Circuit.NumInternal() {
 		return nil, fmt.Errorf("core: reused session has a restricted candidate set (%d of %d internal gates); repair needs an unrestricted one",
-			len(sess.Candidates), len(sess.Circuit.InternalGates()))
+			n, sess.Circuit.NumInternal())
 	}
 	if !sameTests(sess.Tests, tests) && opts.K > maxValidateGates {
 		// A session whose copies are not exactly this test-set (e.g. a

@@ -225,7 +225,7 @@ func (p *SessionPool) AcquireDetail(key string, build func() (Built, error)) (e 
 			e.sess = built.Session
 			e.circ = built.Circuit
 			e.statsSnap = snap
-			e.bytes = sessionBytes(snap)
+			e.bytes = sessionBytes(snap, built.Session.Circuit)
 			p.totalBytes += e.bytes
 			e.bench = built.Source
 			e.fp = built.Fingerprint
@@ -324,7 +324,7 @@ func (e *PoolEntry) Run(fn func(sess *cnf.DiagSession) error) error {
 	e.statsSnap = snap
 	e.uses++
 	e.lastUsed = time.Now()
-	delta := sessionBytes(snap) - e.bytes
+	delta := sessionBytes(snap, e.sess.Circuit) - e.bytes
 	e.bytes += delta
 	// Publish, then append, both under pool.mu (the journal's
 	// serialization point), so a compaction snapshot never sees a
@@ -431,12 +431,14 @@ func (p *SessionPool) updateGaugesLocked() {
 }
 
 // sessionBytes estimates the resident size of a session from its
-// instance dimensions. The constants approximate the built-in solver's
-// per-variable (watch lists, trail, activity, phase) and per-clause
-// (header + literals) footprint; the estimate only needs to be
-// proportional for LRU accounting to be meaningful.
-func sessionBytes(st cnf.SessionStats) int64 {
-	return int64(st.Vars)*64 + int64(st.Clauses)*48
+// instance dimensions and its circuit. The constants approximate the
+// built-in solver's per-variable (watch lists, trail, activity, phase)
+// and per-clause (header + literals) footprint, and the session's
+// gate-indexed candidate tables, which exist before the first copy; the
+// estimate only needs to be proportional for LRU accounting to be
+// meaningful.
+func sessionBytes(st cnf.SessionStats, c *circuit.Circuit) int64 {
+	return int64(st.Vars)*64 + int64(st.Clauses)*48 + int64(len(c.Gates))*16
 }
 
 // journalLocked appends one record to the pool's journal (no-op when
