@@ -19,13 +19,16 @@ package diagnosis_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/expt"
+	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/sat"
 	"repro/internal/sim"
@@ -350,6 +353,29 @@ func BenchmarkSubstrate_Simulator64(b *testing.B) {
 		s.Run(words)
 	}
 	b.ReportMetric(float64(64*sc.Faulty.NumGates()), "gate-evals/op")
+}
+
+// BenchmarkSubstrate_ParseBench measures one .bench parse of s1423x's
+// netlist text: the circuit-layer cost a /diagnose request pays when
+// its netlist is not yet resolved.
+func BenchmarkSubstrate_ParseBench(b *testing.B) {
+	c, err := gen.ByName("s1423x")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := circuit.WriteBench(&sb, c); err != nil {
+		b.Fatal(err)
+	}
+	text := sb.String()
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := circuit.ParseBench("s1423x", strings.NewReader(text)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSubstrate_IncrementalSim measures one forced-gate what-if

@@ -34,7 +34,9 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	var ffs []ffPair // flip-flops: output (Q) and data (D) signal names
 
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines may be up to 1 MiB long; the buffer starts small and grows
+	// only as far as the longest line needs.
+	sc.Buffer(nil, 1<<20)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -47,13 +49,13 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 			continue
 		}
 		switch {
-		case strings.HasPrefix(strings.ToUpper(line), "INPUT("):
+		case hasPrefixFold(line, "INPUT("):
 			arg, err := benchArg(line)
 			if err != nil {
 				return nil, fmt.Errorf("%s:%d: %v", name, lineno, err)
 			}
 			inputs = append(inputs, arg)
-		case strings.HasPrefix(strings.ToUpper(line), "OUTPUT("):
+		case hasPrefixFold(line, "OUTPUT("):
 			arg, err := benchArg(line)
 			if err != nil {
 				return nil, fmt.Errorf("%s:%d: %v", name, lineno, err)
@@ -172,6 +174,11 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 		c.Latches = append(c.Latches, Latch{Q: q, D: d})
 	}
 	return c, nil
+}
+
+// hasPrefixFold reports whether s begins with prefix, ignoring case.
+func hasPrefixFold(s, prefix string) bool {
+	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
 }
 
 func benchArg(line string) (string, error) {

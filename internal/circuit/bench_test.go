@@ -146,3 +146,45 @@ func TestParseBenchComments(t *testing.T) {
 		t.Fatalf("gates = %d", c.NumGates())
 	}
 }
+
+// TestParseBenchLineLimit pins the scanner's 1 MiB line limit: a line
+// that fits in the buffer with its newline parses, a longer one fails
+// with the scanner's error.
+func TestParseBenchLineLimit(t *testing.T) {
+	long := func(n int) string {
+		// A comment line of exactly n bytes (newline excluded).
+		return "INPUT(a)\n#" + strings.Repeat("x", n-1) + "\nOUTPUT(y)\ny = NOT(a)\n"
+	}
+	c, err := ParseBench("long", strings.NewReader(long(1<<20-1)))
+	if err != nil {
+		t.Fatalf("line of 1 MiB - 1 bytes rejected: %v", err)
+	}
+	if c.NumGates() != 2 {
+		t.Fatalf("gates = %d", c.NumGates())
+	}
+	_, err = ParseBench("long", strings.NewReader(long(1<<20+1)))
+	if err == nil || err.Error() != "long: bufio.Scanner: token too long" {
+		t.Fatalf("line of 1 MiB + 1 bytes: err = %v, want the scanner's token-too-long error", err)
+	}
+}
+
+// TestParseBenchDeclarationCase: INPUT/OUTPUT keywords match in any
+// case, and a malformed declaration keeps its error message.
+func TestParseBenchDeclarationCase(t *testing.T) {
+	c, err := ParseBench("case", strings.NewReader("input(a)\nInPuT(b)\noutput(y)\ny = nand(a, b)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Inputs) != 2 || len(c.Outputs) != 1 {
+		t.Fatalf("shape: %v", c)
+	}
+	_, err = ParseBench("bad", strings.NewReader("Output(\nINPUT(a)\n"))
+	if err == nil || err.Error() != `bad:1: malformed declaration "Output("` {
+		t.Fatalf("err = %v", err)
+	}
+	// Too short to hold the keyword: an assignment error, as before.
+	_, err = ParseBench("bad", strings.NewReader("INPU\n"))
+	if err == nil || err.Error() != `bad:1: expected assignment, got "INPU"` {
+		t.Fatalf("err = %v", err)
+	}
+}

@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzDiagnoseRequest drives the request-decoding path a hostile client
-// controls end to end: JSON unmarshalling, netlist parsing via
-// resolveCircuit, and test validation via DecodeTests. Any input must
+// controls end to end: JSON unmarshalling, netlist resolution through
+// the server's circuit cache, and test validation via DecodeTests. Any input must
 // produce either a decoded request or an error — never a panic, which
 // the robustness tentpole turned into the hard server-survival
 // guarantee.
@@ -31,16 +31,17 @@ func FuzzDiagnoseRequest(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	circuits := newCircuitCache(DefaultMaxSessions, maxBodyBytes)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req DiagnoseRequest
 		if err := json.Unmarshal(data, &req); err != nil {
 			return
 		}
-		c, _, err := resolveCircuit(&req)
+		res, _, err := circuits.resolve(&req)
 		if err != nil {
 			return
 		}
 		// Errors are the expected outcome for garbage; panics are bugs.
-		_, _ = DecodeTests(c, req.Tests)
+		_, _ = DecodeTests(res.circ, req.Tests)
 	})
 }

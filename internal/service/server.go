@@ -70,12 +70,13 @@ type Options struct {
 // Server is the diagnosis service: session pool + scheduler + the JSON
 // handlers. Create with NewServer, mount via Handler.
 type Server struct {
-	pool   *SessionPool
-	sched  *Scheduler
-	start  time.Time
-	log    *slog.Logger
-	traces *traceStore
-	reqID  atomic.Int64
+	pool     *SessionPool
+	sched    *Scheduler
+	circuits *circuitCache // resolves each distinct netlist once
+	start    time.Time
+	log      *slog.Logger
+	traces   *traceStore
+	reqID    atomic.Int64
 
 	requests  metrics.Counter
 	failures  metrics.Counter
@@ -112,11 +113,13 @@ type Server struct {
 }
 
 // spanPhases are the request-span phases that get their own
-// diag_phase_seconds histogram. "queue" is lapped by the scheduler
-// worker, "retry" by the retry wrapper, "respond" when the request
-// finishes, the rest by the pool/warm/cold paths; phases a request
-// never entered simply observe nothing.
-var spanPhases = []string{"queue", "pool", "session-wait", "encode", "solve", "retry", "respond"}
+// diag_phase_seconds histogram. "resolve" (body decode, netlist
+// resolution and request validation) is lapped by the handler at
+// admission, "queue" by the scheduler worker, "retry" by the retry
+// wrapper, "respond" when the request finishes, the rest by the
+// pool/warm/cold paths; phases a request never entered simply observe
+// nothing.
+var spanPhases = []string{"resolve", "queue", "pool", "session-wait", "encode", "solve", "retry", "respond"}
 
 // NewServer assembles a service instance.
 func NewServer(opts Options) *Server {
@@ -131,11 +134,12 @@ func NewServer(opts Options) *Server {
 	poolOpts := opts.Pool
 	poolOpts.Journal = opts.Journal
 	s := &Server{
-		pool:   NewSessionPool(poolOpts),
-		sched:  NewScheduler(opts.Scheduler),
-		start:  time.Now(),
-		log:    logger,
-		traces: newTraceStore(opts.TraceStore),
+		pool:     NewSessionPool(poolOpts),
+		sched:    NewScheduler(opts.Scheduler),
+		circuits: newCircuitCache(DefaultMaxSessions, maxBodyBytes),
+		start:    time.Now(),
+		log:      logger,
+		traces:   newTraceStore(opts.TraceStore),
 		latencies: map[string]*metrics.Histogram{
 			"cold":        new(metrics.Histogram),
 			"warm":        new(metrics.Histogram),
@@ -415,27 +419,6 @@ func countShards(perShard []cnf.ShardStats) int {
 	return n
 }
 
-// resolveCircuit parses the request's netlist (or generates the named
-// suite circuit) and fingerprints it.
-func resolveCircuit(req *DiagnoseRequest) (*circuit.Circuit, string, error) {
-	switch {
-	case req.Bench != "":
-		c, err := circuit.ParseBench("request", strings.NewReader(req.Bench))
-		if err != nil {
-			return nil, "", fmt.Errorf("parse bench: %w", err)
-		}
-		return c, Fingerprint(c), nil
-	case req.Circuit != "":
-		c, err := gen.ByName(req.Circuit)
-		if err != nil {
-			return nil, "", err
-		}
-		return c, Fingerprint(c), nil
-	default:
-		return nil, "", errors.New("request needs bench (netlist text) or circuit (suite name)")
-	}
-}
-
 // EncodeTests renders tests in their wire form (the inverse of
 // DecodeTests).
 func EncodeTests(ts circuit.TestSet) []TestJSON {
@@ -511,6 +494,10 @@ func (req *DiagnoseRequest) runSpec() RunSpec {
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
+	// The root request span starts before the body is read, so its
+	// duration is the wall time the phase breakdown must account for:
+	// decoding, netlist resolution and validation are its resolve phase.
+	span := trace.New("request")
 	var req DiagnoseRequest
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -518,12 +505,20 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	c, fp, err := resolveCircuit(&req)
+	resolveSpan := span.Child("resolve")
+	res, cached, err := s.circuits.resolve(&req)
+	if cached {
+		resolveSpan.SetDetail("hit")
+	} else {
+		resolveSpan.SetDetail("miss")
+	}
+	resolveSpan.End()
 	if err != nil {
 		s.failures.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	c := res.circ
 	tests, err := DecodeTests(c, req.Tests)
 	if err == nil {
 		err = checkCandidates(c, req.Candidates)
@@ -560,13 +555,10 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.sched.RequestContext(r.Context(), time.Duration(req.TimeoutMs)*time.Millisecond)
 	defer cancel()
 
-	// The root request span starts at admission (parsing is already
-	// done), so its duration is the wall time the phase breakdown must
-	// account for.
 	rid := s.nextRequestID()
-	span := trace.New("request")
 	span.SetDetail(engine)
 	ctx = trace.NewContext(ctx, span)
+	span.Lap("resolve")
 
 	var resp *DiagnoseResponse
 	var derr error
@@ -575,7 +567,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		// test-set), so even a panicked attempt is safe to retry.
 		resp, derr = s.serveWithRetry(ctx, true, func(ctx context.Context) (*DiagnoseResponse, error) {
 			if useWarm {
-				return s.serveWarm(ctx, c, fp, tests, &req, engine)
+				return s.serveWarm(ctx, res, tests, &req, engine)
 			}
 			return s.serveCold(ctx, c, tests, &req, engine)
 		})
@@ -591,17 +583,23 @@ func (s *Server) nextRequestID() string {
 
 // serveWarm runs the pooled path: acquire (or single-flight build) the
 // warm session for the circuit's fingerprint and diagnose on it.
-func (s *Server) serveWarm(ctx context.Context, c *circuit.Circuit, fp string, tests circuit.TestSet,
+func (s *Server) serveWarm(ctx context.Context, res *resolvedCircuit, tests circuit.TestSet,
 	req *DiagnoseRequest, engine string) (*DiagnoseResponse, error) {
 
 	spec := req.runSpec()
 	poolSpan := trace.FromContext(ctx).Child("pool")
-	entry, outcome, err := s.pool.AcquireDetail(fp, func() (Built, error) {
+	entry, outcome, err := s.pool.AcquireDetail(res.fp, func() (Built, error) {
+		// The journal source is rendered only for journaled builds, and
+		// then once per resolved netlist.
+		var src string
+		if s.journal != nil {
+			src = res.source()
+		}
 		return Built{
-			Session:     NewWarmSession(c, spec.K),
-			Circuit:     c,
-			Source:      s.benchSource(c),
-			Fingerprint: fp,
+			Session:     NewWarmSession(res.circ, spec.K),
+			Circuit:     res.circ,
+			Source:      src,
+			Fingerprint: res.fp,
 		}, nil
 	})
 	if poolSpan != nil {
@@ -640,21 +638,6 @@ func (s *Server) serveWarm(ctx context.Context, c *circuit.Circuit, fp string, t
 	resp.events = rep.Events
 	s.annotateFaults(ctx, resp, rep.PerShard, rep.Spec.MaxSolutions, rep.Spec.MaxConflicts)
 	return resp, nil
-}
-
-// benchSource renders the circuit as self-contained .bench text for the
-// journal. Empty when persistence is off — the render cost is only paid
-// on journaled cold builds — or when the circuit contains constructs
-// .bench cannot express (that session simply isn't journaled).
-func (s *Server) benchSource(c *circuit.Circuit) string {
-	if s.journal == nil {
-		return ""
-	}
-	var sb strings.Builder
-	if err := circuit.WriteBench(&sb, c); err != nil {
-		return ""
-	}
-	return sb.String()
 }
 
 // serveCold bypasses the pool: one monolithic core.Diagnose call.
@@ -1008,6 +991,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.WritePromValue(w, "diag_cube_retries", "", s.cubeRetries.Value())
 	metrics.WritePromValue(w, "diag_degraded_responses", "", s.degradedResponses.Value())
 	metrics.WritePromValue(w, "diag_request_retries_total", "", s.requestRetries.Value())
+	metrics.WritePromValue(w, "diag_circuit_cache_hits_total", "", s.circuits.Hits.Value())
+	metrics.WritePromValue(w, "diag_circuit_cache_misses_total", "", s.circuits.Misses.Value())
+	metrics.WritePromValue(w, "diag_circuit_cache_entries", "", int64(s.circuits.Len()))
 	// Durability: journal writer counters plus the outcome of the boot
 	// replay (all zero when persistence is disabled).
 	if s.journal != nil {

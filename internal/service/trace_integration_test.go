@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,10 +55,12 @@ func phaseSumMS(sj *json.RawMessage, t *testing.T) (float64, float64, map[string
 	return span.DurationMS, sum, byName
 }
 
-// TestDiagnoseTimings is the tracing acceptance check: a warm /diagnose
-// response carries a span breakdown whose top-level phases account for
-// the request's wall time (within 10%), with the expected phase
-// vocabulary.
+// TestDiagnoseTimings is the tracing acceptance check: a cold-start and
+// a warm /diagnose response each carry a span breakdown whose top-level
+// phases account for the request's wall time (within 10%), with the
+// expected phase vocabulary. The resolve phase (body decode, netlist
+// resolution, validation) opens both; its child span says whether the
+// netlist was already resolved.
 func TestDiagnoseTimings(t *testing.T) {
 	_, ts := newTestServer(t, 2)
 	c, tests := scenario(t, 30, 6)
@@ -82,32 +83,46 @@ func TestDiagnoseTimings(t *testing.T) {
 		t.Fatalf("expected a warm hit, got mode=%q hit=%v", warm.Mode, warm.PoolHit)
 	}
 
-	raw, err := json.Marshal(warm.Timings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := json.RawMessage(raw)
-	wall, sum, phases := phaseSumMS(&rm, t)
-	if wall <= 0 {
-		t.Fatalf("span wall time %v", wall)
-	}
-	for _, want := range []string{"queue", "pool", "session-wait", "solve", "respond"} {
-		if _, ok := phases[want]; !ok {
-			t.Fatalf("warm breakdown lacks phase %q: %v", want, phases)
+	for _, tc := range []struct {
+		name     string
+		resp     service.DiagnoseResponse
+		pool     string // the pool child span's detail
+		resolved string // the resolve child span's detail
+	}{
+		{"cold-start", first, service.OutcomeColdBuild, "miss"},
+		{"warm", warm, service.OutcomeWarmHit, "hit"},
+	} {
+		raw, err := json.Marshal(tc.resp.Timings)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The phases must account for the request: at least 90% of the span's
-	// wall time, and never more than the wall time plus measurement noise.
-	if sum < 0.9*wall {
-		t.Fatalf("phases sum to %.3fms of %.3fms wall (<90%%): %v", sum, wall, phases)
-	}
-	if sum > 1.1*wall {
-		t.Fatalf("phases sum to %.3fms of %.3fms wall (>110%%): %v", sum, wall, phases)
-	}
-
-	// The detail vocabulary: the warm hit's pool child span says so.
-	if !strings.Contains(string(raw), service.OutcomeWarmHit) {
-		t.Fatalf("warm breakdown does not mention %q: %s", service.OutcomeWarmHit, raw)
+		rm := json.RawMessage(raw)
+		wall, sum, phases := phaseSumMS(&rm, t)
+		if wall <= 0 {
+			t.Fatalf("%s: span wall time %v", tc.name, wall)
+		}
+		for _, want := range []string{"resolve", "queue", "pool", "session-wait", "solve", "respond"} {
+			if _, ok := phases[want]; !ok {
+				t.Fatalf("%s breakdown lacks phase %q: %v", tc.name, want, phases)
+			}
+		}
+		// The phases must account for the request: at least 90% of the
+		// span's wall time, and never more than the wall time plus
+		// measurement noise.
+		if sum < 0.9*wall {
+			t.Fatalf("%s: phases sum to %.3fms of %.3fms wall (<90%%): %v", tc.name, sum, wall, phases)
+		}
+		if sum > 1.1*wall {
+			t.Fatalf("%s: phases sum to %.3fms of %.3fms wall (>110%%): %v", tc.name, sum, wall, phases)
+		}
+		details := map[string]string{}
+		for _, ch := range tc.resp.Timings.Children {
+			details[ch.Name] = ch.Detail
+		}
+		if details["pool"] != tc.pool || details["resolve"] != tc.resolved {
+			t.Fatalf("%s: pool detail %q, resolve detail %q; want %q and %q",
+				tc.name, details["pool"], details["resolve"], tc.pool, tc.resolved)
+		}
 	}
 }
 
