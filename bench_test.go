@@ -307,26 +307,6 @@ func BenchmarkAblation_BSAT_Hybrid(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_BSAT_FFRTwoPass(b *testing.B) {
-	sc, k, m := ablationScenario(b)
-	tests := sc.Tests.Prefix(m)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.FFRTwoPass(sc.Faulty, tests, core.BSATOptions{K: k, MaxSolutions: 500}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_BSAT_Partitioned(b *testing.B) {
-	sc, k, m := ablationScenario(b)
-	tests := sc.Tests.Prefix(m)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.PartitionedBSAT(sc.Faulty, tests, 4, core.BSATOptions{K: k, MaxSolutions: 500}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblation_PTPolicies(b *testing.B) {
 	sc, _, m := ablationScenario(b)
 	tests := sc.Tests.Prefix(m)

@@ -2,12 +2,12 @@ package circuit
 
 import "sync"
 
-// Structural analyses backing the diagnosis algorithms: levels, cones,
-// fanout-free regions, dominators and distance-to-gate metrics.
+// Structural analyses backing the diagnosis algorithms: levels, cones
+// and distance-to-gate metrics.
 
 // Analysis caches the structural precomputations shared by the
 // event-driven simulation engine and the diagnosis hot loops:
-// levelization and lazily materialized fanout-cone bitsets. It is built
+// levelization and lazily materialized fanin-cone bitsets. It is built
 // at most once per Circuit (see Circuit.Analysis) and is safe for
 // concurrent use.
 type Analysis struct {
@@ -21,11 +21,9 @@ type Analysis struct {
 
 	c  *Circuit
 	mu sync.RWMutex
-	// cones memoizes fanout-cone bitsets per root and inCones fanin-cone
-	// bitsets per root. Cones are demanded only for correction
-	// candidates and observed outputs (small subsets of gates), so the
-	// maps stay far below the dense |gates|^2/64 footprint.
-	cones   map[int]Bitset
+	// inCones memoizes fanin-cone bitsets per root. Cones are demanded
+	// only for observed outputs (a small subset of gates), so the map
+	// stays far below the dense |gates|^2/64 footprint.
 	inCones map[int]Bitset
 }
 
@@ -36,7 +34,6 @@ func (c *Circuit) Analysis() *Analysis {
 		a := &Analysis{
 			Levels:  c.Levels(),
 			c:       c,
-			cones:   make(map[int]Bitset),
 			inCones: make(map[int]Bitset),
 		}
 		for _, l := range a.Levels {
@@ -49,25 +46,12 @@ func (c *Circuit) Analysis() *Analysis {
 	return c.analysis
 }
 
-// FanoutConeBits returns the fanout cone of root (including root) as a
-// bitset, memoized per root. The returned bitset is shared: callers must
-// not modify it.
-func (a *Analysis) FanoutConeBits(root int) Bitset {
-	return a.coneBits(root, a.cones, false)
-}
-
 // FaninConeBits returns the fanin cone of root (including root) as a
 // bitset, memoized per root. The returned bitset is shared: callers must
 // not modify it.
 func (a *Analysis) FaninConeBits(root int) Bitset {
-	return a.coneBits(root, a.inCones, true)
-}
-
-// coneBits computes (or returns memoized) the reachability cone of root
-// over the fanin or fanout edges.
-func (a *Analysis) coneBits(root int, memo map[int]Bitset, fanin bool) Bitset {
 	a.mu.RLock()
-	b, ok := memo[root]
+	b, ok := a.inCones[root]
 	a.mu.RUnlock()
 	if ok {
 		return b
@@ -78,11 +62,7 @@ func (a *Analysis) coneBits(root int, memo map[int]Bitset, fanin bool) Bitset {
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		edges := a.c.Gates[g].Fanout
-		if fanin {
-			edges = a.c.Gates[g].Fanin
-		}
-		for _, f := range edges {
+		for _, f := range a.c.Gates[g].Fanin {
 			if !b.Has(f) {
 				b.Set(f)
 				stack = append(stack, f)
@@ -90,10 +70,10 @@ func (a *Analysis) coneBits(root int, memo map[int]Bitset, fanin bool) Bitset {
 		}
 	}
 	a.mu.Lock()
-	if prev, ok := memo[root]; ok {
+	if prev, ok := a.inCones[root]; ok {
 		b = prev // another goroutine computed it concurrently
 	} else {
-		memo[root] = b
+		a.inCones[root] = b
 	}
 	a.mu.Unlock()
 	return b
@@ -151,7 +131,8 @@ func (c *Circuit) Levels() []int {
 }
 
 // FaninCone returns the set (as a gate-indexed bool slice) of gates with a
-// path to root, including root itself.
+// path to root, including root itself. No production path calls it: it is
+// the plain reference the tests check Analysis.FaninConeBits against.
 func (c *Circuit) FaninCone(root int) []bool {
 	in := make([]bool, len(c.Gates))
 	stack := []int{root}
@@ -170,6 +151,8 @@ func (c *Circuit) FaninCone(root int) []bool {
 }
 
 // FanoutCone returns the set of gates reachable from root, including root.
+// No production path calls it: it is the plain reference the tests check
+// Analysis.Reaches against.
 func (c *Circuit) FanoutCone(root int) []bool {
 	out := make([]bool, len(c.Gates))
 	stack := []int{root}
@@ -220,137 +203,6 @@ func (c *Circuit) Distances(from []int) []int {
 		}
 	}
 	return dist
-}
-
-// FFRRoots returns, per gate, the root of its fanout-free region: the
-// first gate reached by following single-fanout edges forward. A gate with
-// fanout count != 1, or whose single fanout would leave the circuit, is
-// its own root, as is any observed output. FFR roots are the coarse
-// correction sites used by the dominator-based first pass of the advanced
-// SAT approach (Section 2.3 of the paper): every path from a gate inside
-// the region to any output passes through the region's root.
-func (c *Circuit) FFRRoots() []int {
-	root := make([]int, len(c.Gates))
-	obs := make([]bool, len(c.Gates))
-	for _, o := range c.Outputs {
-		obs[o] = true
-	}
-	// Gates are in topological order, so a reverse sweep sees each gate's
-	// fanout root before the gate itself.
-	for i := len(c.Gates) - 1; i >= 0; i-- {
-		g := &c.Gates[i]
-		if obs[i] || len(g.Fanout) != 1 {
-			root[i] = i
-			continue
-		}
-		root[i] = root[g.Fanout[0]]
-	}
-	return root
-}
-
-// FFRMembers groups gates by their fanout-free-region root.
-func (c *Circuit) FFRMembers() map[int][]int {
-	roots := c.FFRRoots()
-	m := make(map[int][]int)
-	for g, r := range roots {
-		m[r] = append(m[r], g)
-	}
-	return m
-}
-
-// Dominators computes, per gate, the immediate dominator on all paths
-// toward the observed outputs: the unique nearest gate (other than the
-// gate itself) through which every gate-to-output path passes, or -1 if
-// the gate reaches outputs through structurally independent paths (its
-// only common dominator is the virtual sink) or reaches no output at all.
-//
-// This is the output-side dominator relation the advanced SAT-based
-// approach uses to prune correction sites. It is computed with the
-// classic iterative intersection scheme over the reverse graph, with a
-// virtual sink collecting all outputs.
-func (c *Circuit) Dominators() []int {
-	n := len(c.Gates)
-	const sink = -2 // virtual sink; exported as -1 ("no proper dominator")
-	idom := make([]int, n)
-	reaches := make([]bool, n)
-	for _, o := range c.Outputs {
-		reaches[o] = true
-	}
-	for i := n - 1; i >= 0; i-- {
-		if reaches[i] {
-			continue
-		}
-		for _, f := range c.Gates[i].Fanout {
-			if reaches[f] {
-				reaches[i] = true
-				break
-			}
-		}
-	}
-	// Process in reverse topological order; fanouts (successors toward the
-	// sink) are processed before the gate, so one sweep suffices on a DAG.
-	order := make([]int, 0, n)
-	for i := n - 1; i >= 0; i-- {
-		if reaches[i] {
-			order = append(order, i)
-		}
-	}
-	pos := make([]int, n) // topological position for intersection walks
-	for i := range pos {
-		pos[i] = i
-	}
-	for i := range idom {
-		idom[i] = -1
-	}
-	intersect := func(a, b int) int {
-		// Walk the two dominator chains (toward larger IDs / the sink)
-		// until they meet. sink dominates everything.
-		for a != b {
-			if a == sink || b == sink {
-				return sink
-			}
-			if pos[a] < pos[b] {
-				a = idomOrSink(idom, a)
-			} else {
-				b = idomOrSink(idom, b)
-			}
-		}
-		return a
-	}
-	for _, g := range order {
-		d := -1 // unset
-		if c.IsOutput(g) {
-			d = sink
-		}
-		for _, f := range c.Gates[g].Fanout {
-			if !reaches[f] {
-				continue
-			}
-			if d == -1 {
-				d = f
-			} else {
-				d = intersect(d, f)
-			}
-		}
-		if d == -1 {
-			d = sink // isolated output (already handled) or unreachable
-		}
-		idom[g] = d
-	}
-	for i := range idom {
-		if idom[i] == sink || !reaches[i] {
-			idom[i] = -1
-		}
-	}
-	return idom
-}
-
-func idomOrSink(idom []int, g int) int {
-	d := idom[g]
-	if d == -1 {
-		return -2
-	}
-	return d
 }
 
 // CheckTopological verifies the structural invariant that every gate's

@@ -3,7 +3,7 @@
 // ISCAS-style .bench reader/writer (with the standard full-scan conversion
 // of flip-flops to pseudo-primary inputs/outputs), and the structural
 // analyses the paper's algorithms rely on (topological order, levels,
-// cones, fanout-free regions, dominators, and gate distances).
+// cones and gate distances).
 package circuit
 
 import (

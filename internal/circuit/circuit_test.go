@@ -188,79 +188,6 @@ func TestDistances(t *testing.T) {
 	}
 }
 
-func TestFFRRoots(t *testing.T) {
-	// Chain: a -> b1 -> b2 -> out ; all single fanout, so all share the
-	// root "out"; a side branch with fanout 2 roots itself.
-	b := NewBuilder("ffr")
-	a := b.Input("a")
-	s := b.Gate(logic.Buf, "stem", a) // fanout 2 below
-	b1 := b.Gate(logic.Not, "b1", s)
-	b2 := b.Gate(logic.Not, "b2", s)
-	o := b.Gate(logic.And, "o", b1, b2)
-	b.Output(o)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := c.FFRRoots()
-	if roots[s] != s {
-		t.Fatalf("stem root = %d, want itself (%d)", roots[s], s)
-	}
-	if roots[b1] != o || roots[b2] != o || roots[o] != o {
-		t.Fatalf("roots %v", roots)
-	}
-	members := c.FFRMembers()
-	if len(members[o]) != 3 {
-		t.Fatalf("region of o = %v", members[o])
-	}
-}
-
-func TestDominators(t *testing.T) {
-	// stem -> {b1, b2} -> o (single output): idom of b1, b2 and stem is o
-	// (all paths to the output pass through o); o itself and observed
-	// gates have no proper dominator.
-	b := NewBuilder("dom")
-	a := b.Input("a")
-	s := b.Gate(logic.Buf, "stem", a)
-	b1 := b.Gate(logic.Not, "b1", s)
-	b2 := b.Gate(logic.Not, "b2", s)
-	o := b.Gate(logic.And, "o", b1, b2)
-	b.Output(o)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	idom := c.Dominators()
-	if idom[b1] != o || idom[b2] != o {
-		t.Fatalf("idom(b1)=%d idom(b2)=%d, want %d", idom[b1], idom[b2], o)
-	}
-	if idom[s] != o {
-		t.Fatalf("idom(stem)=%d, want %d", idom[s], o)
-	}
-	if idom[o] != -1 {
-		t.Fatalf("idom(o)=%d, want -1", idom[o])
-	}
-}
-
-func TestDominatorsMultiOutput(t *testing.T) {
-	// g feeds two separate outputs: no single proper dominator.
-	b := NewBuilder("dom2")
-	a := b.Input("a")
-	g := b.Gate(logic.Not, "g", a)
-	o1 := b.Gate(logic.Buf, "o1", g)
-	o2 := b.Gate(logic.Not, "o2", g)
-	b.Output(o1)
-	b.Output(o2)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	idom := c.Dominators()
-	if idom[g] != -1 {
-		t.Fatalf("idom(g)=%d, want -1 (independent paths)", idom[g])
-	}
-}
-
 func TestTestSetHelpers(t *testing.T) {
 	ts := TestSet{
 		{Vector: []bool{true}, Output: 3, Want: true},

@@ -10,8 +10,7 @@ import (
 type DiagOptions struct {
 	// Candidates lists the gate IDs eligible for correction; each gets a
 	// select line once an encoded copy's cone contains it. Nil means
-	// every internal (non-input) gate, the basic BSAT configuration. The advanced two-pass approach passes the
-	// fanout-free-region roots here first.
+	// every internal (non-input) gate, the basic BSAT configuration.
 	Candidates []int
 
 	// Groups, when non-nil, overrides Candidates: each group is a set of

@@ -15,7 +15,10 @@ import (
 )
 
 // EncodeCopy adds one Tseitin copy of the circuit to the solver and
-// returns the variable of every gate output, indexed by gate ID.
+// returns the variable of every gate output, indexed by gate ID. No
+// production path calls it (miters use EncodeCopyWithInputs, diagnosis
+// encodes through DiagSession): it is the oracle the tests check the
+// gate encoding against simulation with.
 func EncodeCopy(s *sat.Solver, c *circuit.Circuit) []sat.Var {
 	return EncodeCopyWithInputs(s, c, nil)
 }

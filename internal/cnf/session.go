@@ -343,9 +343,9 @@ func (sess *DiagSession) AtMost(k int) []sat.Lit {
 
 // RestrictAssumps returns the assumptions confining corrections to the
 // given candidate labels: the select line of every other candidate is
-// assumed off. This replaces the per-subset instance rebuilds of the
-// two-pass and scoped heuristics — the solution space over the restricted
-// selects is identical to an instance built with Candidates = cands,
+// assumed off. A warm service session answers a request's candidate
+// list this way instead of rebuilding — the solution space over the
+// restricted selects is identical to an instance built with Candidates = cands,
 // because a candidate whose select line is off computes its gate
 // function, exactly like a gate that is no candidate.
 func (sess *DiagSession) RestrictAssumps(cands []int) []sat.Lit {

@@ -3,17 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
-	"repro/internal/logic"
 	"repro/internal/sat"
 	"repro/internal/trace"
 )
 
-// BSATOptions configures BasicSATDiagnose and its advanced variants.
+// BSATOptions configures BasicSATDiagnose and the engines built on it.
 type BSATOptions struct {
 	K int // maximum correction size (required)
 
@@ -251,198 +249,6 @@ func (r *BSATResult) ExtractFunctions(corr Correction) ([]GateFunction, error) {
 			gf.Care[minterm] = val
 		}
 		out = append(out, gf)
-	}
-	return out, nil
-}
-
-// ffrCandidates computes the two candidate tiers of the dominator-style
-// two-pass heuristic: the fanout-free-region roots, and (given the
-// regions named by pass-1 solutions) the fine-grained members.
-func ffrCandidates(c *circuit.Circuit) (roots []int, rootOf []int) {
-	rootOf = c.FFRRoots()
-	rootSet := make(map[int]bool)
-	for g, r := range rootOf {
-		if c.Gates[g].Kind != logic.Input {
-			rootSet[r] = true
-		}
-	}
-	for r := range rootSet {
-		if c.Gates[r].Kind != logic.Input {
-			roots = append(roots, r)
-		}
-	}
-	sort.Ints(roots)
-	return roots, rootOf
-}
-
-// FFRTwoPass is the dominator-style two-pass heuristic of the advanced
-// SAT-based approach (Section 2.3): pass 1 selects only
-// fanout-free-region roots (every path from a region gate to an output
-// passes through its root, so a root correction can emulate any region
-// correction); pass 2 refines within the regions named by pass-1
-// solutions. The result is sound (every solution is a valid correction)
-// and non-empty whenever pass 1 finds solutions, but unlike the paper's
-// exact claim for its heuristics it may omit fine-grained solutions
-// whose region roots were redundant at the coarse level; see DESIGN.md.
-//
-// Both passes run on one shared DiagSession: the instance (with a
-// select line at every internal gate of the copies' cones) is encoded
-// once, and each pass confines its candidate tier by select-line
-// assumptions instead of rebuilding — the projected solution spaces
-// are identical to the per-pass instances of the monolithic
-// formulation. Accordingly both
-// results report the shared instance's Vars/Clauses, the one-time
-// build cost lands in pass 1's Timings.CNF (pass 2's is zero — that is
-// the saving), and each Stats covers only its own pass's solver work.
-//
-// Trade-off of the shared instance: pass 1 solves over the full
-// encoding (selects at every cone gate, assumed off outside the
-// root tier) instead of the old roots-only instance, so its per-Solve
-// cost no longer shrinks with the root count — the price paid for
-// eliminating the second build and sharing learnt clauses between the
-// passes. Workloads that run pass 1 alone on huge circuits may prefer
-// a plain BSAT call with Candidates set to the FFR roots.
-func FFRTwoPass(c *circuit.Circuit, tests circuit.TestSet, opts BSATOptions) (*BSATResult, *BSATResult, error) {
-	if opts.K < 1 {
-		return nil, nil, fmt.Errorf("core: FFRTwoPass requires K >= 1, got %d", opts.K)
-	}
-	if len(tests) == 0 {
-		return nil, nil, fmt.Errorf("core: FFRTwoPass requires a non-empty test-set")
-	}
-	rootCands, rootOf := ffrCandidates(c)
-
-	sessOpts := opts.diagOptions()
-	sessOpts.Candidates = nil // every internal gate; passes restrict by assumptions
-	sess := encodeSession(c, tests, sessOpts, opts)
-
-	// Both passes report the shared instance's size as encoded, free of
-	// any round artifacts (guard variables, blocking clauses).
-	vars, clauses := sess.Size()
-	runPass := func(cands []int) *BSATResult {
-		res := &BSATResult{sess: sess}
-		// Stats is this pass's own solver work.
-		res.Vars, res.Clauses = vars, clauses
-		before := sess.Solver.Stats
-		start := time.Now()
-		_, complete := sess.EnumerateRound(cnf.RoundOptions{
-			MaxK:         opts.K,
-			Ctx:          opts.Ctx,
-			Restrict:     cands,
-			MaxSolutions: opts.MaxSolutions,
-			MaxConflicts: opts.MaxConflicts,
-			Timeout:      opts.Timeout,
-		}, func(k int, gates []int) bool {
-			if len(res.Solutions) == 0 {
-				res.Timings.One = time.Since(start)
-			}
-			res.Solutions = append(res.Solutions, NewCorrection(gates))
-			return true
-		})
-		res.Complete = complete
-		res.Timings.All = time.Since(start)
-		res.Stats = sess.Solver.Stats.Sub(before)
-		res.Canonicalize()
-		return res
-	}
-
-	pass1 := runPass(rootCands)
-	pass1.Timings.CNF = sess.BuildTime
-
-	// Pass 2 candidates: all members of every region named in pass 1.
-	named := make(map[int]bool)
-	for _, sol := range pass1.Solutions {
-		for _, r := range sol.Gates {
-			named[r] = true
-		}
-	}
-	var fine []int
-	for g, r := range rootOf {
-		if named[r] && c.Gates[g].Kind != logic.Input {
-			fine = append(fine, g)
-		}
-	}
-	sort.Ints(fine)
-	if len(fine) == 0 {
-		return pass1, &BSATResult{SolutionSet: SolutionSet{Complete: pass1.Complete}, sess: sess}, nil
-	}
-	pass2 := runPass(fine)
-	return pass1, pass2, nil
-}
-
-// PartitionedBSAT splits the test-set into partitions of the given size
-// and diagnoses each independently — the test-set-splitting heuristic of
-// Section 2.3. All partitions share one DiagSession built with per-test
-// guard literals: every copy is encoded once, and each partition round
-// activates only its own copies by assumptions, so no per-partition
-// instance is ever rebuilt. Every correction proposed by any partition
-// is then checked against the full test-set by exact effect analysis
-// (one incremental Validator), and kept only if it is valid and
-// essential there.
-//
-// The result is sound: every returned correction is a full-test-set BSAT
-// solution. It may under-approximate the full solution list, because a
-// correction essential for the whole test-set can be blocked inside a
-// partition where a strict subset already suffices; the ablation
-// benchmarks quantify this recall/size trade-off.
-//
-// Trade-off of the shared instance: a partition's models still assign
-// the (unconstrained) variables of the deactivated copies, so per-model
-// work scales with the total encoded copies rather than partitionSize —
-// the price paid for zero rebuild cost and learnt clauses shared across
-// partitions. Workloads dominated by very many tiny partitions over
-// huge circuits may prefer per-partition BSAT calls.
-func PartitionedBSAT(c *circuit.Circuit, tests circuit.TestSet, partitionSize int, opts BSATOptions) (*SolutionSet, error) {
-	if partitionSize < 1 {
-		return nil, fmt.Errorf("core: partition size must be >= 1")
-	}
-	if opts.K < 1 {
-		return nil, fmt.Errorf("core: PartitionedBSAT requires K >= 1, got %d", opts.K)
-	}
-	if len(tests) == 0 {
-		return nil, fmt.Errorf("core: PartitionedBSAT requires a non-empty test-set")
-	}
-	sessOpts := opts.diagOptions()
-	sessOpts.GuardTests = true
-	sess := encodeSession(c, tests, sessOpts, opts)
-
-	byKey := make(map[string]Correction)
-	complete := true
-	for lo := 0; lo < len(tests); lo += partitionSize {
-		hi := lo + partitionSize
-		if hi > len(tests) {
-			hi = len(tests)
-		}
-		active := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			active = append(active, i)
-		}
-		_, compl := sess.EnumerateRound(cnf.RoundOptions{
-			MaxK:         opts.K,
-			Ctx:          opts.Ctx,
-			ActiveTests:  active,
-			MaxSolutions: opts.MaxSolutions,
-			MaxConflicts: opts.MaxConflicts,
-			Timeout:      opts.Timeout,
-		}, func(k int, gates []int) bool {
-			sol := NewCorrection(gates)
-			byKey[sol.Key()] = sol
-			return true
-		})
-		complete = complete && compl
-	}
-	candidates := &SolutionSet{}
-	for _, sol := range byKey {
-		candidates.Solutions = append(candidates.Solutions, sol)
-	}
-	candidates.Canonicalize()
-	out := &SolutionSet{Complete: complete}
-	if len(candidates.Solutions) > 0 {
-		v := NewValidator(c, tests)
-		for _, sol := range candidates.Solutions {
-			if v.Essential(sol.Gates) {
-				out.Solutions = append(out.Solutions, sol)
-			}
-		}
 	}
 	return out, nil
 }

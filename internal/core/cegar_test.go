@@ -210,90 +210,6 @@ func TestCEGARExtractFunctionsOnLiveSession(t *testing.T) {
 	}
 }
 
-// TestFFRTwoPassSharedSessionEquivalence: both passes of the shared-
-// session two-pass must match monolithic BSAT runs over the same
-// candidate tiers, and repeating the whole procedure must be
-// deterministic (the session-reuse determinism contract).
-func TestFFRTwoPassSharedSessionEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		sc := makeScenario(t, seed, 1, 4)
-		if sc == nil {
-			continue
-		}
-		pass1, pass2, err := FFRTwoPass(sc.faulty, sc.tests, BSATOptions{K: sc.k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pass1.Complete {
-			continue
-		}
-
-		// Oracle for pass 1: a fresh monolithic instance over the roots.
-		roots, _ := ffrCandidates(sc.faulty)
-		oracle1, err := BSAT(sc.faulty, sc.tests, BSATOptions{K: sc.k, Candidates: roots})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !SameSolutions(&pass1.SolutionSet, &oracle1.SolutionSet) {
-			t.Fatalf("seed %d: pass1 %v != oracle %v", seed, pass1.Solutions, oracle1.Solutions)
-		}
-
-		re1, re2, err := FFRTwoPass(sc.faulty, sc.tests, BSATOptions{K: sc.k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !SameSolutions(&pass1.SolutionSet, &re1.SolutionSet) || !SameSolutions(&pass2.SolutionSet, &re2.SolutionSet) {
-			t.Fatalf("seed %d: FFRTwoPass not deterministic", seed)
-		}
-		if pass1.Session() == nil || pass1.Session() != pass2.Session() {
-			t.Fatalf("seed %d: passes do not share one session", seed)
-		}
-	}
-}
-
-// TestPartitionedBSATMatchesRebuildReference: the assumption-scoped
-// partitioning must return exactly what the old rebuild-per-partition
-// formulation returned.
-func TestPartitionedBSATMatchesRebuildReference(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		sc := makeScenario(t, seed, 1+int(seed%2), 6)
-		if sc == nil || len(sc.tests) < 4 {
-			continue
-		}
-		const psize = 2
-		got, err := PartitionedBSAT(sc.faulty, sc.tests, psize, BSATOptions{K: sc.k})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Reference: fresh BSAT per partition slice, union, essential
-		// filter over the full test-set.
-		byKey := make(map[string]Correction)
-		for lo := 0; lo < len(sc.tests); lo += psize {
-			hi := lo + psize
-			if hi > len(sc.tests) {
-				hi = len(sc.tests)
-			}
-			res, err := BSAT(sc.faulty, sc.tests[lo:hi], BSATOptions{K: sc.k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sol := range res.Solutions {
-				byKey[sol.Key()] = sol
-			}
-		}
-		want := &SolutionSet{}
-		for _, sol := range byKey {
-			if Essential(sc.faulty, sc.tests, sol.Gates) {
-				want.Solutions = append(want.Solutions, sol)
-			}
-		}
-		if !SameSolutions(got, want) {
-			t.Fatalf("seed %d: scoped %v != rebuilt %v", seed, got.Solutions, want.Solutions)
-		}
-	}
-}
-
 // TestCovGuidedRepairSessionGrowsLadder: repairing at K=2 through a
 // session built for K=1 grows the session's ladder instead of refusing
 // or dropping the bound. The seed is one of two injected sites, which

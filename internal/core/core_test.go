@@ -272,9 +272,6 @@ func TestBadOptionsRejected(t *testing.T) {
 	if _, err := BSAT(c, nil, BSATOptions{K: 1}); err == nil {
 		t.Fatal("BSAT empty tests accepted")
 	}
-	if _, err := PartitionedBSAT(c, tests, 0, BSATOptions{K: 1}); err == nil {
-		t.Fatal("partition size 0 accepted")
-	}
 }
 
 func TestCorrectionHelpers(t *testing.T) {

@@ -216,7 +216,8 @@ func BSIMWorkers(c *circuit.Circuit, tests circuit.TestSet, opts PTOptions, work
 // BSIMReference is the original BasicSimDiagnose loop — one full
 // circuit simulation per test via PathTrace. It is the reference oracle
 // the batched, event-driven BSIM is equivalence-tested against, and the
-// "before" side of the benchmark comparison.
+// "before" side of the benchmark comparison. No production path calls
+// it; keep it for those comparisons.
 func BSIMReference(c *circuit.Circuit, tests circuit.TestSet, opts PTOptions) *BSIMResult {
 	start := time.Now()
 	s := sim.New(c)

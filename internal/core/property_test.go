@@ -420,78 +420,6 @@ func TestSingleErrorInIntersectionProperty(t *testing.T) {
 	}
 }
 
-func TestPartitionedBSATSoundProperty(t *testing.T) {
-	// Partitioned solutions are always full-test-set BSAT solutions.
-	f := func(seed int64) bool {
-		sc := makeScenario(t, seed%5000, 1+int(abs64(seed)%2), 6)
-		if sc == nil || len(sc.tests) < 4 {
-			return true
-		}
-		full, err := BSAT(sc.faulty, sc.tests, BSATOptions{K: sc.k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !full.Complete {
-			return true
-		}
-		part, err := PartitionedBSAT(sc.faulty, sc.tests, 2, BSATOptions{K: sc.k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sol := range part.Solutions {
-			if !full.ContainsKey(sol) {
-				t.Logf("seed %d: partitioned %v not in full %v", seed, sol, full.Solutions)
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 15}
-	if testing.Short() {
-		cfg.MaxCount = 5
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFFRTwoPassSoundProperty(t *testing.T) {
-	// Two-pass solutions are valid corrections (soundness), and pass 1
-	// finds at least one solution whenever plain BSAT does.
-	f := func(seed int64) bool {
-		sc := makeScenario(t, seed%5000, 1, 4)
-		if sc == nil {
-			return true
-		}
-		full, err := BSAT(sc.faulty, sc.tests, BSATOptions{K: sc.k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pass1, pass2, err := FFRTwoPass(sc.faulty, sc.tests, BSATOptions{K: sc.k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Complete && len(full.Solutions) > 0 && pass1.Complete && len(pass1.Solutions) == 0 {
-			t.Logf("seed %d: pass 1 empty though solutions exist", seed)
-			return false
-		}
-		for _, sol := range pass2.Solutions {
-			if !Validate(sc.faulty, sc.tests, sol.Gates) {
-				t.Logf("seed %d: two-pass solution %v invalid", seed, sol)
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 15}
-	if testing.Short() {
-		cfg.MaxCount = 5
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func abs64(x int64) int64 {
 	if x < 0 {
 		if x == -x { // MinInt64

@@ -7,12 +7,12 @@
 //   - BasicSATDiagnose (BSAT), Figures 2 and 3,
 //
 // together with the effect-analysis oracle (Definition 3 checked by
-// forced-value simulation), corrected-function extraction, the advanced
-// variants discussed in Sections 2.3 and 4 (cone-restricted copies,
-// fanout-free-region two-pass, test-set partitioning), and the hybrid
-// approaches sketched in Section 6. Section 2.3's force-zero clauses
-// have nothing to act on: a candidate gate is relaxed by its select
-// line, so there is no free correction input to pin while it is off.
+// forced-value simulation), corrected-function extraction, the
+// cone-restricted copies of Sections 2.3 and 4, the CEGAR engine over
+// per-test cores, and the hybrid approaches sketched in Section 6.
+// Section 2.3's force-zero clauses have nothing to act on: a candidate
+// gate is relaxed by its select line, so there is no free correction
+// input to pin while it is off.
 package core
 
 import (

@@ -2,8 +2,8 @@
 // evaluation (Section 5): Table 2 (runtimes of BSIM, COV and BSAT),
 // Table 3 (diagnosis quality) and Figure 6 (quality and solution-count
 // scatter of BSAT versus COV over all benchmarks). Circuits come from
-// the seeded synthetic ISCAS89-like suite (see internal/gen and the
-// substitution notes in DESIGN.md); errors are injected gate changes;
+// the seeded synthetic ISCAS89-like suite (the internal/gen package doc
+// documents the substitution); errors are injected gate changes;
 // test-sets are shared prefixes exactly as in the paper ("a part of the
 // same test-set has been used").
 package expt
@@ -82,7 +82,7 @@ type Config struct {
 	// concurrent disjoint candidate slices); 0/1 = monolithic.
 	Shards int
 	// PaperScale generates the full-size circuit analog (only s38417x
-	// differs from the default suite; see DESIGN.md).
+	// differs from the default suite; see gen.Suite).
 	PaperScale bool
 }
 

@@ -4,8 +4,8 @@
 // this offline repository, so the suite provides statistical analogs —
 // same interface widths and gate-count profile, typical gate mix, deep
 // reconvergent logic — under the names s1423x, s6669x, s38417x, plus a
-// range of smaller circuits backing the Figure 6 scatter. DESIGN.md
-// documents this substitution.
+// range of smaller circuits backing the Figure 6 scatter. This comment
+// and Suite's document the substitution.
 package gen
 
 import (
@@ -166,8 +166,7 @@ func Generate(spec Spec) (*circuit.Circuit, error) {
 // harness. The three paper circuits appear as *x analogs; smaller
 // circuits back the Figure 6 sweep. s38417x is scaled to ~11k gates so
 // that all-solutions BSAT enumeration stays tractable for a pure-Go
-// CDCL solver (see DESIGN.md); PaperScaleSpec provides the full-size
-// variant.
+// CDCL solver; PaperScaleSpec provides the full-size variant.
 func Suite() []Spec {
 	return []Spec{
 		{Name: "s298x", Inputs: 17, Outputs: 20, Gates: 119, Seed: 298},

@@ -131,9 +131,6 @@ func (u *Unrolled) RealOutputs() []int {
 	return outs
 }
 
-// GateAt returns the unrolled instance of an original gate in a frame.
-func (u *Unrolled) GateAt(frame, gate int) int { return u.gateAt[frame][gate] }
-
 // Groups returns, per original internal gate, the IDs of its frame
 // instances (the select-line sharing groups), plus the original gate IDs
 // as labels.

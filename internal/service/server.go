@@ -113,8 +113,8 @@ type Server struct {
 }
 
 // spanPhases are the request-span phases that get their own
-// diag_phase_seconds histogram. "resolve" (body decode, netlist
-// resolution and request validation) is lapped by the handler at
+// diag_phase_seconds histogram. "resolve" (body decode, netlist or
+// session resolution and request validation) is lapped by the handler at
 // admission, "queue" by the scheduler worker, "retry" by the retry
 // wrapper, "respond" when the request finishes, the rest by the
 // pool/warm/cold paths; phases a request never entered simply observe
@@ -704,6 +704,9 @@ type SessionTestsRequest struct {
 
 func (s *Server) handleSessionTests(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
+	// As in handleDiagnose, the span starts before the body is read:
+	// decoding, the session lookup and validation are the resolve phase.
+	span := trace.New("request")
 	id := r.PathValue("id")
 	var req SessionTestsRequest
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -741,9 +744,9 @@ func (s *Server) handleSessionTests(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	rid := s.nextRequestID()
-	span := trace.New("request")
 	span.SetDetail("incremental")
 	ctx = trace.NewContext(ctx, span)
+	span.Lap("resolve")
 
 	var resp *DiagnoseResponse
 	var derr error

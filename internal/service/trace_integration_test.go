@@ -82,15 +82,28 @@ func TestDiagnoseTimings(t *testing.T) {
 	if !warm.PoolHit || warm.Mode != "warm" {
 		t.Fatalf("expected a warm hit, got mode=%q hit=%v", warm.Mode, warm.PoolHit)
 	}
+	// Then an incremental edit on the same session: retract one test.
+	code, edit := post[service.DiagnoseResponse](t, ts.URL+"/sessions/"+warm.Session+"/tests",
+		service.SessionTestsRequest{Remove: []int{0}})
+	if code != http.StatusOK {
+		t.Fatalf("POST /sessions/{id}/tests -> %d", code)
+	}
+	if edit.Timings == nil || edit.Mode != "incremental" {
+		t.Fatalf("edit: mode=%q timings=%v", edit.Mode, edit.Timings != nil)
+	}
 
+	served := []string{"resolve", "queue", "pool", "session-wait", "solve", "respond"}
 	for _, tc := range []struct {
 		name     string
 		resp     service.DiagnoseResponse
-		pool     string // the pool child span's detail
-		resolved string // the resolve child span's detail
+		phases   []string // the phases the breakdown must include
+		pool     string   // the pool child span's detail
+		resolved string   // the resolve child span's detail
 	}{
-		{"cold-start", first, service.OutcomeColdBuild, "miss"},
-		{"warm", warm, service.OutcomeWarmHit, "hit"},
+		{"cold-start", first, served, service.OutcomeColdBuild, "miss"},
+		{"warm", warm, served, service.OutcomeWarmHit, "hit"},
+		// An edit finds its session by id: no pool lookup, no netlist.
+		{"incremental", edit, []string{"resolve", "queue", "session-wait", "solve", "respond"}, "", ""},
 	} {
 		raw, err := json.Marshal(tc.resp.Timings)
 		if err != nil {
@@ -101,7 +114,7 @@ func TestDiagnoseTimings(t *testing.T) {
 		if wall <= 0 {
 			t.Fatalf("%s: span wall time %v", tc.name, wall)
 		}
-		for _, want := range []string{"resolve", "queue", "pool", "session-wait", "solve", "respond"} {
+		for _, want := range tc.phases {
 			if _, ok := phases[want]; !ok {
 				t.Fatalf("%s breakdown lacks phase %q: %v", tc.name, want, phases)
 			}
